@@ -47,7 +47,7 @@ from .model import (
     matching_views,
     validate_raw,
 )
-from .solvers import SolveMethod, solve_lecturer_optimal, solve_student_optimal
+from .solvers import solve_lecturer_optimal, solve_student_optimal
 from .stability import BlockingPair, find_blocking_pairs, is_stable
 from .verification import (
     PropertyReport,
@@ -76,7 +76,6 @@ __all__ = [
     "PropertyReport",
     "RawInstance",
     "SizeGuardError",
-    "SolveMethod",
     "StableSet",
     "ValidationReport",
     "Violation",

@@ -29,7 +29,7 @@ from .model import (
     is_valid_matching,
     validate_raw,
 )
-from .solvers import SolveMethod, solve_lecturer_optimal, solve_student_optimal
+from .solvers import solve_lecturer_optimal, solve_student_optimal
 from .stability import find_blocking_pairs
 from .verification import run_all_checks
 
@@ -89,11 +89,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    method = SolveMethod(args.method)
     if args.optimal == "student":
-        matching = solve_student_optimal(instance, method)
+        matching = solve_student_optimal(instance)
     else:
-        matching = solve_lecturer_optimal(instance, method)
+        matching = solve_lecturer_optimal(instance)
     sys.stdout.write(serialize_matching(matching))
     return EXIT_OK
 
@@ -184,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="student- or lecturer-optimal matching")
     p.add_argument("--optimal", required=True, choices=("student", "lecturer"))
-    p.add_argument("--method", default="enum", choices=("enum", "da"))
     p.add_argument("instance")
     p.set_defaults(fn=_cmd_solve)
 

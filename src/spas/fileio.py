@@ -59,8 +59,14 @@ def _parse_id(token: str, kind: str, line: int, column: int) -> int:
     return int(m.group(2))
 
 
+def _is_count(token: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also accepts ``²`` and the like,
+    which ``int`` then rejects."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_count(tokens: list[tuple[str, int]], line: int) -> int:
-    if len(tokens) != 2 or not tokens[1][0].isdigit():
+    if len(tokens) != 2 or not _is_count(tokens[1][0]):
         raise ParseError(
             f"expected '{tokens[0][0]} <count>'", line, tokens[0][1]
         )
@@ -115,7 +121,7 @@ def parse_raw_instance(text: str) -> RawInstance:
                 len(toks) != 6
                 or words[0] != ":"
                 or words[1] != "capacity"
-                or not words[2].isdigit()
+                or not _is_count(words[2])
                 or words[3] != "lecturer"
             ):
                 raise ParseError(
@@ -133,7 +139,7 @@ def parse_raw_instance(text: str) -> RawInstance:
                 len(toks) < 5
                 or words[0] != ":"
                 or words[1] != "capacity"
-                or not words[2].isdigit()
+                or not _is_count(words[2])
                 or words[3] != ":"
             ):
                 raise ParseError(

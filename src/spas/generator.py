@@ -84,17 +84,20 @@ def generate(params: GenParams) -> Instance:
         rng.shuffle(cands)
         student_prefs.append(cands)
 
-    lecturer_prefs: list[list[int]] = []
+    # each lecturer ranks, in shuffled order, the students who rank one of
+    # their projects; one pass gathers them in ascending student order
+    lecturer_prefs: list[list[int]] = [[] for _ in range(n3)]
+    for s, prefs in enumerate(student_prefs, start=1):
+        for p in prefs:
+            ranked = lecturer_prefs[owner[p - 1] - 1]
+            if not ranked or ranked[-1] != s:
+                ranked.append(s)
+    offered_caps: list[list[int]] = [[] for _ in range(n3)]
+    for p, k in enumerate(owner, start=1):
+        offered_caps[k - 1].append(capacity[p - 1])
     lecturer_capacity: list[int] = []
-    for k in range(1, n3 + 1):
-        offered = [p for p in range(1, n2 + 1) if owner[p - 1] == k]
-        ranked = [
-            s for s in range(1, n1 + 1)
-            if any(p in student_prefs[s - 1] for p in offered)
-        ]
+    for ranked, caps in zip(lecturer_prefs, offered_caps):
         rng.shuffle(ranked)
-        lecturer_prefs.append(ranked)
-        caps = [capacity[p - 1] for p in offered]
         lecturer_capacity.append(rng.randint(max(caps), sum(caps)))
 
     built = build_instance(RawInstance(

@@ -129,6 +129,26 @@ class Instance:
             {s: r for r, s in enumerate(prefs)} for prefs in self.lecturer_prefs
         )
 
+    @cached_property
+    def _projected(self) -> tuple[tuple[int, ...], ...]:
+        """Every projected list, index p - 1, in time linear in the total
+        length of the student lists: gather who ranks each project, then
+        order them with one pass over each lecturer's list."""
+        rankers: list[list[int]] = [[] for _ in self.project_capacity]
+        for s, prefs in enumerate(self.student_prefs, start=1):
+            for p in prefs:
+                rankers[p - 1].append(s)
+        lists: list[list[int]] = [[] for _ in self.project_capacity]
+        for ranked, offered in zip(self.lecturer_prefs, self.lecturer_projects):
+            wants: dict[int, list[int]] = {}
+            for p in offered:
+                for s in rankers[p - 1]:
+                    wants.setdefault(s, []).append(p)
+            for s in ranked:
+                for p in wants.get(s, ()):
+                    lists[p - 1].append(s)
+        return tuple(tuple(ranked) for ranked in lists)
+
     # -- queries ---------------------------------------------------------------
 
     def _check_student(self, s: int) -> None:
@@ -190,9 +210,7 @@ class Instance:
             raise ValueError(
                 f"{project_name(p)} is not offered by {lecturer_name(k)}"
             )
-        return tuple(
-            s for s in self.lecturer_prefs[k - 1] if p in self._srank[s - 1]
-        )
+        return self._projected[p - 1]
 
     def __repr__(self) -> str:  # the field dump is unusable for big instances
         return (
@@ -243,13 +261,21 @@ def validate_raw(raw: RawInstance) -> ValidationReport:
     n1 = len(raw.student_prefs)
     n2 = len(raw.project_capacity)
     n3 = len(raw.lecturer_capacity)
-    if len(raw.project_owner) != n2:
-        raise ValueError("project_owner and project_capacity lengths differ")
-    if len(raw.lecturer_prefs) != n3:
-        raise ValueError("lecturer_prefs and lecturer_capacity lengths differ")
-
     violations: list[Violation] = []
     warnings: list[Violation] = []
+
+    # lists that must run in parallel; checks that pair them are skipped
+    projects_aligned = len(raw.project_owner) == n2
+    lecturers_aligned = len(raw.lecturer_prefs) == n3
+    if not projects_aligned:
+        violations.append(Violation(
+            "length-mismatch", "project_owner",
+            f"{len(raw.project_owner)} owners for {n2} project capacities"))
+    if not lecturers_aligned:
+        violations.append(Violation(
+            "length-mismatch", "lecturer_prefs",
+            f"{len(raw.lecturer_prefs)} preference lists for {n3} lecturer "
+            f"capacities"))
 
     for j, c in enumerate(raw.project_capacity, start=1):
         if c < 1:
@@ -305,12 +331,14 @@ def validate_raw(raw: RawInstance) -> ValidationReport:
             offered[k - 1].append(j)
 
     for k in range(1, n3 + 1):
-        caps = [raw.project_capacity[j - 1] for j in offered[k - 1]]
-        if not caps:
+        if not offered[k - 1]:
             violations.append(Violation(
                 "no-offered-projects", lecturer_name(k),
                 "every lecturer must offer at least one project"))
             continue
+        if not projects_aligned:
+            continue
+        caps = [raw.project_capacity[j - 1] for j in offered[k - 1]]
         if min(caps) < 1:
             continue  # already reported on the project
         d = raw.lecturer_capacity[k - 1]
@@ -320,18 +348,23 @@ def validate_raw(raw: RawInstance) -> ValidationReport:
                 f"capacity {d} must lie between the largest offered project "
                 f"capacity {max(caps)} and the capacity sum {sum(caps)}"))
 
+    if not (projects_aligned and lecturers_aligned):
+        return ValidationReport(tuple(violations), tuple(warnings))
+
+    # one pass over the student lists: who ranks a project of each lecturer
+    expected: list[set[int]] = [set() for _ in range(n3)]
+    for i, prefs in enumerate(raw.student_prefs, start=1):
+        for p in prefs:
+            if 1 <= p <= n2 and 1 <= raw.project_owner[p - 1] <= n3:
+                expected[raw.project_owner[p - 1] - 1].add(i)
     for k in range(1, n3 + 1):
-        expected = {
-            i for i, prefs in enumerate(raw.student_prefs, start=1)
-            if any(p in prefs for p in offered[k - 1])
-        }
         listed = {s for s in raw.lecturer_prefs[k - 1] if 1 <= s <= n1}
-        for s in sorted(expected - listed):
+        for s in sorted(expected[k - 1] - listed):
             violations.append(Violation(
                 "lecturer-list-mismatch", lecturer_name(k),
                 f"{student_name(s)} ranks an offered project but is missing "
                 f"from the list"))
-        for s in sorted(listed - expected):
+        for s in sorted(listed - expected[k - 1]):
             violations.append(Violation(
                 "lecturer-list-mismatch", lecturer_name(k),
                 f"{student_name(s)} is listed but ranks no offered project"))

@@ -1,177 +1,179 @@
-"""Student-optimal and lecturer-optimal stable matching solvers.
+"""Student-optimal and lecturer-optimal stable matchings by deferred acceptance.
 
-The reference method folds meet (resp. join) over the full enumerated
-stable set, which pins correctness to the enumeration oracle but is
-exponential; it refuses instances beyond the size guard unless forced.
-The deferred-acceptance method runs the two linear-time proposal
-algorithms and must agree with the reference everywhere, which the test
-suite cross-checks.
+Both solvers follow Abraham, Irving & Manlove, "Two algorithms for the
+Student-Project Allocation problem", J. Discrete Algorithms 5(1), 2007.
+SPA-student gives every student their best stable project (the bottom of
+the lattice of stable matchings); SPA-lecturer gives every student their
+worst one (the top).  Both matchings are unique, so the order in which
+free students or lecturers are served never changes the output.
+
+Write λ for the total length of the students' preference lists.  Both
+solvers walk the projected lists L_k^p (lecturer k's list restricted to the
+students who rank p), which the instance builds once in O(λ), with
+pointers that never move back.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
 
-from .enumeration import DEFAULT_SIZE_GUARD, enumerate_all
-from .lattice import join_all, meet_all
 from .model import Instance, Matching
 
 
-class SolveMethod(Enum):
-    ENUMERATION = "enum"
-    DEFERRED_ACCEPTANCE = "da"
+def solve_student_optimal(instance: Instance) -> Matching:
+    """The stable matching giving every student their best stable project.
 
+    SPA-student: free students propose down their lists.  An
+    over-subscribed project rejects its worst assignee, or else an
+    over-subscribed lecturer rejects theirs.  A full project p, or a full
+    lecturer k, deletes every pair it could never keep: the students that k
+    ranks below the worst assignee of p (resp. of k).  Deletions are kept
+    as rank thresholds, one per project and one per lecturer, which only
+    ever decrease; (s, p) is deleted exactly when k ranks s beyond either.
 
-def _student_proposal(instance: Instance) -> Matching:
-    """Student-proposing deferred acceptance with list truncation.
-
-    Free students propose down their lists; oversubscribed projects and
-    lecturers drop their worst assignee, and once full they delete every
-    pair they could never keep, so nobody proposes to a lost cause twice.
+    A worst assignee is found by a pointer that moves backwards over L_k^p
+    (for a project) or L_k (for a lecturer): every later assignee lies
+    within the threshold, so nothing behind the pointer comes back.  Each
+    student's head pointer, and each of these, crosses its list once, so
+    the run is O(λ).
     """
+    owner = instance.project_owner
+    cap = instance.project_capacity
+    dcap = instance.lecturer_capacity
     prefs = instance.student_prefs
-    cap = instance.project_capacity
-    dcap = instance.lecturer_capacity
-    owner = instance.project_owner
+    lprefs = instance.lecturer_prefs
+    lrank = instance._lrank
+    projected = instance._projected
 
-    deleted: set[tuple[int, int]] = set()
-    assigned: dict[int, int] = {}
-    of_project: dict[int, set[int]] = {p: set() for p in instance.projects()}
-    of_lecturer: dict[int, set[int]] = {k: set() for k in instance.lecturers()}
+    n1, n2, n3 = instance.num_students, instance.num_projects, instance.num_lecturers
+    assigned = [0] * (n1 + 1)  # project of s, or 0
+    lect = [0] * (n1 + 1)  # lecturer of that project, or 0
+    head = [0] * (n1 + 1)
+    pload = [0] * (n2 + 1)
+    lload = [0] * (n3 + 1)
+    pthr = [n1] * (n2 + 1)  # (s, p) deleted when k ranks s beyond this
+    lthr = [n1] * (n3 + 1)
+    pworst = [0] + [len(ranked) - 1 for ranked in projected]
+    lworst = [0] + [len(ranked) - 1 for ranked in lprefs]
 
-    def lrank(k: int, s: int) -> int:
-        return instance._lrank[k - 1][s]
+    def worst_of_project(p: int) -> int:
+        ranked, i = projected[p - 1], pworst[p]
+        while assigned[ranked[i]] != p:
+            i -= 1
+        pworst[p] = i
+        return ranked[i]
 
-    def unassign(s: int) -> None:
-        p = assigned.pop(s)
-        of_project[p].discard(s)
-        of_lecturer[owner[p - 1]].discard(s)
+    def worst_of_lecturer(k: int) -> int:
+        ranked, i = lprefs[k - 1], lworst[k]
+        while lect[ranked[i]] != k:
+            i -= 1
+        lworst[k] = i
+        return ranked[i]
 
-    free = deque(instance.students())
+    def reject(s: int) -> None:
+        pload[assigned[s]] -= 1
+        lload[lect[s]] -= 1
+        assigned[s] = lect[s] = 0
+        free.append(s)
+
+    free = list(reversed(instance.students()))
     while free:
-        s = free.popleft()
-        if s in assigned:
-            continue
-        p = next((q for q in prefs[s - 1] if (s, q) not in deleted), None)
-        if p is None:
-            continue
-        k = owner[p - 1]
-        assigned[s] = p
-        of_project[p].add(s)
-        of_lecturer[k].add(s)
+        s = free.pop()
+        mine, i = prefs[s - 1], head[s]
+        while i < len(mine):
+            p = mine[i]
+            k = owner[p - 1]
+            r = lrank[k - 1][s]
+            if r <= pthr[p] and r <= lthr[k]:
+                break
+            i += 1
+        head[s] = i
+        if i == len(mine):
+            continue  # list exhausted: s stays unassigned
 
-        if len(of_project[p]) > cap[p - 1]:
-            worst = max(of_project[p], key=lambda t: lrank(k, t))
-            unassign(worst)
-            free.append(worst)
-        elif len(of_lecturer[k]) > dcap[k - 1]:
-            worst = max(of_lecturer[k], key=lambda t: lrank(k, t))
-            unassign(worst)
-            free.append(worst)
+        assigned[s], lect[s] = p, k
+        pload[p] += 1
+        lload[k] += 1
+        if pload[p] > cap[p - 1]:
+            reject(worst_of_project(p))
+        elif lload[k] > dcap[k - 1]:
+            reject(worst_of_lecturer(k))
 
-        if len(of_project[p]) == cap[p - 1]:
-            worst = max(of_project[p], key=lambda t: lrank(k, t))
-            wr = lrank(k, worst)
-            for t in instance.projected_list(k, p):
-                if lrank(k, t) > wr:
-                    deleted.add((t, p))
-        if len(of_lecturer[k]) == dcap[k - 1]:
-            worst = max(of_lecturer[k], key=lambda t: lrank(k, t))
-            wr = lrank(k, worst)
-            for t in instance.lecturer_prefs[k - 1]:
-                if lrank(k, t) > wr:
-                    for q in instance.lecturer_projects[k - 1]:
-                        if instance.acceptable_pair(t, q):
-                            deleted.add((t, q))
+        if pload[p] == cap[p - 1]:
+            pthr[p] = lrank[k - 1][worst_of_project(p)]
+        if lload[k] == dcap[k - 1]:
+            lthr[k] = lrank[k - 1][worst_of_lecturer(k)]
 
-    return Matching.from_assignments(assigned)
+    return Matching(tuple((s, p) for s, p in enumerate(assigned) if p))
 
 
-def _lecturer_proposal(instance: Instance) -> Matching:
-    """Lecturer-proposing offers; students trade up, never get ejected.
+def solve_lecturer_optimal(instance: Instance) -> Matching:
+    """The stable matching giving every student their worst stable project.
 
-    An offer (s, p) by lecturer k is open when p has room, s would strictly
-    improve, and k has room or s is already with k (an internal move).
-    Each round the lowest-indexed lecturer with an open offer serves the
-    best such student on its list, who takes their favourite open project
-    of that lecturer.  Every acceptance strictly improves a student, so the
-    loop ends after at most one pass per acceptable pair.
+    SPA-lecturer: under-subscribed lecturers offer projects to students.
+    Such a lecturer k offers to the first student on L_k who ranks an
+    under-subscribed project of k above their current project; the student
+    takes the best such project on their own list, leaving their old one.
+    Students only ever trade up, so each keeps a cutoff, the rank of their
+    current project, and a project's pointer over L_k^p skips for good
+    every student holding p or something better.  A work queue holds the
+    lecturers that may have an offer to make; a lecturer re-enters it when
+    a student leaves them for another lecturer.
+
+    Pointer moves total O(λ).  Each offer also scans the offering
+    lecturer's projects and the student's list, and there are at most λ
+    offers, since each one improves a student; so the run is O(λ) when
+    lecturers offer, and students rank, a bounded number of projects.
     """
+    owner = instance.project_owner
     cap = instance.project_capacity
     dcap = instance.lecturer_capacity
-    owner = instance.project_owner
+    offered = instance.lecturer_projects
+    srank = instance._srank
+    lrank = instance._lrank
+    prefs = instance.student_prefs
+    projected = instance._projected
 
-    assigned: dict[int, int] = {}
-    pload = [0] * (instance.num_projects + 1)
-    lload = [0] * (instance.num_lecturers + 1)
+    n1, n2, n3 = instance.num_students, instance.num_projects, instance.num_lecturers
+    assigned = [0] * (n1 + 1)
+    cutoff = [0] + [len(mine) for mine in prefs]
+    head = [0] * (n2 + 1)
+    pload = [0] * (n2 + 1)
+    lload = [0] * (n3 + 1)
+    queued = [True] * (n3 + 1)
+    queue = deque(instance.lecturers())
 
-    def srank(s: int, p: int) -> int:
-        return instance._srank[s - 1][p]
-
-    def open_offer(k: int) -> tuple[int, int] | None:
-        for s in instance.lecturer_prefs[k - 1]:
-            current = assigned.get(s)
-            in_k = current is not None and owner[current - 1] == k
-            if lload[k] == dcap[k - 1] and not in_k:
-                continue
-            best: int | None = None
-            for p in instance.lecturer_projects[k - 1]:
+    while queue:
+        k = queue.popleft()
+        queued[k] = False
+        rank_k = lrank[k - 1]
+        while lload[k] < dcap[k - 1]:
+            s, best = 0, n1
+            for p in offered[k - 1]:
                 if pload[p] == cap[p - 1]:
                     continue
-                if p not in instance._srank[s - 1] or p == current:
-                    continue
-                if current is not None and srank(s, p) >= srank(s, current):
-                    continue
-                if best is None or srank(s, p) < srank(s, best):
-                    best = p
-            if best is not None:
-                return s, best
-        return None
-
-    while True:
-        moved = False
-        for k in instance.lecturers():
-            offer = open_offer(k)
-            if offer is None:
-                continue
-            s, p = offer
-            current = assigned.get(s)
-            if current is not None:
-                pload[current] -= 1
-                lload[owner[current - 1]] -= 1
-            assigned[s] = p
+                ranked, i = projected[p - 1], head[p]
+                while i < len(ranked) and srank[ranked[i] - 1][p] >= cutoff[ranked[i]]:
+                    i += 1
+                head[p] = i
+                if i < len(ranked) and rank_k[ranked[i]] < best:
+                    s, best = ranked[i], rank_k[ranked[i]]
+            if not s:
+                break
+            # the first open project of k on the list of s ranks above the
+            # cutoff, because the one that made s eligible does
+            p = next(q for q in prefs[s - 1]
+                     if owner[q - 1] == k and pload[q] < cap[q - 1])
+            old = assigned[s]
+            if old:
+                pload[old] -= 1
+                j = owner[old - 1]
+                lload[j] -= 1
+                if j != k and not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
+            assigned[s], cutoff[s] = p, srank[s - 1][p]
             pload[p] += 1
             lload[k] += 1
-            moved = True
-            break
-        if not moved:
-            return Matching.from_assignments(assigned)
 
-
-def solve_student_optimal(
-    instance: Instance,
-    method: SolveMethod = SolveMethod.ENUMERATION,
-    *,
-    force: bool = False,
-    size_guard: int = DEFAULT_SIZE_GUARD,
-) -> Matching:
-    """The stable matching giving every student their best stable project."""
-    if method is SolveMethod.DEFERRED_ACCEPTANCE:
-        return _student_proposal(instance)
-    stable = enumerate_all(instance, force=force, size_guard=size_guard)
-    return meet_all(instance, stable, check=False)
-
-
-def solve_lecturer_optimal(
-    instance: Instance,
-    method: SolveMethod = SolveMethod.ENUMERATION,
-    *,
-    force: bool = False,
-    size_guard: int = DEFAULT_SIZE_GUARD,
-) -> Matching:
-    """The stable matching giving every student their worst stable project."""
-    if method is SolveMethod.DEFERRED_ACCEPTANCE:
-        return _lecturer_proposal(instance)
-    stable = enumerate_all(instance, force=force, size_guard=size_guard)
-    return join_all(instance, stable, check=False)
+    return Matching(tuple((s, p) for s, p in enumerate(assigned) if p))

@@ -1,15 +1,29 @@
 """Independent reference implementations used only to check the library.
 
-Nothing here reuses the library's stability or enumeration logic: blocking
-pairs come from a full double loop re-deriving every condition, and the
-stable set comes from filtering every assignment function.  These stay
-deliberately naive; the production code must agree with them.
+Blocking pairs come from a full double loop re-deriving every condition,
+and the stable set comes from filtering every assignment function; neither
+reuses the library's stability or enumeration logic.  The optimal-matching
+fold does reuse ``enumerate_all``, which the brute-force set pins, and
+replaces the two proposal algorithms with meet/join over the whole stable
+set.  The list-correspondence check is the quadratic loop that one pass in
+``validate_raw`` replaced.  These stay deliberately naive; the production
+code must agree with them.
 """
 
 import random
 from itertools import product
 
-from spas import Instance, Matching, is_stable, is_valid_matching
+from spas import (
+    Instance,
+    Matching,
+    RawInstance,
+    Violation,
+    enumerate_all,
+    is_stable,
+    is_valid_matching,
+    join_all,
+    meet_all,
+)
 
 
 def naive_blocking_pairs(instance: Instance, matching: Matching):
@@ -99,3 +113,39 @@ def random_valid_matching(instance: Instance, rng: random.Random) -> Matching:
         k = instance.owner(p)
         lload[k] = lload.get(k, 0) + 1
     return Matching(tuple(pairs))
+
+
+def fold_student_optimal(instance: Instance) -> Matching:
+    """Meet of the whole enumerated stable set: every student's best."""
+    return meet_all(instance, enumerate_all(instance), check=False)
+
+
+def fold_lecturer_optimal(instance: Instance) -> Matching:
+    """Join of the whole enumerated stable set: every student's worst."""
+    return join_all(instance, enumerate_all(instance), check=False)
+
+
+def naive_list_correspondence(raw: RawInstance) -> list[Violation]:
+    """Lecturer-list mismatches, lecturer by lecturer, rescanning every
+    student list against the lecturer's offered projects each time."""
+    n1, n3 = len(raw.student_prefs), len(raw.lecturer_capacity)
+    offered: list[list[int]] = [[] for _ in range(n3)]
+    for j, k in enumerate(raw.project_owner, start=1):
+        if 1 <= k <= n3:
+            offered[k - 1].append(j)
+    out = []
+    for k in range(1, n3 + 1):
+        expected = {
+            i for i, prefs in enumerate(raw.student_prefs, start=1)
+            if any(p in prefs for p in offered[k - 1])
+        }
+        listed = {s for s in raw.lecturer_prefs[k - 1] if 1 <= s <= n1}
+        for s in sorted(expected - listed):
+            out.append(Violation(
+                "lecturer-list-mismatch", f"l{k}",
+                f"s{s} ranks an offered project but is missing from the list"))
+        for s in sorted(listed - expected):
+            out.append(Violation(
+                "lecturer-list-mismatch", f"l{k}",
+                f"s{s} is listed but ranks no offered project"))
+    return out

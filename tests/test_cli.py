@@ -69,7 +69,7 @@ class TestSolve:
         from spas import serialize_matching
 
         code, out, _ = run(
-            capsys, "solve", "--optimal", "lecturer", "--method", "da", B)
+            capsys, "solve", "--optimal", "lecturer", B)
         assert code == 0
         assert out == serialize_matching(B_M[6])
 

@@ -1,8 +1,17 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spas import GenParams, Instance, generate, validate_raw, RawInstance
+from spas import (
+    GenParams,
+    Instance,
+    RawInstance,
+    generate,
+    serialize_instance,
+    validate_raw,
+)
 
 
 def as_raw(instance: Instance) -> RawInstance:
@@ -24,6 +33,28 @@ class TestDeterminism:
         fixed = dict(students=6, projects=5, lecturers=2, density=0.6)
         instances = {generate(GenParams(seed=s, **fixed)) for s in range(30)}
         assert len(instances) > 1
+
+
+class TestPinnedOutput:
+    """Generated files are part of the recipe: these digests must not move."""
+
+    PINS = [
+        (GenParams(students=7, projects=5, lecturers=2, seed=42),
+         "accdbc24ac195ff5ad36959e14365a34ed56a4068950a91fda0b1bf496d46844"),
+        (GenParams(students=0, projects=3, lecturers=2, seed=1),
+         "a1c861b60f606c053e14f47b27421637828140d733ee1bf45bdc3ea0c69be6ed"),
+        (GenParams(students=60, projects=12, lecturers=5, pref_len=(0, 5),
+                   project_cap=(1, 3), seed=2024, density=0.9),
+         "bac638d5aef3c0197623fe1ad27a770f374e42209c35738c640eb5396019001f"),
+        (GenParams(students=250, projects=62, lecturers=12, pref_len=(3, 6),
+                   project_cap=(1, 4), seed=10_257, density=4.5 / 62),
+         "54c34e2bfe50a920bb447c3b0d119a678da911cbbcf3d4923749c4e37e60ff4c"),
+    ]
+
+    @pytest.mark.parametrize("params,digest", PINS)
+    def test_serialized_output_digest(self, params, digest):
+        text = serialize_instance(generate(params))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestValidity:

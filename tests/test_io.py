@@ -81,6 +81,23 @@ class TestInstanceFiles:
         assert err.value.line == 4
         assert err.value.column is not None
 
+    @pytest.mark.parametrize("text,line,fragment", [
+        ("students \u00b2\nprojects 1\nlecturers 1\n", 1, "students <count>"),
+        ("students 1\nprojects 1\nlecturers 1\ns1 : p1\n"
+         "p1 : capacity \u00b9 lecturer l1\nl1 : capacity 1 : s1\n", 5,
+         "capacity <c>"),
+        ("students 1\nprojects 1\nlecturers 1\ns1 : p1\n"
+         "p1 : capacity 1 lecturer l1\nl1 : capacity \u00b9 : s1\n", 6,
+         "capacity <d>"),
+    ])
+    def test_non_ascii_digits_are_parse_errors(self, text, line, fragment):
+        # str.isdigit accepts superscripts, which int() then rejects
+        with pytest.raises(ParseError) as err:
+            parse_instance_file(text)
+        assert err.value.line == line
+        assert err.value.column is not None
+        assert fragment in str(err.value)
+
     @given(st.integers(1, 10**6))
     @settings(max_examples=80, deadline=None)
     def test_round_trip_on_generated_instances(self, seed):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from known_instances import A_M1, A_M2, INSTANCE_A, INSTANCE_B
-from oracles import random_valid_matching
+from oracles import naive_list_correspondence, random_valid_matching
 from corpus import corpus_instance
 from spas import (
     Instance,
@@ -111,6 +111,40 @@ class TestBuildInstance:
         assert isinstance(report, ValidationReport)
         rules = {v.rule for v in report.violations}
         assert {"capacity-bound", "duplicate-preference"} <= rules
+
+    def test_ragged_project_lists_are_reported(self):
+        raw = RawInstance([[1]], [1], [], [1], [[1]])
+        report = validate_raw(raw)
+        assert [v.rule for v in report.violations] == [
+            "length-mismatch", "no-offered-projects"]
+        assert report.violations[0].subject == "project_owner"
+
+    def test_ragged_lecturer_lists_are_reported(self):
+        raw = RawInstance([[1]], [1], [1], [1, 1], [[1]])
+        report = validate_raw(raw)
+        assert [v.rule for v in report.violations] == [
+            "length-mismatch", "no-offered-projects"]
+        assert report.violations[0].subject == "lecturer_prefs"
+        assert isinstance(build_instance(raw), ValidationReport)
+
+    @given(
+        st.integers(0, 6).flatmap(lambda n1: st.integers(1, 5).flatmap(
+            lambda n2: st.integers(1, 3).flatmap(lambda n3: st.tuples(
+                st.lists(st.lists(st.integers(0, n2 + 1), max_size=5),
+                         min_size=n1, max_size=n1),
+                st.lists(st.integers(0, n3 + 1), min_size=n2, max_size=n2),
+                st.lists(st.lists(st.integers(0, n1 + 1), max_size=7),
+                         min_size=n3, max_size=n3),
+            ))))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_list_correspondence_matches_naive_loop(self, lists):
+        student_prefs, owner, lecturer_prefs = lists
+        raw = RawInstance(student_prefs, [1] * len(owner), owner,
+                          [1] * len(lecturer_prefs), lecturer_prefs)
+        mismatches = [v for v in validate_raw(raw).violations
+                      if v.rule == "lecturer-list-mismatch"]
+        assert mismatches == naive_list_correspondence(raw)
 
 
 class TestQueries:
