@@ -38,13 +38,11 @@ from .model import (
     EMPTY_MATCHING,
     Instance,
     Matching,
-    MatchingView,
     RawInstance,
     ValidationReport,
     Violation,
     build_instance,
     is_valid_matching,
-    matching_views,
     validate_raw,
 )
 from .solvers import solve_lecturer_optimal, solve_student_optimal
@@ -71,7 +69,6 @@ __all__ = [
     "Instance",
     "LecturerComparison",
     "Matching",
-    "MatchingView",
     "ParseError",
     "PropertyReport",
     "RawInstance",
@@ -97,7 +94,6 @@ __all__ = [
     "join_all",
     "lecturer_compare",
     "lecturer_dominates",
-    "matching_views",
     "meet",
     "meet_all",
     "parse_instance_file",

@@ -147,34 +147,33 @@ def join(
     return _combine(instance, first, second, better=False)
 
 
-def meet_all(
-    instance: Instance, matchings: Iterable[Matching], *, check: bool = True
+def _fold(
+    instance: Instance, matchings: Iterable[Matching], *, check: bool,
+    better: bool, name: str,
 ) -> Matching:
-    """Fold of :func:`meet`: per-student best over the whole collection."""
     ms = list(matchings)
     if not ms:
-        raise ValueError("meet_all needs at least one matching")
+        raise ValueError(f"{name} needs at least one matching")
     if check:
         _require_stable(instance, *ms)
     out = ms[0]
     for m in ms[1:]:
-        out = _combine(instance, out, m, better=True)
+        out = _combine(instance, out, m, better=better)
     return out
+
+
+def meet_all(
+    instance: Instance, matchings: Iterable[Matching], *, check: bool = True
+) -> Matching:
+    """Fold of :func:`meet`: per-student best over the whole collection."""
+    return _fold(instance, matchings, check=check, better=True, name="meet_all")
 
 
 def join_all(
     instance: Instance, matchings: Iterable[Matching], *, check: bool = True
 ) -> Matching:
     """Fold of :func:`join`: per-student worst over the whole collection."""
-    ms = list(matchings)
-    if not ms:
-        raise ValueError("join_all needs at least one matching")
-    if check:
-        _require_stable(instance, *ms)
-    out = ms[0]
-    for m in ms[1:]:
-        out = _combine(instance, out, m, better=False)
-    return out
+    return _fold(instance, matchings, check=check, better=False, name="join_all")
 
 
 @dataclass(frozen=True)

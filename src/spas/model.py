@@ -1,4 +1,4 @@
-"""Core data model: instances, matchings, validation, and assignment views.
+"""Core data model: instances, matchings, and validation.
 
 Students rank projects, lecturers rank students, and every project is
 offered by exactly one lecturer; projects and lecturers carry capacities.
@@ -437,77 +437,3 @@ def is_valid_matching(instance: Instance, matching: Matching) -> ValidationRepor
 
     return ValidationReport(tuple(violations))
 
-
-class MatchingView:
-    """O(1) accessors over one matching: M(s), M(p), M(l), loads, worsts.
-
-    Assumes the matching is valid for the instance (at most one project per
-    student, acceptable pairs only); validate first where that is in doubt.
-    """
-
-    def __init__(self, instance: Instance, matching: Matching) -> None:
-        self.instance = instance
-        self.matching = matching
-        self._of_student: dict[int, int] = {}
-        self._of_project: dict[int, set[int]] = {}
-        self._of_lecturer: dict[int, set[int]] = {}
-        for s, p in matching.pairs:
-            self._of_student[s] = p
-            self._of_project.setdefault(p, set()).add(s)
-            self._of_lecturer.setdefault(instance.owner(p), set()).add(s)
-
-    def project_of(self, s: int) -> int | None:
-        self.instance._check_student(s)
-        return self._of_student.get(s)
-
-    def project_students(self, p: int) -> frozenset[int]:
-        self.instance._check_project(p)
-        return frozenset(self._of_project.get(p, ()))
-
-    def lecturer_students(self, k: int) -> frozenset[int]:
-        self.instance._check_lecturer(k)
-        return frozenset(self._of_lecturer.get(k, ()))
-
-    def project_load(self, p: int) -> int:
-        self.instance._check_project(p)
-        return len(self._of_project.get(p, ()))
-
-    def lecturer_load(self, k: int) -> int:
-        self.instance._check_lecturer(k)
-        return len(self._of_lecturer.get(k, ()))
-
-    def project_full(self, p: int) -> bool:
-        return self.project_load(p) >= self.instance.project_capacity[p - 1]
-
-    def lecturer_full(self, k: int) -> bool:
-        return self.lecturer_load(k) >= self.instance.lecturer_capacity[k - 1]
-
-    def unassigned_students(self) -> frozenset[int]:
-        return frozenset(
-            s for s in self.instance.students() if s not in self._of_student
-        )
-
-    def worst_of_lecturer(self, k: int) -> int | None:
-        """Assigned student appearing last on the lecturer's list, if any."""
-        students = self._of_lecturer.get(k)
-        if not students:
-            self.instance._check_lecturer(k)
-            return None
-        return max(students, key=lambda s: self.instance.lecturer_rank(k, s))
-
-    def worst_of_project(self, p: int) -> int | None:
-        """Assigned student appearing last on the projected list, if any.
-
-        The projected list preserves the lecturer's order, so ranks on the
-        full list decide this too.
-        """
-        students = self._of_project.get(p)
-        if not students:
-            self.instance._check_project(p)
-            return None
-        k = self.instance.owner(p)
-        return max(students, key=lambda s: self.instance.lecturer_rank(k, s))
-
-
-def matching_views(instance: Instance, matching: Matching) -> MatchingView:
-    return MatchingView(instance, matching)

@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Instance, Matching, MatchingView, is_valid_matching
-
-STUDENT_CONDITIONS = ("S1", "S2")
-PROJECT_CONDITIONS = ("P1", "P2", "P3", "P4")
+from .model import Instance, Matching, is_valid_matching
 
 
 @dataclass(frozen=True)
@@ -34,55 +31,71 @@ class BlockingPair:
     project_condition: str
 
 
-def _project_condition(
-    instance: Instance, view: MatchingView, s: int, p: int
-) -> str | None:
-    k = instance.owner(p)
-    if not view.project_full(p):
-        if not view.lecturer_full(k):
-            return "P1"
-        assigned = view.project_of(s)
-        if assigned is not None and instance.owner(assigned) == k:
-            return "P2"
-        worst = view.worst_of_lecturer(k)
-        if worst is not None and instance.lecturer_prefers(k, s, worst):
-            return "P3"
-        return None
-    worst = view.worst_of_project(p)
-    if worst is not None and instance.lecturer_prefers(k, s, worst):
-        return "P4"
-    return None
-
-
 def find_blocking_pairs(
     instance: Instance, matching: Matching
 ) -> tuple[BlockingPair, ...]:
     """All blocking pairs, ordered by (student index, project index).
 
-    Each student's list is scanned only down to (and excluding) their
-    current assignment: S2 needs strict preference, so nothing below the
-    assignment can block.
+    The matching is tallied once: each student's project, the load of each
+    project and lecturer, and the lecturer rank of the worst student held
+    on each project and by each lecturer.  The projected list keeps the
+    lecturer's order, so ranks on the full list decide a project's worst
+    too.  Each student's list is then scanned only down to (and excluding)
+    their current assignment: S2 needs strict preference, so nothing below
+    the assignment can block.  After validation this is O(λ + |M|), λ the
+    total length of the student lists, plus ordering the output.
     """
     report = is_valid_matching(instance, matching)
     if not report.ok:
         raise ValueError(
             f"invalid matching: {report.violations[0].render()}"
         )
-    view = MatchingView(instance, matching)
+    owner = instance.project_owner
+    cap = instance.project_capacity
+    dcap = instance.lecturer_capacity
+    srank = instance._srank
+    lrank = instance._lrank
+
+    assigned = [0] * (instance.num_students + 1)  # project of s, or 0
+    lect = [0] * (instance.num_students + 1)  # lecturer of that project, or 0
+    pload = [0] * (instance.num_projects + 1)
+    lload = [0] * (instance.num_lecturers + 1)
+    pworst = [-1] * (instance.num_projects + 1)  # rank of worst held, or -1
+    lworst = [-1] * (instance.num_lecturers + 1)
+    for s, p in matching.pairs:
+        k = owner[p - 1]
+        r = lrank[k - 1][s]
+        assigned[s], lect[s] = p, k
+        pload[p] += 1
+        lload[k] += 1
+        pworst[p] = max(pworst[p], r)
+        lworst[k] = max(lworst[k], r)
+
     found: list[BlockingPair] = []
-    for s in instance.students():
-        assigned = view.project_of(s)
-        prefs = instance.student_prefs[s - 1]
-        if assigned is None:
+    for s, prefs in enumerate(instance.student_prefs, start=1):
+        mine = assigned[s]
+        if mine:
+            scan = prefs[: srank[s - 1][mine]]
+            s_cond = "S2"
+        else:
             scan = prefs
             s_cond = "S1"
-        else:
-            scan = prefs[: instance.student_rank(s, assigned)]
-            s_cond = "S2"
         for p in scan:
-            p_cond = _project_condition(instance, view, s, p)
-            if p_cond is not None:
-                found.append(BlockingPair(s, p, s_cond, p_cond))
+            k = owner[p - 1]
+            r = lrank[k - 1][s]
+            if pload[p] >= cap[p - 1]:
+                if r >= pworst[p]:
+                    continue
+                p_cond = "P4"
+            elif lload[k] < dcap[k - 1]:
+                p_cond = "P1"
+            elif k == lect[s]:
+                p_cond = "P2"
+            elif r < lworst[k]:
+                p_cond = "P3"
+            else:
+                continue
+            found.append(BlockingPair(s, p, s_cond, p_cond))
     found.sort(key=lambda bp: (bp.student, bp.project))
     return tuple(found)
 

@@ -377,10 +377,10 @@ def check_lattice_axioms(
 
 
 PAIRWISE_CHECKS = (
-    check_prop_full_project,
-    check_lemma_same_lecturer,
-    check_lemma_pref_reversal,
-    check_lemma_rank_boundaries,
+    ("full-project", check_prop_full_project),
+    ("same-lecturer", check_lemma_same_lecturer),
+    ("preference-reversal", check_lemma_pref_reversal),
+    ("rank-boundaries", check_lemma_rank_boundaries),
 )
 
 
@@ -399,23 +399,16 @@ def run_all_checks(
     reports: list[PropertyReport] = []
     if not pairs_only:
         reports.append(check_unpopular_projects(instance, members))
-    for fn in PAIRWISE_CHECKS:
+    for name, check in PAIRWISE_CHECKS:
         failures: list[str] = []
         for i, x in enumerate(members):
             for j, y in enumerate(members):
                 if i == j:
                     continue
-                r = fn(instance, x, y)
+                r = check(instance, x, y)
                 failures.extend(f"(M{i + 1}, M{j + 1}) {f}" for f in r.failures)
-        reports.append(_report(_CHECK_NAMES[fn], failures))
+        reports.append(_report(name, failures))
     if not pairs_only:
         reports.append(check_lattice_axioms(instance, members))
     return tuple(reports)
 
-
-_CHECK_NAMES = {
-    check_prop_full_project: "full-project",
-    check_lemma_same_lecturer: "same-lecturer",
-    check_lemma_pref_reversal: "preference-reversal",
-    check_lemma_rank_boundaries: "rank-boundaries",
-}

@@ -1,21 +1,17 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from known_instances import A_M1, A_M2, INSTANCE_A, INSTANCE_B
-from oracles import naive_list_correspondence, random_valid_matching
+from oracles import naive_list_correspondence
 from corpus import corpus_instance
 from spas import (
     Instance,
     Matching,
-    MatchingView,
     RawInstance,
     ValidationReport,
     build_instance,
     is_valid_matching,
-    matching_views,
     validate_raw,
 )
 
@@ -257,42 +253,3 @@ class TestIsValidMatching:
         assert not report.ok
         assert any(v.rule == "dangling-identifier" for v in report.violations)
 
-
-class TestMatchingView:
-    def test_quoted_lecturer_set(self):
-        view = matching_views(INSTANCE_A, A_M1)
-        assert view.lecturer_students(1) == {1, 2, 5}
-
-    def test_worst_assigned_examples(self):
-        view = MatchingView(INSTANCE_A, A_M1)
-        # last of {s1, s2, s5} on l1's list s4 s5 s3 s1 s2
-        assert view.worst_of_lecturer(1) == 2
-        assert view.worst_of_project(1) == 1
-        assert view.project_of(4) == 4
-
-    def test_empty_matching_views(self):
-        view = MatchingView(INSTANCE_A, Matching(()))
-        assert view.worst_of_lecturer(1) is None
-        assert view.worst_of_project(1) is None
-        assert view.project_of(1) is None
-        assert view.unassigned_students() == frozenset(INSTANCE_A.students())
-
-    def test_unknown_identifier(self):
-        view = MatchingView(INSTANCE_A, A_M1)
-        with pytest.raises(ValueError):
-            view.project_of(6)
-        with pytest.raises(ValueError):
-            view.lecturer_students(3)
-
-    @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_lecturer_load_splits_over_projects(self, seed, mseed):
-        instance = corpus_instance(seed, 6, 5, 3)
-        matching = random_valid_matching(instance, random.Random(mseed))
-        assert is_valid_matching(instance, matching).ok
-        view = MatchingView(instance, matching)
-        for k in instance.lecturers():
-            split = sum(
-                view.project_load(p) for p in instance.lecturer_projects[k - 1]
-            )
-            assert split == view.lecturer_load(k)

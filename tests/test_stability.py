@@ -39,15 +39,26 @@ class TestKnownMatchings:
 
 
 class TestConditionLabels:
-    def test_s2_p4_example(self):
+    @pytest.mark.parametrize("pairs, pair, labels", [
         # s9 holds p3 but prefers p2, which is full with s6; l1 ranks s9 far
-        # above s6, so (s9, p2) blocks with S2 and P4
-        m = Matching(((6, 2), (9, 3)))
-        blocking = find_blocking_pairs(INSTANCE_B, m)
+        # above s6
+        (((6, 2), (9, 3)), (9, 2), ("S2", "P4")),
+        # s1 holds p3 and prefers p1, which has room; l1 is full with s4 s5
+        # s6 s7, and ranks s1 above its worst, s6
+        (((1, 3), (4, 2), (5, 1), (6, 5), (7, 6)), (1, 1), ("S2", "P3")),
+        # s6 is unassigned and p5 is empty; l1 is full with s1 s3 s4 s8, and
+        # ranks s6 above its worst, s8
+        (((1, 2), (3, 1), (4, 1), (8, 6)), (6, 5), ("S1", "P3")),
+        # s3 holds p2 and prefers p1, which has room; l1 is full, but s3 is
+        # already one of its students
+        (((1, 1), (3, 2), (6, 5), (8, 6)), (3, 1), ("S2", "P2")),
+    ], ids=["s9-p2-S2-P4", "s1-p1-S2-P3", "s6-p5-S1-P3", "s3-p1-S2-P2"])
+    def test_labels_on_worked_instance(self, pairs, pair, labels):
+        blocking = find_blocking_pairs(INSTANCE_B, Matching(pairs))
         labelled = {(bp.student, bp.project): (bp.student_condition,
                                                bp.project_condition)
                     for bp in blocking}
-        assert labelled[(9, 2)] == ("S2", "P4")
+        assert labelled[pair] == labels
 
     def test_s1_never_with_p2(self):
         for seed in range(1, 120):
@@ -79,17 +90,22 @@ class TestConditionLabels:
                     assert instance.lecturer_prefers(k, s, worst)
 
 
+def labelled_tuples(instance, matching):
+    return [
+        (bp.student, bp.project, bp.student_condition, bp.project_condition)
+        for bp in find_blocking_pairs(instance, matching)
+    ]
+
+
 class TestAgainstOracle:
+    @pytest.mark.parametrize("n1, n2, n3", [(5, 5, 3), (12, 8, 4)])
     @given(st.integers(1, 10**6), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_matches_naive_double_loop(self, seed, mseed):
-        instance = corpus_instance(seed, 5, 5, 3)
+    def test_matches_naive_double_loop(self, n1, n2, n3, seed, mseed):
+        instance = corpus_instance(seed, n1, n2, n3)
         matching = random_valid_matching(instance, random.Random(mseed))
-        got = [
-            (bp.student, bp.project, bp.student_condition, bp.project_condition)
-            for bp in find_blocking_pairs(instance, matching)
-        ]
-        assert got == naive_blocking_pairs(instance, matching)
+        assert labelled_tuples(instance, matching) == naive_blocking_pairs(
+            instance, matching)
 
     def test_matches_naive_on_known_instances(self):
         for instance, matchings in (
@@ -97,9 +113,20 @@ class TestAgainstOracle:
             (INSTANCE_B, B_M),
         ):
             for m in matchings:
-                got = [
-                    (bp.student, bp.project, bp.student_condition,
-                     bp.project_condition)
-                    for bp in find_blocking_pairs(instance, m)
-                ]
-                assert got == naive_blocking_pairs(instance, m)
+                assert labelled_tuples(instance, m) == naive_blocking_pairs(
+                    instance, m)
+
+    def test_every_condition_pair_is_reported(self):
+        # at this shape every branch of the P-condition is taken: all seven
+        # legal (S, P) combinations occur, S2/P3 22 times
+        seen = set()
+        for seed in range(1, 151):
+            instance = corpus_instance(seed, 12, 8, 4)
+            matching = random_valid_matching(instance, random.Random(seed * 7))
+            got = labelled_tuples(instance, matching)
+            assert got == naive_blocking_pairs(instance, matching)
+            seen.update((s_cond, p_cond) for _, _, s_cond, p_cond in got)
+        assert seen == {
+            ("S1", "P1"), ("S1", "P3"), ("S1", "P4"),
+            ("S2", "P1"), ("S2", "P2"), ("S2", "P3"), ("S2", "P4"),
+        }
