@@ -1,8 +1,18 @@
 """Exhaustive enumeration of all stable matchings at desk scale.
 
-Depth-first search assigns students in index order, branching over each
-student's preference list and the explicit choice "unassigned".  A branch
-dies as soon as a blocking pair is already decided by the frozen prefix:
+The stable matchings form a distributive lattice whose bottom is the
+student-optimal matching M_s and whose top is the lecturer-optimal
+matching M_l, both found in linear time by deferred acceptance.  Every
+stable matching M therefore gives each student s a project no better than
+M_s(s) and no worse than M_l(s) (the sandwich), and the same students are
+assigned in every stable matching (Abraham, Irving & Manlove, 2007).  So
+the search starts from the two DAs: if M_s equals M_l it is the only
+stable matching; otherwise a student unassigned in M_s stays unassigned,
+and every other student branches only over the positions of their list
+from M_s(s) down to M_l(s).
+
+Depth-first search assigns students in index order.  A branch dies as
+soon as a blocking pair is already decided by the frozen prefix:
 
 * once a project is full its assignee set can no longer change, so a
   skipped project that is full and whose lecturer prefers the skipping
@@ -12,9 +22,16 @@ dies as soon as a blocking pair is already decided by the frozen prefix:
   undersubscribed project with a full lecturer (P2, P3).
 
 Only the both-undersubscribed condition (P1) stays open until the leaves,
-where it is checked against the recorded skipped pairs.  Cuts fire only on
-state that can no longer change, so they are conservative; equality with a
-brute-force oracle is pinned in the test suite.
+where it is checked against the recorded skipped pairs.  A student skips
+every project above their choice, not only those from M_s(s) on: the
+sandwich bounds what a student may hold, not what they may envy, and a
+pair above M_s(s) can still block a matching the narrowed search builds,
+so it still feeds the cuts and the leaf check.  (In stable marriage some
+pair inside the bands then blocks as well; that argument is not carried
+over to SPA-S here.)  Cuts fire only on state that can no longer change,
+so they are conservative; equality with a brute-force oracle and with the
+unseeded search is pinned in the test suite.  The worst case stays
+exponential.
 """
 
 from __future__ import annotations
@@ -23,6 +40,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .model import Instance, Matching
+from .solvers import solve_lecturer_optimal, solve_student_optimal
 
 DEFAULT_SIZE_GUARD = 20
 
@@ -79,12 +97,24 @@ def enumerate_all(
     n1 = instance.num_students
     if not force and n1 > size_guard:
         raise SizeGuardError(n1, size_guard)
+    best = solve_student_optimal(instance)
+    worst = solve_lecturer_optimal(instance)
+    if best == worst:
+        return StableSet((best,))
 
     prefs = instance.student_prefs
     cap = (0,) + instance.project_capacity
     dcap = (0,) + instance.lecturer_capacity
     owner = (0,) + instance.project_owner
     lrank = instance._lrank
+    srank = instance._srank
+
+    # list positions each student branches over, position len(list) meaning
+    # unassigned: from M_s(s) down to M_l(s), or unassigned if M_s leaves s so
+    span = [range(0)] + [range(len(plist), len(plist) + 1) for plist in prefs]
+    last = worst.as_dict()
+    for s, p in best.pairs:
+        span[s] = range(srank[s - 1][p], srank[s - 1][last[s]] + 1)
 
     assigned = [0] * (n1 + 1)
     pload = [0] * len(cap)
@@ -118,7 +148,7 @@ def enumerate_all(
             )
             return
         plist = prefs[i - 1]
-        for idx in range(len(plist) + 1):
+        for idx in span[i]:
             choice = plist[idx] if idx < len(plist) else 0
             skipped = plist[:idx]
             if choice:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 
@@ -387,53 +389,63 @@ def build_instance(raw: RawInstance) -> Instance | ValidationReport:
 
 
 def is_valid_matching(instance: Instance, matching: Matching) -> ValidationReport:
-    """Report every violated matching condition (capacities, acceptability)."""
-    violations: list[Violation] = []
+    """Report every violated matching condition (capacities, acceptability).
 
-    per_student: dict[int, list[int]] = {}
+    One pass over the pairs, which are canonical and so sorted by student,
+    tallies project and lecturer loads into flat arrays.  Violations come
+    grouped by rule: multiple assignments by student, then unknown ids and
+    unacceptable pairs in pair order, then over-full projects and lecturers
+    by index.
+    """
+    n1, n2 = instance.num_students, instance.num_projects
+    owner = instance.project_owner
+    srank = instance._srank
+    pload = [0] * (n2 + 1)
+    lload = [0] * (instance.num_lecturers + 1)
+    faults: list[Violation] = []
+    repeated = False
+    prev = 0
     for s, p in matching.pairs:
-        per_student.setdefault(s, []).append(p)
-    for s in sorted(per_student):
-        if len(per_student[s]) > 1:
-            names = " ".join(project_name(p) for p in per_student[s])
-            violations.append(Violation(
-                "multiple-assignment", student_name(s),
-                f"assigned to more than one project: {names}"))
-
-    for s, p in matching.pairs:
+        if s == prev:
+            repeated = True
+        prev = s
+        known = 1 <= p <= n2
+        if known:
+            pload[p] += 1
+            lload[owner[p - 1]] += 1
+        if known and 1 <= s <= n1 and p in srank[s - 1]:
+            continue
         subject = f"{student_name(s)},{project_name(p)}"
-        if not 1 <= s <= instance.num_students:
-            violations.append(Violation(
+        if not 1 <= s <= n1:
+            faults.append(Violation(
                 "dangling-identifier", subject, "student does not exist"))
-            continue
-        if not 1 <= p <= instance.num_projects:
-            violations.append(Violation(
+        elif not known:
+            faults.append(Violation(
                 "dangling-identifier", subject, "project does not exist"))
-            continue
-        if not instance.acceptable_pair(s, p):
-            violations.append(Violation(
+        else:
+            faults.append(Violation(
                 "unacceptable-pair", subject,
                 f"{project_name(p)} is not on the list of {student_name(s)}"))
 
-    load_p: dict[int, int] = {}
-    load_l: dict[int, int] = {}
-    for s, p in matching.pairs:
-        if 1 <= p <= instance.num_projects:
-            load_p[p] = load_p.get(p, 0) + 1
-            k = instance.project_owner[p - 1]
-            load_l[k] = load_l.get(k, 0) + 1
-    for p in sorted(load_p):
-        if load_p[p] > instance.project_capacity[p - 1]:
+    violations: list[Violation] = []
+    if repeated:
+        for s, group in groupby(matching.pairs, key=itemgetter(0)):
+            held = [p for _, p in group]
+            if len(held) > 1:
+                names = " ".join(project_name(p) for p in held)
+                violations.append(Violation(
+                    "multiple-assignment", student_name(s),
+                    f"assigned to more than one project: {names}"))
+    violations += faults
+    for p, (load, c) in enumerate(zip(pload[1:], instance.project_capacity), start=1):
+        if load > c:
             violations.append(Violation(
                 "project-capacity", project_name(p),
-                f"{load_p[p]} students assigned, capacity is "
-                f"{instance.project_capacity[p - 1]}"))
-    for k in sorted(load_l):
-        if load_l[k] > instance.lecturer_capacity[k - 1]:
+                f"{load} students assigned, capacity is {c}"))
+    for k, (load, c) in enumerate(zip(lload[1:], instance.lecturer_capacity), start=1):
+        if load > c:
             violations.append(Violation(
                 "lecturer-capacity", lecturer_name(k),
-                f"{load_l[k]} students assigned, capacity is "
-                f"{instance.lecturer_capacity[k - 1]}"))
+                f"{load} students assigned, capacity is {c}"))
 
     return ValidationReport(tuple(violations))
-

@@ -16,14 +16,17 @@ output is deterministic.  S1 together with P2 cannot occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Instance, Matching, is_valid_matching
 
 
-@dataclass(frozen=True)
-class BlockingPair:
-    """Witness that a matching is unstable."""
+class BlockingPair(NamedTuple):
+    """Witness that a matching is unstable.
+
+    A named tuple: immutable and hashable, and equal to the plain tuple
+    ``(student, project, student_condition, project_condition)``.
+    """
 
     student: int
     project: int
@@ -96,7 +99,7 @@ def find_blocking_pairs(
             else:
                 continue
             found.append(BlockingPair(s, p, s_cond, p_cond))
-    found.sort(key=lambda bp: (bp.student, bp.project))
+    found.sort()  # (student, project) is unique, so this orders by it
     return tuple(found)
 
 

@@ -9,6 +9,9 @@ because neither lecturer consents to undoing the swap.
 
 INSTANCE_B: 9 students, 8 projects, 2 lecturers; exactly seven stable
 matchings B_M[0..6] whose cover graph is B_HASSE_EDGES.
+
+``disjoint_union`` places independent markets side by side; the stable set
+of a union is the product of the parts' stable sets.
 """
 
 from spas import Instance, Matching, RawInstance, build_instance
@@ -18,6 +21,20 @@ def _build(raw: RawInstance) -> Instance:
     built = build_instance(raw)
     assert isinstance(built, Instance), built
     return built
+
+
+def disjoint_union(*parts: Instance) -> Instance:
+    """Side-by-side copies of independent markets, renumbered consecutively."""
+    out = RawInstance()
+    for part in parts:
+        s0, p0, k0 = (len(out.student_prefs), len(out.project_capacity),
+                      len(out.lecturer_capacity))
+        out.student_prefs += [[p + p0 for p in x] for x in part.student_prefs]
+        out.project_capacity += part.project_capacity
+        out.project_owner += [k + k0 for k in part.project_owner]
+        out.lecturer_capacity += part.lecturer_capacity
+        out.lecturer_prefs += [[s + s0 for s in x] for x in part.lecturer_prefs]
+    return _build(out)
 
 
 INSTANCE_A = _build(RawInstance(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +11,9 @@ from known_instances import (
     B_M,
     INSTANCE_A,
     INSTANCE_B,
+    disjoint_union,
 )
-from oracles import brute_force_stable_set
+from oracles import brute_force_stable_set, dfs_stable_set
 from spas import (
     GenParams,
     Instance,
@@ -21,6 +24,7 @@ from spas import (
     enumerate_all,
     generate,
     is_stable,
+    solve_student_optimal,
     stable_pairs,
 )
 
@@ -120,3 +124,55 @@ class TestAgainstBruteForce:
 
     def test_equals_oracle_on_known_instance(self):
         assert brute_force_stable_set(INSTANCE_A) == A_STABLE
+
+    @given(st.integers(1, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_unseeded_search_equals_oracle(self, seed):
+        instance = corpus_instance(seed, 5, 5, 3)
+        assert dfs_stable_set(instance) == brute_force_stable_set(instance)
+
+
+def enum_bench_instances(n: int) -> list[Instance]:
+    """The enumeration benchmark's shape at n students: generator seeds
+    n*1000 + b for b < 2, lecturer counts from random.Random(n)."""
+    rng = random.Random(n)
+    projects = max(2, n // 2)
+    return [
+        generate(GenParams(
+            students=n, projects=projects,
+            lecturers=rng.randint(1, max(1, projects // 2)),
+            pref_len=(1, min(5, projects)), project_cap=(1, 2),
+            seed=n * 1000 + b, density=0.4))
+        for b in range(2)
+    ]
+
+
+class TestSeededSearch:
+    """The search seeded by both deferred-acceptance matchings against the
+    unseeded search, at sizes the brute force cannot reach."""
+
+    @pytest.mark.parametrize("n", range(14, 19))
+    def test_equals_unseeded_on_bench_shape(self, n):
+        for instance in enum_bench_instances(n):
+            assert enumerate_all(instance).matchings == dfs_stable_set(instance)
+
+    @pytest.mark.parametrize("parts, count", [
+        ((INSTANCE_A, INSTANCE_B), 28),
+        ((INSTANCE_A, INSTANCE_A, INSTANCE_A), 64),
+        ((INSTANCE_B, INSTANCE_B), 49),
+    ], ids=["a+b", "a+a+a", "b+b"])
+    def test_equals_unseeded_on_unions(self, parts, count):
+        instance = disjoint_union(*parts)
+        reference = dfs_stable_set(instance)
+        assert len(reference) == count
+        assert enumerate_all(instance).matchings == reference
+
+    def test_one_project_lists_past_the_guard(self):
+        # one project per list: the stable matching is unique, and the
+        # unseeded search ran for minutes at this size without finishing
+        instance = generate(GenParams(
+            students=1200, projects=400, lecturers=40, pref_len=(1, 1),
+            seed=1200))
+        stable = enumerate_all(instance, force=True)
+        assert stable.matchings == (solve_student_optimal(instance),)
+        assert is_stable(instance, stable[0])

@@ -1,9 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from known_instances import A_M1, A_M2, INSTANCE_A, INSTANCE_B
-from oracles import naive_list_correspondence
+from oracles import (
+    naive_is_valid_matching,
+    naive_list_correspondence,
+    random_valid_matching,
+)
 from corpus import corpus_instance
 from spas import (
     Instance,
@@ -253,3 +259,26 @@ class TestIsValidMatching:
         assert not report.ok
         assert any(v.rule == "dangling-identifier" for v in report.violations)
 
+
+    def test_matches_per_student_grouping(self):
+        # random valid matchings, and random pair sets over ids up to two
+        # past each range: dangling students and projects, unacceptable
+        # pairs, students on several projects, over-full projects/lecturers
+        rules = set()
+        for seed in range(1, 301):
+            instance = corpus_instance(seed, 7, 6, 3)
+            rng = random.Random(seed)
+            valid = random_valid_matching(instance, rng)
+            pairs = tuple(
+                (rng.randint(1, instance.num_students + 2),
+                 rng.randint(1, instance.num_projects + 2))
+                for _ in range(rng.randint(0, 2 * instance.num_students))
+            )
+            for m in (valid, Matching(pairs), Matching(valid.pairs + pairs)):
+                report = is_valid_matching(instance, m)
+                assert report == naive_is_valid_matching(instance, m), seed
+                rules.update(v.rule for v in report.violations)
+        assert rules == {
+            "multiple-assignment", "dangling-identifier", "unacceptable-pair",
+            "project-capacity", "lecturer-capacity",
+        }
