@@ -11,8 +11,10 @@ stable matching; otherwise a student unassigned in M_s stays unassigned,
 and every other student branches only over the positions of their list
 from M_s(s) down to M_l(s).
 
-Depth-first search assigns students in index order.  A branch dies as
-soon as a blocking pair is already decided by the frozen prefix:
+Depth-first search assigns students in index order, on an explicit stack
+so that the depth is not bounded by the interpreter's recursion limit.  A
+branch dies as soon as a blocking pair is already decided by the frozen
+prefix:
 
 * once a project is full its assignee set can no longer change, so a
   skipped project that is full and whose lecturer prefers the skipping
@@ -136,63 +138,75 @@ def enumerate_all(
             return lrank[k - 1][s] < lworst[k]
         return False
 
-    def extend(i: int) -> None:
-        if i > n1:
-            for k in range(1, len(dcap)):
-                if lload[k] < dcap[k]:
-                    for _, p in envy[k]:
-                        if pload[p] < cap[p]:
-                            return  # P1 blocks; everything else was settled
+    def retract(
+        i: int, choice: int, old: tuple[int, int], skipped: tuple[int, ...]
+    ) -> None:
+        for p in reversed(skipped):
+            envy[owner[p]].pop()
+        if choice:
+            k0 = owner[choice]
+            pload[choice] -= 1
+            lload[k0] -= 1
+            pworst[choice], lworst[k0] = old
+        assigned[i] = 0
+
+    # the path from student 1 down, on explicit stacks: per student the
+    # list positions still to try, and what undoes the one being explored
+    todo = [iter(span[1])]
+    undo: list[tuple[int, int, tuple[int, int], tuple[int, ...]]] = []
+    while todo:
+        i = len(todo)
+        idx = next(todo[-1], None)
+        if idx is None:
+            todo.pop()
+            if undo:
+                retract(*undo.pop())
+            continue
+        plist = prefs[i - 1]
+        choice = plist[idx] if idx < len(plist) else 0
+        skipped = plist[:idx]
+        old = (0, 0)
+        if choice:
+            k0 = owner[choice]
+            if pload[choice] == cap[choice] or lload[k0] == dcap[k0]:
+                continue
+            assigned[i] = choice
+            pload[choice] += 1
+            lload[k0] += 1
+            old = pworst[choice], lworst[k0]
+            r = lrank[k0 - 1][i]
+            if r > pworst[choice]:
+                pworst[choice] = r
+            if r > lworst[k0]:
+                lworst[k0] = r
+
+        dead = any(blocked(i, p) for p in skipped)
+        if not dead and choice:
+            if pload[choice] == cap[choice]:
+                dead = any(
+                    p == choice and blocked(s, p) for s, p in envy[k0]
+                )
+            if not dead and lload[k0] == dcap[k0]:
+                dead = any(blocked(s, p) for s, p in envy[k0])
+        if dead:
+            retract(i, choice, old, ())
+            continue
+
+        for p in skipped:
+            envy[owner[p]].append((i, p))
+        if i < n1:
+            undo.append((i, choice, old, skipped))
+            todo.append(iter(span[i + 1]))
+            continue
+        for k in range(1, len(dcap)):
+            if lload[k] < dcap[k] and any(pload[p] < cap[p] for _, p in envy[k]):
+                break  # P1 blocks; everything else was settled
+        else:
             found.append(
                 Matching(tuple((s, assigned[s]) for s in range(1, n1 + 1) if assigned[s]))
             )
-            return
-        plist = prefs[i - 1]
-        for idx in span[i]:
-            choice = plist[idx] if idx < len(plist) else 0
-            skipped = plist[:idx]
-            if choice:
-                k0 = owner[choice]
-                if pload[choice] == cap[choice] or lload[k0] == dcap[k0]:
-                    continue
-                assigned[i] = choice
-                pload[choice] += 1
-                lload[k0] += 1
-                old_pw, old_lw = pworst[choice], lworst[k0]
-                r = lrank[k0 - 1][i]
-                if r > pworst[choice]:
-                    pworst[choice] = r
-                if r > lworst[k0]:
-                    lworst[k0] = r
-            else:
-                k0 = 0
-                assigned[i] = 0
+        retract(i, choice, old, skipped)
 
-            dead = any(blocked(i, p) for p in skipped)
-            if not dead and choice:
-                if pload[choice] == cap[choice]:
-                    dead = any(
-                        p == choice and blocked(s, p) for s, p in envy[k0]
-                    )
-                if not dead and lload[k0] == dcap[k0]:
-                    dead = any(blocked(s, p) for s, p in envy[k0])
-
-            if not dead:
-                pushed = []
-                for p in skipped:
-                    envy[owner[p]].append((i, p))
-                    pushed.append(owner[p])
-                extend(i + 1)
-                for kp in reversed(pushed):
-                    envy[kp].pop()
-
-            if choice:
-                pload[choice] -= 1
-                lload[k0] -= 1
-                pworst[choice], lworst[k0] = old_pw, old_lw
-            assigned[i] = 0
-
-    extend(1)
     found.sort(key=lambda m: m.pairs)
     return StableSet(tuple(found))
 

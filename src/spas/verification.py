@@ -5,13 +5,35 @@ algebra over the raw pair sets, on purpose never calling the lattice
 module, so a green check is independent evidence rather than an echo of
 the code it guards.  Checks do not re-verify stability of their inputs;
 the caller owns that precondition, which also makes the failure paths
-testable with crafted unstable matchings.
+testable with crafted unstable matchings.  Members must be valid
+matchings of the instance.
+
+The pairwise lemmas and the unpopular-projects check read each matching
+through the assignee sets of every project and every lecturer, built in
+one pass over its pairs.
+
+The lattice-axioms check reads each member as a rank vector: entry s - 1
+is the position of s's project on their list, or the list's length when
+s is unassigned.  That marker ranks below every real position, so the
+per-student better choice of two matchings is the elementwise min and
+the worse choice the elementwise max, with a student assigned on one
+side only counting as better off there and unassigned in the worse one.
+A matching is below another when each entry equals the other's or is
+smaller than an entry other than the marker (``a == b or a < b < top``),
+so a student assigned on exactly one side breaks dominance.  Vectors are
+interned by index, so each distinct pair is combined once and the checks
+over pairs and triples are table lookups.  The check is cubic in the
+number of members.  Min and max over a chain always distribute, and a
+common lower (upper) bound of two vectors always sits below their min
+(above their max), so on rank vectors those clauses hold by construction;
+only closure, the meet and join bounding their arguments, and dominance
+reversal can fail.  The others are kept as statements of the paper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .enumeration import StableSet, enumerate_all
 from .model import Instance, Matching, lecturer_name, project_name, student_name
@@ -30,12 +52,16 @@ def _report(name: str, failures: list[str]) -> PropertyReport:
     return PropertyReport(name, not failures, tuple(failures))
 
 
-def _lect_set(instance: Instance, m: Matching, k: int) -> set[int]:
-    return {s for s, p in m.pairs if instance.owner(p) == k}
-
-
-def _proj_set(m: Matching, p: int) -> set[int]:
-    return {s for s, q in m.pairs if q == p}
+def _held(instance: Instance, m: Matching) -> tuple[list[set[int]], list[set[int]]]:
+    """Assignees of each project and of each lecturer, indexed by id (slot
+    0 unused), in one pass over the pairs in canonical order."""
+    proj: list[set[int]] = [set() for _ in range(instance.num_projects + 1)]
+    lect: list[set[int]] = [set() for _ in range(instance.num_lecturers + 1)]
+    owner = instance.project_owner
+    for s, p in m.pairs:
+        proj[p].add(s)
+        lect[owner[p - 1]].add(s)
+    return proj, lect
 
 
 def _prefers_first_sets(
@@ -69,10 +95,10 @@ def check_unpopular_projects(
     members = list(stable)
     if not members:
         return _report("unpopular-projects", failures)
-    ref = members[0]
+    held = [_held(instance, m) for m in members]
 
     for k in instance.lecturers():
-        counts = {len(_lect_set(instance, m, k)) for m in members}
+        counts = {len(lect[k]) for _, lect in held}
         if len(counts) > 1:
             failures.append(
                 f"{lecturer_name(k)}: assigned counts differ across the "
@@ -90,12 +116,12 @@ def check_unpopular_projects(
             )
 
     under = {
-        k for m in members for k in instance.lecturers()
-        if len(_lect_set(instance, m, k)) < instance.lecturer_capacity[k - 1]
+        k for _, lect in held for k in instance.lecturers()
+        if len(lect[k]) < instance.lecturer_capacity[k - 1]
     }
     for k in sorted(under):
         for p in instance.lecturer_projects[k - 1]:
-            counts = {len(_proj_set(m, p)) for m in members}
+            counts = {len(proj[p]) for proj, _ in held}
             if len(counts) > 1:
                 failures.append(
                     f"{project_name(p)} of undersubscribed {lecturer_name(k)}: "
@@ -115,6 +141,7 @@ def check_prop_full_project(
     """
     failures: list[str] = []
     a, b = m.as_dict(), m_alt.as_dict()
+    proj_alt, lect_alt = _held(instance, m_alt)
     for s in instance.students():
         p = a.get(s)
         q = b.get(s)
@@ -123,12 +150,12 @@ def check_prop_full_project(
         if instance.student_rank(s, p) >= instance.student_rank(s, q):
             continue
         k = instance.owner(p)
-        alt_students = _lect_set(instance, m_alt, k)
+        alt_students = lect_alt[k]
         rank_s = instance.lecturer_rank(k, s)
         triggered = s in alt_students or any(
             rank_s < instance.lecturer_rank(k, t) for t in alt_students
         )
-        if triggered and len(_proj_set(m_alt, p)) != instance.project_capacity[p - 1]:
+        if triggered and len(proj_alt[p]) != instance.project_capacity[p - 1]:
             failures.append(
                 f"{student_name(s)} holds {project_name(p)} and prefers it, "
                 f"yet {project_name(p)} is not full in the other matching"
@@ -148,6 +175,7 @@ def check_lemma_same_lecturer(
     """
     failures: list[str] = []
     a, b = m.as_dict(), m_alt.as_dict()
+    lect_m, lect_alt = _held(instance, m)[1], _held(instance, m_alt)[1]
     for s in instance.students():
         p, q = a.get(s), b.get(s)
         if p is None or q is None or p == q:
@@ -157,8 +185,7 @@ def check_lemma_same_lecturer(
             continue
         if instance.student_rank(s, p) >= instance.student_rank(s, q):
             continue
-        set_m = _lect_set(instance, m, k)
-        set_alt = _lect_set(instance, m_alt, k)
+        set_m, set_alt = lect_m[k], lect_alt[k]
         if set_m == set_alt:
             failures.append(
                 f"{student_name(s)} moved within {lecturer_name(k)} but the "
@@ -193,9 +220,9 @@ def check_lemma_pref_reversal(
     """
     failures: list[str] = []
     a, b = m.as_dict(), m_alt.as_dict()
+    lect_m, lect_alt = _held(instance, m)[1], _held(instance, m_alt)[1]
     for k in instance.lecturers():
-        set_m = _lect_set(instance, m, k)
-        set_alt = _lect_set(instance, m_alt, k)
+        set_m, set_alt = lect_m[k], lect_alt[k]
         if set_m == set_alt:
             continue
         mover = None
@@ -228,6 +255,7 @@ def check_lemma_rank_boundaries(
     """
     failures: list[str] = []
     a, b = m.as_dict(), m_alt.as_dict()
+    (proj_m, lect_m), (proj_alt, lect_alt) = _held(instance, m), _held(instance, m_alt)
     for s in instance.students():
         pm, pj = a.get(s), b.get(s)
         if pm is None or pj is None or pm == pj:
@@ -236,18 +264,14 @@ def check_lemma_rank_boundaries(
             continue
         k = instance.owner(pj)
         rank_s = instance.lecturer_rank(k, s)
-        proj_m = _proj_set(m, pj)
-        proj_alt = _proj_set(m_alt, pj)
-        for t in proj_m - proj_alt:
+        for t in proj_m[pj] - proj_alt[pj]:
             if instance.lecturer_rank(k, t) < rank_s:
                 failures.append(
                     f"{student_name(t)} in the project set difference of "
                     f"{project_name(pj)} outranks {student_name(s)}"
                 )
-        if len(proj_m) < instance.project_capacity[pj - 1]:
-            set_m = _lect_set(instance, m, k)
-            set_alt = _lect_set(instance, m_alt, k)
-            for t in set_m - set_alt:
+        if len(proj_m[pj]) < instance.project_capacity[pj - 1]:
+            for t in lect_m[k] - lect_alt[k]:
                 if instance.lecturer_rank(k, t) < rank_s:
                     failures.append(
                         f"{student_name(t)} in the lecturer set difference of "
@@ -256,50 +280,17 @@ def check_lemma_rank_boundaries(
     return _report("rank-boundaries", failures)
 
 
-def _dominates_def(instance: Instance, first: Matching, second: Matching) -> bool:
-    a, b = first.as_dict(), second.as_dict()
-    for s in instance.students():
-        pa, pb = a.get(s), b.get(s)
-        if pa == pb:
-            continue
-        if pa is None or pb is None:
-            return False
-        if instance.student_rank(s, pa) >= instance.student_rank(s, pb):
-            return False
-    return True
+class _Table(dict[tuple[int, int], int]):
+    """Index of the combination of two interned vectors, computed on the
+    first lookup of each pair."""
 
+    def __init__(self, combine: Callable[[int, int], int]) -> None:
+        super().__init__()
+        self.combine = combine
 
-def _lect_dominates_def(instance: Instance, first: Matching, second: Matching) -> bool:
-    for k in instance.lecturers():
-        sa = _lect_set(instance, first, k)
-        sb = _lect_set(instance, second, k)
-        if sa == sb:
-            continue
-        if not _prefers_first_sets(instance, k, sa, sb):
-            return False
-    return True
-
-
-def _combine_def(
-    instance: Instance, first: Matching, second: Matching, better: bool
-) -> Matching:
-    a, b = first.as_dict(), second.as_dict()
-    pairs = []
-    for s in instance.students():
-        pa, pb = a.get(s), b.get(s)
-        if pa is None and pb is None:
-            continue
-        if pa is None or pb is None:
-            chosen = (pa or pb) if better else None
-        elif pa == pb:
-            chosen = pa
-        elif instance.student_rank(s, pa) < instance.student_rank(s, pb):
-            chosen = pa if better else pb
-        else:
-            chosen = pb if better else pa
-        if chosen is not None:
-            pairs.append((s, chosen))
-    return Matching(tuple(pairs))
+    def __missing__(self, key: tuple[int, int]) -> int:
+        self[key] = value = self.combine(*key)
+        return value
 
 
 def check_lattice_axioms(
@@ -315,62 +306,78 @@ def check_lattice_axioms(
     """
     failures: list[str] = []
     members = list(stable)
-    member_set = set(members)
     n = len(members)
+    top = tuple(len(prefs) for prefs in instance.student_prefs)
+    vecs: list[tuple[int, ...]] = []
+    ids: dict[tuple[int, ...], int] = {}
 
-    dom = [
-        [_dominates_def(instance, x, y) for y in members] for x in members
-    ]
+    def intern(v: tuple[int, ...]) -> int:
+        if v not in ids:
+            ids[v] = len(vecs)
+            vecs.append(v)
+        return ids[v]
 
-    for i in range(n):
-        for j in range(n):
-            x, y = members[i], members[j]
-            mt = _combine_def(instance, x, y, better=True)
-            jn = _combine_def(instance, x, y, better=False)
-            if mt not in member_set:
+    def vector(m: Matching) -> tuple[int, ...]:
+        a = m.as_dict()
+        return tuple(
+            instance.student_rank(s, a[s]) if s in a else t
+            for s, t in enumerate(top, start=1)
+        )
+
+    def leq(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
+        return all(x == y or x < y < t for x, y, t in zip(v, w, top))
+
+    idx = [intern(vector(m)) for m in members]
+    distinct = len(vecs)  # ids below this are members
+    meet = _Table(lambda a, b: intern(tuple(map(min, vecs[a], vecs[b]))))
+    join = _Table(lambda a, b: intern(tuple(map(max, vecs[a], vecs[b]))))
+    # bit z of below[v] (above[v]): member z sits below (above) member vector v
+    below = [sum(1 << z for z in range(n) if leq(vecs[idx[z]], v)) for v in vecs]
+    above = [sum(1 << z for z in range(n) if leq(v, vecs[idx[z]])) for v in vecs]
+    lect = [_held(instance, m)[1] for m in members]
+
+    for i, x in enumerate(idx):
+        for j, y in enumerate(idx):
+            mt, jn = meet[x, y], join[x, y]
+            if mt >= distinct:
                 failures.append(f"meet of members {i} and {j} left the stable set")
                 continue
-            if jn not in member_set:
+            if jn >= distinct:
                 failures.append(f"join of members {i} and {j} left the stable set")
                 continue
-            if not (_dominates_def(instance, mt, x) and _dominates_def(instance, mt, y)):
+            if not (above[mt] >> i & above[mt] >> j & 1):
                 failures.append(f"meet of {i} and {j} is not a lower bound")
-            if not (_dominates_def(instance, x, jn) and _dominates_def(instance, y, jn)):
+            if not (below[jn] >> i & below[jn] >> j & 1):
                 failures.append(f"join of {i} and {j} is not an upper bound")
-            for z in range(n):
-                if dom[z][i] and dom[z][j] and not _dominates_def(instance, members[z], mt):
-                    failures.append(
-                        f"member {z} is a lower bound of {i} and {j} above their meet"
-                    )
-                if dom[i][z] and dom[j][z] and not _dominates_def(instance, jn, members[z]):
-                    failures.append(
-                        f"member {z} is an upper bound of {i} and {j} below their join"
-                    )
-            if dom[i][j] != _lect_dominates_def(instance, y, x):
+            low = below[x] & below[y] & ~below[mt]
+            high = above[x] & above[y] & ~above[jn]
+            if low or high:
+                for z in range(n):
+                    if low >> z & 1:
+                        failures.append(
+                            f"member {z} is a lower bound of {i} and {j} above their meet"
+                        )
+                    if high >> z & 1:
+                        failures.append(
+                            f"member {z} is an upper bound of {i} and {j} below their join"
+                        )
+            lect_dom = all(
+                lect[j][k] == lect[i][k]
+                or _prefers_first_sets(instance, k, lect[j][k], lect[i][k])
+                for k in instance.lecturers()
+            )
+            if bool(above[x] >> j & 1) != lect_dom:
                 failures.append(
                     f"dominance reversal fails between members {i} and {j}"
                 )
 
-    for x in members:
-        for y in members:
-            for z in members:
-                left = _combine_def(instance, x, _combine_def(instance, y, z, True), False)
-                right = _combine_def(
-                    instance,
-                    _combine_def(instance, x, y, False),
-                    _combine_def(instance, x, z, False),
-                    True,
-                )
-                if left != right:
+    for x in idx:
+        for y in idx:
+            jxy, mxy = join[x, y], meet[x, y]
+            for z in idx:
+                if join[x, meet[y, z]] != meet[jxy, join[x, z]]:
                     failures.append("join does not distribute over meet")
-                left = _combine_def(instance, x, _combine_def(instance, y, z, False), True)
-                right = _combine_def(
-                    instance,
-                    _combine_def(instance, x, y, True),
-                    _combine_def(instance, x, z, True),
-                    False,
-                )
-                if left != right:
+                if meet[x, join[y, z]] != join[mxy, meet[x, z]]:
                     failures.append("meet does not distribute over join")
 
     return _report("lattice-axioms", failures)
@@ -411,4 +418,3 @@ def run_all_checks(
     if not pairs_only:
         reports.append(check_lattice_axioms(instance, members))
     return tuple(reports)
-

@@ -10,9 +10,15 @@ because neither lecturer consents to undoing the swap.
 INSTANCE_B: 9 students, 8 projects, 2 lecturers; exactly seven stable
 matchings B_M[0..6] whose cover graph is B_HASSE_EDGES.
 
-``disjoint_union`` places independent markets side by side; the stable set
-of a union is the product of the parts' stable sets.
+``disjoint_union`` places independent markets side by side.  No pair,
+project or lecturer crosses parts, so every blocking pair lies inside one
+part and the stable set of a union is the product of the parts' stable
+sets (``union_stable_set``).  ``one_student_markets`` is a union of
+trivial markets, for unions deeper than Python's recursion limit.
 """
+
+from itertools import product
+from typing import Sequence
 
 from spas import Instance, Matching, RawInstance, build_instance
 
@@ -35,6 +41,38 @@ def disjoint_union(*parts: Instance) -> Instance:
         out.lecturer_capacity += part.lecturer_capacity
         out.lecturer_prefs += [[s + s0 for s in x] for x in part.lecturer_prefs]
     return _build(out)
+
+
+def union_stable_set(
+    parts: Sequence[Instance], stable_sets: Sequence[Sequence[Matching]]
+) -> tuple[Matching, ...]:
+    """Every choice of one matching per part, renumbered as in
+    ``disjoint_union``, in lexicographic order."""
+    offsets, s0, p0 = [], 0, 0
+    for part in parts:
+        offsets.append((s0, p0))
+        s0, p0 = s0 + part.num_students, p0 + part.num_projects
+    found = [
+        Matching(tuple(
+            (s + ds, p + dp)
+            for (ds, dp), m in zip(offsets, choice) for s, p in m.pairs
+        ))
+        for choice in product(*stable_sets)
+    ]
+    return tuple(sorted(found, key=lambda m: m.pairs))
+
+
+def one_student_markets(n: int) -> Instance:
+    """n markets of one student, one unit-capacity project and one
+    lecturer: student i ranks only p_i, so the stable matching is unique."""
+    ids = list(range(1, n + 1))
+    return _build(RawInstance(
+        student_prefs=[[i] for i in ids],
+        project_capacity=[1] * n,
+        project_owner=ids,
+        lecturer_capacity=[1] * n,
+        lecturer_prefs=[[i] for i in ids],
+    ))
 
 
 INSTANCE_A = _build(RawInstance(

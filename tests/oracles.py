@@ -5,28 +5,31 @@ and the stable set comes from filtering every assignment function; neither
 reuses the library's stability or enumeration logic.  ``dfs_stable_set`` is
 the pruned search without the deferred-acceptance seed: every student
 branches over their whole list plus unassigned.  It is pinned to the
-brute-force set at small sizes and reaches sizes the brute force cannot.
-The optimal-matching fold takes meet/join over that set, so it replaces the
-two proposal algorithms without calling them.  The list-correspondence
+brute-force set at small sizes and reaches sizes the brute force cannot;
+meet and join over that set give the optimal matchings without calling
+the two proposal algorithms.  The list-correspondence
 check is the quadratic loop that one pass in ``validate_raw`` replaced, and
 ``naive_is_valid_matching`` the per-student grouping that the one-pass
-``is_valid_matching`` replaced.  These stay deliberately naive; the
+``is_valid_matching`` replaced.  ``naive_lattice_axioms`` is the
+lattice-axioms check as first written, combining ``Matching`` objects
+student by student for every pair and triple, which the rank-vector check
+in ``verification`` replaced.  These stay deliberately naive; the
 production code must agree with them.
 """
 
 import random
 from itertools import product
+from typing import Sequence
 
 from spas import (
     Instance,
     Matching,
+    PropertyReport,
     RawInstance,
     ValidationReport,
     Violation,
     is_stable,
     is_valid_matching,
-    join_all,
-    meet_all,
 )
 from spas.model import lecturer_name, project_name, student_name
 
@@ -217,16 +220,6 @@ def dfs_stable_set(instance: Instance) -> tuple[Matching, ...]:
     return tuple(found)
 
 
-def fold_student_optimal(instance: Instance) -> Matching:
-    """Meet of the whole unseeded stable set: every student's best."""
-    return meet_all(instance, dfs_stable_set(instance), check=False)
-
-
-def fold_lecturer_optimal(instance: Instance) -> Matching:
-    """Join of the whole unseeded stable set: every student's worst."""
-    return join_all(instance, dfs_stable_set(instance), check=False)
-
-
 def naive_is_valid_matching(instance: Instance, matching: Matching) -> ValidationReport:
     """Matching violations by per-student grouping, sorted key walks and the
     id-checked ``acceptable_pair``."""
@@ -304,3 +297,147 @@ def naive_list_correspondence(raw: RawInstance) -> list[Violation]:
                 "lecturer-list-mismatch", f"l{k}",
                 f"s{s} is listed but ranks no offered project"))
     return out
+
+
+def _lect_set(instance: Instance, m: Matching, k: int) -> set[int]:
+    return {s for s, p in m.pairs if instance.owner(p) == k}
+
+
+def _prefers_first_sets(
+    instance: Instance, k: int, first: set[int], second: set[int]
+) -> bool:
+    """Definitional lecturer comparison: strictly better position by position."""
+    if first == second:
+        return False
+    only_f = sorted(first - second, key=lambda s: instance.lecturer_rank(k, s))
+    only_s = sorted(second - first, key=lambda s: instance.lecturer_rank(k, s))
+    if len(only_f) != len(only_s):
+        return False
+    return all(
+        instance.lecturer_rank(k, x) < instance.lecturer_rank(k, y)
+        for x, y in zip(only_f, only_s)
+    )
+
+
+def _dominates_def(instance: Instance, first: Matching, second: Matching) -> bool:
+    a, b = first.as_dict(), second.as_dict()
+    for s in instance.students():
+        pa, pb = a.get(s), b.get(s)
+        if pa == pb:
+            continue
+        if pa is None or pb is None:
+            return False
+        if instance.student_rank(s, pa) >= instance.student_rank(s, pb):
+            return False
+    return True
+
+
+def _lect_dominates_def(instance: Instance, first: Matching, second: Matching) -> bool:
+    for k in instance.lecturers():
+        sa = _lect_set(instance, first, k)
+        sb = _lect_set(instance, second, k)
+        if sa == sb:
+            continue
+        if not _prefers_first_sets(instance, k, sa, sb):
+            return False
+    return True
+
+
+def _combine_def(
+    instance: Instance, first: Matching, second: Matching, better: bool
+) -> Matching:
+    a, b = first.as_dict(), second.as_dict()
+    pairs = []
+    for s in instance.students():
+        pa, pb = a.get(s), b.get(s)
+        if pa is None and pb is None:
+            continue
+        if pa is None or pb is None:
+            chosen = (pa or pb) if better else None
+        elif pa == pb:
+            chosen = pa
+        elif instance.student_rank(s, pa) < instance.student_rank(s, pb):
+            chosen = pa if better else pb
+        else:
+            chosen = pb if better else pa
+        if chosen is not None:
+            pairs.append((s, chosen))
+    return Matching(tuple(pairs))
+
+
+def naive_lattice_axioms(
+    instance: Instance, stable: Sequence[Matching]
+) -> PropertyReport:
+    """The lattice-axioms report built from Matching objects: every
+    per-student combination is a fresh ``Matching`` made through the
+    id-checked ``student_rank``, pairs and triples alike.
+
+    Bound characterisations, closure, distributivity, dominance reversal.
+
+    For every pair: the per-student better (worse) combination is a member,
+    below (above) both arguments, and every common lower (upper) bound sits
+    below (above) it.  Both distributive identities hold for every triple,
+    and student dominance of (x, y) coincides with lecturer dominance of
+    (y, x).
+    """
+    failures: list[str] = []
+    members = list(stable)
+    member_set = set(members)
+    n = len(members)
+
+    dom = [
+        [_dominates_def(instance, x, y) for y in members] for x in members
+    ]
+
+    for i in range(n):
+        for j in range(n):
+            x, y = members[i], members[j]
+            mt = _combine_def(instance, x, y, better=True)
+            jn = _combine_def(instance, x, y, better=False)
+            if mt not in member_set:
+                failures.append(f"meet of members {i} and {j} left the stable set")
+                continue
+            if jn not in member_set:
+                failures.append(f"join of members {i} and {j} left the stable set")
+                continue
+            if not (_dominates_def(instance, mt, x) and _dominates_def(instance, mt, y)):
+                failures.append(f"meet of {i} and {j} is not a lower bound")
+            if not (_dominates_def(instance, x, jn) and _dominates_def(instance, y, jn)):
+                failures.append(f"join of {i} and {j} is not an upper bound")
+            for z in range(n):
+                if dom[z][i] and dom[z][j] and not _dominates_def(instance, members[z], mt):
+                    failures.append(
+                        f"member {z} is a lower bound of {i} and {j} above their meet"
+                    )
+                if dom[i][z] and dom[j][z] and not _dominates_def(instance, jn, members[z]):
+                    failures.append(
+                        f"member {z} is an upper bound of {i} and {j} below their join"
+                    )
+            if dom[i][j] != _lect_dominates_def(instance, y, x):
+                failures.append(
+                    f"dominance reversal fails between members {i} and {j}"
+                )
+
+    for x in members:
+        for y in members:
+            for z in members:
+                left = _combine_def(instance, x, _combine_def(instance, y, z, True), False)
+                right = _combine_def(
+                    instance,
+                    _combine_def(instance, x, y, False),
+                    _combine_def(instance, x, z, False),
+                    True,
+                )
+                if left != right:
+                    failures.append("join does not distribute over meet")
+                left = _combine_def(instance, x, _combine_def(instance, y, z, False), True)
+                right = _combine_def(
+                    instance,
+                    _combine_def(instance, x, y, True),
+                    _combine_def(instance, x, z, True),
+                    False,
+                )
+                if left != right:
+                    failures.append("meet does not distribute over join")
+
+    return PropertyReport("lattice-axioms", not failures, tuple(failures))

@@ -1,6 +1,6 @@
 from pathlib import Path
 
-from known_instances import A_M1, B_M
+from known_instances import A_M1, B_M, INSTANCE_A, disjoint_union, one_student_markets
 from spas import GenParams, generate, parse_instance_file, serialize_instance
 from spas.cli import main
 
@@ -104,6 +104,14 @@ class TestEnumerate:
 
     def test_force_flag_accepted(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--count-only", "--force", A)
+        assert code == 0
+        assert out == "4\n"
+
+    def test_search_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        deep = disjoint_union(INSTANCE_A, one_student_markets(1000))
+        path = tmp_path / "deep.spa"
+        path.write_text(serialize_instance(deep))
+        code, out, _ = run(capsys, "enumerate", "--count-only", "--force", str(path))
         assert code == 0
         assert out == "4\n"
 

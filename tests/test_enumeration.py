@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from known_instances import (
     INSTANCE_A,
     INSTANCE_B,
     disjoint_union,
+    one_student_markets,
+    union_stable_set,
 )
 from oracles import brute_force_stable_set, dfs_stable_set
 from spas import (
@@ -24,9 +27,13 @@ from spas import (
     enumerate_all,
     generate,
     is_stable,
+    parse_matching_file,
+    serialize_matching,
     solve_student_optimal,
     stable_pairs,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestKnownInstances:
@@ -147,24 +154,62 @@ def enum_bench_instances(n: int) -> list[Instance]:
     ]
 
 
+# the unseeded search takes 30-40 s at this size, so its output is pinned
+GOLDEN_N = 18
+
+
+def golden_path(n: int, b: int) -> Path:
+    return DATA / f"enum_bench_{n}_{b}.stable"
+
+
+def write_golden(n: int) -> None:
+    """Write ``dfs_stable_set`` of each bench-shape instance at n students,
+    in the ``spas enumerate`` block format.  Regenerate with
+
+        PYTHONPATH=src:tests python -c "import test_enumeration as t; t.write_golden(18)"
+    """
+    for b, instance in enumerate(enum_bench_instances(n)):
+        blocks = [
+            f"# M{i}\n" + serialize_matching(m)
+            for i, m in enumerate(dfs_stable_set(instance), start=1)
+        ]
+        golden_path(n, b).write_text(
+            f"# dfs_stable_set of enum_bench_instances({n})[{b}]\n"
+            + "\n".join(blocks))
+
+
+def read_golden(n: int, b: int, instance: Instance) -> tuple[Matching, ...]:
+    text = golden_path(n, b).read_text()
+    return tuple(parse_matching_file(block, instance) for block in text.split("\n\n"))
+
+
 class TestSeededSearch:
     """The search seeded by both deferred-acceptance matchings against the
     unseeded search, at sizes the brute force cannot reach."""
 
     @pytest.mark.parametrize("n", range(14, 19))
     def test_equals_unseeded_on_bench_shape(self, n):
-        for instance in enum_bench_instances(n):
-            assert enumerate_all(instance).matchings == dfs_stable_set(instance)
+        for b, instance in enumerate(enum_bench_instances(n)):
+            if n == GOLDEN_N:
+                reference = read_golden(n, b, instance)
+            else:
+                reference = dfs_stable_set(instance)
+            assert enumerate_all(instance).matchings == reference
 
-    @pytest.mark.parametrize("parts, count", [
-        ((INSTANCE_A, INSTANCE_B), 28),
-        ((INSTANCE_A, INSTANCE_A, INSTANCE_A), 64),
-        ((INSTANCE_B, INSTANCE_B), 49),
+    @pytest.mark.parametrize("parts, count, search_union", [
+        ((INSTANCE_A, INSTANCE_B), 28, True),
+        ((INSTANCE_A, INSTANCE_A, INSTANCE_A), 64, True),
+        ((INSTANCE_B, INSTANCE_B), 49, False),
     ], ids=["a+b", "a+a+a", "b+b"])
-    def test_equals_unseeded_on_unions(self, parts, count):
+    def test_equals_unseeded_on_unions(self, parts, count, search_union):
+        # the reference is the product of the parts' unseeded stable sets;
+        # the unseeded search over the whole union agrees with it where it
+        # takes seconds, and takes about two minutes on b+b
         instance = disjoint_union(*parts)
-        reference = dfs_stable_set(instance)
+        reference = union_stable_set(parts, [dfs_stable_set(p) for p in parts])
         assert len(reference) == count
+        if search_union:
+            assert dfs_stable_set(instance) == reference
         assert enumerate_all(instance).matchings == reference
 
     def test_one_project_lists_past_the_guard(self):
@@ -176,3 +221,12 @@ class TestSeededSearch:
         stable = enumerate_all(instance, force=True)
         assert stable.matchings == (solve_student_optimal(instance),)
         assert is_stable(instance, stable[0])
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # INSTANCE_A's four-member diamond next to 1000 trivial markets:
+        # the search descends through all 1005 students
+        parts = (INSTANCE_A, one_student_markets(1000))
+        trivial = Matching(tuple((i, i) for i in range(1, 1001)))
+        stable = enumerate_all(disjoint_union(*parts), force=True)
+        assert stable.matchings == union_stable_set(parts, [A_STABLE, [trivial]])
+        assert len(stable) == 4

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from corpus import corpus_instance
 from known_instances import A_M1, A_M2, B_M, INSTANCE_A, INSTANCE_B
-from oracles import dfs_stable_set, fold_lecturer_optimal, fold_student_optimal
+from oracles import dfs_stable_set
 from spas import (
     GenParams,
     Instance,
@@ -21,8 +21,11 @@ from spas import (
 
 
 def assert_da_matches_fold(instance: Instance) -> None:
-    assert solve_student_optimal(instance) == fold_student_optimal(instance)
-    assert solve_lecturer_optimal(instance) == fold_lecturer_optimal(instance)
+    # meet and join of the whole unseeded stable set: every student's best
+    # and every student's worst stable project
+    stable = dfs_stable_set(instance)
+    assert solve_student_optimal(instance) == meet_all(instance, stable, check=False)
+    assert solve_lecturer_optimal(instance) == join_all(instance, stable, check=False)
 
 
 class TestKnownInstances:

@@ -1,10 +1,22 @@
+import hashlib
+import random
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import corpus_instance
-from known_instances import A_M1, A_M2, A_STABLE, B_M, INSTANCE_A, INSTANCE_B
+from known_instances import (
+    A_M1,
+    A_M2,
+    A_STABLE,
+    B_M,
+    INSTANCE_A,
+    INSTANCE_B,
+    disjoint_union,
+)
+from oracles import naive_lattice_axioms, random_valid_matching
 from spas import (
     Matching,
     check_lattice_axioms,
@@ -246,3 +258,93 @@ class TestRunAllChecks:
         for x, y in permutations(stable, 2):
             assert check_prop_full_project(instance, x, y).passed
             assert check_lemma_same_lecturer(instance, x, y).passed
+
+
+def mixed_sets(corpus7):
+    """Each corpus7 stable set plus 1-4 random valid matchings, shuffled,
+    all drawn from random.Random(seed)."""
+    for seed, instance, stable in corpus7:
+        rng = random.Random(seed)
+        members = list(stable) + [
+            random_valid_matching(instance, rng) for _ in range(rng.randint(1, 4))
+        ]
+        rng.shuffle(members)
+        yield seed, instance, members
+
+
+def digest(reports) -> str:
+    text = "\n".join(f for r in reports for f in r.failures)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestAgainstNaiveLatticeAxioms:
+    """The rank-vector check against the Matching-by-Matching original."""
+
+    def test_equal_on_every_corpus_stable_set(self, corpus7):
+        for seed, instance, stable in corpus7:
+            expected = naive_lattice_axioms(instance, stable)
+            assert check_lattice_axioms(instance, stable) == expected, seed
+
+    def test_equal_on_mixed_sets(self, corpus7):
+        # elementwise min and max over a chain always distribute and always
+        # bound every common bound, so only these kinds of failure can occur
+        kinds = dict.fromkeys((
+            "left the stable set", "is not a lower bound",
+            "is not an upper bound", "dominance reversal"), 0)
+        for seed, instance, members in mixed_sets(corpus7):
+            report = check_lattice_axioms(instance, members)
+            assert report == naive_lattice_axioms(instance, members), seed
+            for f in report.failures:
+                for kind in kinds:
+                    kinds[kind] += kind in f
+        assert all(kinds.values()), kinds
+
+
+class TestPinnedOutput:
+    """Failure counts and text of run_all_checks as the checks gave them
+    before the rank-vector rewrite, which reproduces them byte for byte.
+    The digests were computed then with, for a+b,
+
+        PYTHONPATH=src:tests python -c "from test_verification import *; print(digest(run_all_checks(disjoint_union(INSTANCE_A, INSTANCE_B))))"
+    """
+
+    @pytest.mark.parametrize("parts, reversals, axioms, sha", [
+        ((INSTANCE_A, INSTANCE_B), 324, 18,
+         "3ba85f9f88a305c52b3bd6a79ed2989acbaf29b30cde52abfa18f3cf9b214850"),
+        ((INSTANCE_A, INSTANCE_A, INSTANCE_A), 3072, 0,
+         "21ed3e0efb59360e77fa9aa997f4359e0760f9e52dfe84cec1d0586c36ff530b"),
+        ((INSTANCE_B, INSTANCE_B), 784, 104,
+         "f40a3abbbf5a78c0c4a165cf5b21a7f44cc4792cbbd27c1bf4532f4e20ea8601"),
+    ], ids=["a+b", "a+a+a", "b+b"])
+    def test_unions(self, parts, reversals, axioms, sha):
+        reports = run_all_checks(disjoint_union(*parts))
+        counts = {r.name: len(r.failures) for r in reports}
+        assert counts == {
+            "unpopular-projects": 0,
+            "full-project": 0,
+            "same-lecturer": 0,
+            "preference-reversal": reversals,
+            "rank-boundaries": 0,
+            "lattice-axioms": axioms,
+        }
+        assert digest(reports) == sha
+
+    def test_mixed_sets(self, corpus7):
+        # every report fails somewhere here, so every failure path is pinned
+        reports = [
+            r for _, instance, members in mixed_sets(corpus7)
+            for r in run_all_checks(instance, members)
+        ]
+        counts = dict.fromkeys((r.name for r in reports), 0)
+        for r in reports:
+            counts[r.name] += len(r.failures)
+        assert counts == {
+            "unpopular-projects": 2260,
+            "full-project": 544,
+            "same-lecturer": 695,
+            "preference-reversal": 574,
+            "rank-boundaries": 588,
+            "lattice-axioms": 5842,
+        }
+        assert digest(reports) == (
+            "0277af6321c67a88b956e2975f1ad3055c9256d62b60779f216b802191633558")
