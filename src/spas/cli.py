@@ -2,6 +2,10 @@
 
 Exit codes: 0 success/true, 1 false (unstable, invalid, failed property),
 2 usage, 3 enumeration size guard.
+
+Only the instance model and the file formats are imported here; each
+command imports the other layers it runs, so that start-up, which
+dominates small runs, stays as short as the command allows.
 """
 
 from __future__ import annotations
@@ -9,8 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .enumeration import SizeGuardError, enumerate_all
 from .fileio import (
     ParseError,
     emit_dot,
@@ -19,8 +23,6 @@ from .fileio import (
     serialize_instance,
     serialize_matching,
 )
-from .generator import GenParams, generate
-from .lattice import build_hasse, join, meet
 from .model import (
     Instance,
     Matching,
@@ -29,9 +31,9 @@ from .model import (
     is_valid_matching,
     validate_raw,
 )
-from .solvers import solve_lecturer_optimal, solve_student_optimal
-from .stability import find_blocking_pairs
-from .verification import run_all_checks
+
+if TYPE_CHECKING:
+    from .enumeration import StableSet
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -63,6 +65,17 @@ def _load_matching(path: str, instance: Instance) -> Matching:
     return parse_matching_file(Path(path).read_text(), instance)
 
 
+def _load_stable_set(args: argparse.Namespace) -> tuple[Instance, StableSet]:
+    from .enumeration import SizeGuardError, enumerate_all
+
+    instance = _load_instance(args.instance)
+    try:
+        return instance, enumerate_all(instance, force=args.force)
+    except SizeGuardError as exc:
+        print(f"ERROR {exc}", file=sys.stderr)
+        raise _Exit(EXIT_SIZE_GUARD) from None
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     report = validate_raw(parse_raw_instance(Path(args.instance).read_text()))
     _print_report(report)
@@ -71,6 +84,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .stability import find_blocking_pairs
+
     instance = _load_instance(args.instance)
     matching = _load_matching(args.matching, instance)
     report = is_valid_matching(instance, matching)
@@ -88,6 +103,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .solvers import solve_lecturer_optimal, solve_student_optimal
+
     instance = _load_instance(args.instance)
     if args.optimal == "student":
         matching = solve_student_optimal(instance)
@@ -98,8 +115,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
-    stable = enumerate_all(instance, force=args.force)
+    _, stable = _load_stable_set(args)
     if args.count_only:
         print(len(stable))
         return EXIT_OK
@@ -112,6 +128,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_meet_join(args: argparse.Namespace) -> int:
+    from .lattice import join, meet
+
     instance = _load_instance(args.instance)
     first = _load_matching(args.m1, instance)
     second = _load_matching(args.m2, instance)
@@ -121,8 +139,9 @@ def _cmd_meet_join(args: argparse.Namespace) -> int:
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
-    stable = enumerate_all(instance, force=args.force)
+    from .lattice import build_hasse
+
+    instance, stable = _load_stable_set(args)
     diagram = build_hasse(instance, stable)
     for a, b in diagram.edges:
         print(f"{diagram.label(a)} -> {diagram.label(b)}")
@@ -132,8 +151,9 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
-    stable = enumerate_all(instance, force=args.force)
+    from .verification import run_all_checks
+
+    instance, stable = _load_stable_set(args)
     reports = run_all_checks(instance, stable, pairs_only=args.pairs)
     failed = False
     for r in reports:
@@ -148,6 +168,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generator import GenParams, generate
+
     params = GenParams(
         students=args.students,
         projects=args.projects,
@@ -238,9 +260,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except _Exit as exc:
         return exc.code
-    except SizeGuardError as exc:
-        print(f"ERROR {exc}", file=sys.stderr)
-        return EXIT_SIZE_GUARD
     except (ParseError, ValueError, OSError) as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return EXIT_FALSE

@@ -17,7 +17,8 @@ parse-serialize round trips are byte identity on canonical files.
 from __future__ import annotations
 
 import re
-from .lattice import HasseDiagram
+from typing import TYPE_CHECKING
+
 from .model import (
     Instance,
     Matching,
@@ -25,6 +26,9 @@ from .model import (
     ValidationReport,
     build_instance,
 )
+
+if TYPE_CHECKING:
+    from .lattice import HasseDiagram
 
 _TOKEN = re.compile(r"\S+")
 _ID = re.compile(r"^([spl])([1-9][0-9]*)$")
@@ -50,13 +54,24 @@ def _tokens(raw_line: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(raw_line)]
 
 
+def _to_int(digits: str, line: int, column: int) -> int:
+    """``int`` of ASCII digits; past ``sys.get_int_max_str_digits()`` digits
+    it raises a bare ``ValueError``, reported here with its place."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"number of {len(digits)} digits is too long", line, column
+        ) from None
+
+
 def _parse_id(token: str, kind: str, line: int, column: int) -> int:
     m = _ID.match(token)
     if not m or m.group(1) != kind:
         raise ParseError(
             f"expected {kind}<number> identifier, got {token!r}", line, column
         )
-    return int(m.group(2))
+    return _to_int(m.group(2), line, column)
 
 
 def _is_count(token: str) -> bool:
@@ -70,7 +85,7 @@ def _parse_count(tokens: list[tuple[str, int]], line: int) -> int:
         raise ParseError(
             f"expected '{tokens[0][0]} <count>'", line, tokens[0][1]
         )
-    return int(tokens[1][0])
+    return _to_int(tokens[1][0], line, tokens[1][1])
 
 
 def parse_raw_instance(text: str) -> RawInstance:
@@ -129,7 +144,7 @@ def parse_raw_instance(text: str) -> RawInstance:
                     line_no, head_col,
                 )
             k = _parse_id(toks[5][0], "l", line_no, toks[5][1])
-            projects[j] = (int(words[2]), k)
+            projects[j] = (_to_int(words[2], line_no, toks[3][1]), k)
         elif kind == "l":
             k = _parse_id(head, "l", line_no, head_col)
             if k in lecturers:
@@ -147,7 +162,7 @@ def parse_raw_instance(text: str) -> RawInstance:
                     line_no, head_col,
                 )
             ranked = [_parse_id(t, "s", line_no, c) for t, c in toks[5:]]
-            lecturers[k] = (int(words[2]), ranked)
+            lecturers[k] = (_to_int(words[2], line_no, toks[3][1]), ranked)
         else:
             raise ParseError(f"unrecognised line {stripped!r}", line_no, head_col)
 
@@ -163,9 +178,10 @@ def parse_raw_instance(text: str) -> RawInstance:
                 raise ParseError(
                     f"{prefix}{ident} is outside the declared range 1..{n}"
                 )
-        missing = [i for i in range(1, n + 1) if i not in found]
-        if missing:
-            raise ParseError(f"missing line for {prefix}{missing[0]}")
+        if len(found) < n:
+            # every found id lies in 1..n, so one of 1..len(found)+1 is free
+            missing = next(i for i in range(1, n + 1) if i not in found)
+            raise ParseError(f"missing line for {prefix}{missing}")
 
     gather(students, counts["students"], "s")
     gather(projects, counts["projects"], "p")

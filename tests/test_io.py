@@ -1,4 +1,5 @@
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,19 +16,63 @@ from known_instances import (
 )
 from spas import (
     HasseDiagram,
+    Instance,
     Matching,
     ParseError,
     ValidationReport,
     build_hasse,
+    build_instance,
     emit_dot,
     enumerate_all,
     parse_instance_file,
     parse_matching_file,
+    parse_raw_instance,
     serialize_instance,
     serialize_matching,
+    solve_student_optimal,
+    validate_raw,
 )
 
 DATA = Path(__file__).parent / "data"
+
+# Numbers that stress the grammar: a count far too large to walk, one past
+# int()'s 4300-digit limit, a non-ASCII digit, a sign and a zero; small ones
+# keep the syntax and move an id or a capacity, which the validator meets.
+HOSTILE_NUMBERS = ("100000000000", "1" + "0" * 4999, "\u00b2", "-1", "0",
+                   "1", "2")
+EDITS = ("drop", "duplicate", "swap", "drop-line", "duplicate-line")
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """``text`` after one to three edits: drop, duplicate or swap tokens,
+    drop or duplicate lines, or put a hostile number in place of a token's
+    digits (so ids keep their letter).  Places come from a drawn ``Random``
+    because plain integer draws favour the first line, the header, whose
+    errors stop the parse before the rest of the grammar is reached."""
+    rng = draw(st.randoms(use_true_random=True))
+    lines = [line.split() for line in text.splitlines()] or [[]]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        toks = lines[i]
+        # half the edits are numbers: they alone can keep the syntax valid
+        edit = "number" if rng.random() < 0.5 else rng.choice(EDITS)
+        if edit == "drop-line" and len(lines) > 1:
+            del lines[i]
+        elif edit == "duplicate-line":
+            lines.insert(i, list(toks))
+        elif toks:
+            j = rng.randrange(len(toks))
+            if edit == "drop":
+                del toks[j]
+            elif edit == "duplicate":
+                toks.insert(j, toks[j])
+            elif edit == "swap":
+                k = rng.randrange(len(toks))
+                toks[j], toks[k] = toks[k], toks[j]
+            elif edit == "number" and toks[j][-1].isdigit():
+                toks[j] = toks[j].rstrip("0123456789") + rng.choice(HOSTILE_NUMBERS)
+    return "".join(" ".join(toks) + "\n" for toks in lines)
 
 
 class TestInstanceFiles:
@@ -98,6 +143,33 @@ class TestInstanceFiles:
         assert err.value.column is not None
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("text,missing", [
+        ("students 100000000000\nprojects 0\nlecturers 0\n", "s1"),
+        ("students 100000000000\nprojects 0\nlecturers 0\ns1 :\ns2 :\n", "s3"),
+    ], ids=["no-lines", "two-lines"])
+    def test_missing_line_in_a_huge_declared_range(self, text, missing):
+        # the first free id is at most one past the lines present, so the
+        # declared range is never walked
+        start = perf_counter()
+        with pytest.raises(ParseError, match=f"missing line for {missing}$"):
+            parse_raw_instance(text)
+        assert perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("text,line,column", [
+        ("students 1\nprojects 1\nlecturers 1\ns1" + "0" * 5000 + " : p1\n",
+         4, 1),
+        ("students 1" + "0" * 5000 + "\nprojects 1\nlecturers 1\n", 1, 10),
+        ("students 1\nprojects 1\nlecturers 1\ns1 : p1\n"
+         "p1 : capacity 1" + "0" * 5000 + " lecturer l1\n", 5, 15),
+    ], ids=["student-id", "count-header", "capacity"])
+    def test_numbers_past_the_int_digit_limit_are_parse_errors(
+            self, text, line, column):
+        # int() refuses more than 4300 digits with a bare ValueError
+        with pytest.raises(ParseError) as err:
+            parse_raw_instance(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert "5001 digits" in str(err.value)
+
     @given(st.integers(1, 10**6))
     @settings(max_examples=80, deadline=None)
     def test_round_trip_on_generated_instances(self, seed):
@@ -132,6 +204,34 @@ class TestMatchingFiles:
             parse_matching_file("s1 p1\ns1 p2\n", INSTANCE_A)
         with pytest.raises(ParseError):
             parse_matching_file("s1 -\ns1 p2\n", INSTANCE_A)
+
+
+class TestHostileInput:
+    """Mutated files fail only with a typed error: a ParseError from the
+    parse, or a ValidationReport from the validator; never a stray
+    ValueError (of which ParseError is a subclass) or a hang."""
+
+    @given(st.integers(1, 10**6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_instance_files(self, seed, data):
+        text = serialize_instance(corpus_instance(seed, 7, 6, 3))
+        try:
+            raw = parse_raw_instance(data.draw(mutated(text)))
+        except ParseError:
+            return
+        assert isinstance(validate_raw(raw), ValidationReport)
+        assert isinstance(build_instance(raw), (Instance, ValidationReport))
+
+    @given(st.integers(1, 10**6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matching_files(self, seed, data):
+        instance = corpus_instance(seed, 7, 6, 3)
+        text = serialize_matching(solve_student_optimal(instance))
+        try:
+            matching = parse_matching_file(data.draw(mutated(text)), instance)
+        except ParseError:
+            return
+        assert isinstance(matching, Matching)
 
 
 class TestDot:
