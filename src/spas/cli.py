@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 from .fileio import (
     ParseError,
     emit_dot,
+    parse_instance_file,
     parse_matching_file,
     parse_raw_instance,
     serialize_instance,
@@ -27,7 +28,6 @@ from .model import (
     Instance,
     Matching,
     ValidationReport,
-    build_instance,
     is_valid_matching,
     validate_raw,
 )
@@ -54,7 +54,7 @@ def _print_report(report: ValidationReport) -> None:
 
 
 def _load_instance(path: str) -> Instance:
-    obj = build_instance(parse_raw_instance(Path(path).read_text()))
+    obj = parse_instance_file(Path(path).read_text())
     if isinstance(obj, ValidationReport):
         _print_report(obj)
         raise _Exit(EXIT_FALSE)

@@ -236,7 +236,7 @@ class Matching:
         canon = []
         for pair in self.pairs:
             s, p = pair
-            if not (isinstance(s, int) and isinstance(p, int) and s > 0 and p > 0):
+            if not (type(s) is int and type(p) is int and s > 0 and p > 0):
                 raise ValueError(f"malformed pair {pair!r}")
             canon.append((s, p))
         object.__setattr__(self, "pairs", tuple(sorted(set(canon))))
@@ -258,8 +258,37 @@ class Matching:
 EMPTY_MATCHING = Matching(())
 
 
+def _non_integers(raw: RawInstance) -> list[Violation]:
+    """Every entry of the five lists that is not a plain ``int`` (a
+    ``bool`` is not), naming its entity, in field order."""
+    entries = (
+        (student_name, "ranked project",
+         ((i, x) for i, prefs in enumerate(raw.student_prefs, start=1)
+          for x in prefs)),
+        (project_name, "capacity", enumerate(raw.project_capacity, start=1)),
+        (project_name, "owner", enumerate(raw.project_owner, start=1)),
+        (lecturer_name, "capacity", enumerate(raw.lecturer_capacity, start=1)),
+        (lecturer_name, "ranked student",
+         ((k, x) for k, prefs in enumerate(raw.lecturer_prefs, start=1)
+          for x in prefs)),
+    )
+    return [
+        Violation("non-integer", name(i), f"{what} {x!r} is not an integer")
+        for name, what, pairs in entries
+        for i, x in pairs
+        if type(x) is not int
+    ]
+
+
 def validate_raw(raw: RawInstance) -> ValidationReport:
-    """Check every instance rule, collecting all violations and warnings."""
+    """Check every instance rule, collecting all violations and warnings.
+
+    Non-integer entries are reported alone: the other rules compare and
+    index with the entries.
+    """
+    typed = _non_integers(raw)
+    if typed:
+        return ValidationReport(tuple(typed))
     n1 = len(raw.student_prefs)
     n2 = len(raw.project_capacity)
     n3 = len(raw.lecturer_capacity)

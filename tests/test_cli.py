@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from known_instances import A_M1, B_M, INSTANCE_A, disjoint_union, one_student_markets
 from spas import GenParams, generate, parse_instance_file, serialize_instance
 from spas.cli import main
@@ -8,6 +10,59 @@ DATA = Path(__file__).parent / "data"
 
 A = str(DATA / "instance_a.spa")
 B = str(DATA / "instance_b.spa")
+
+
+# `spas verify` and `spas verify --pairs` stdout on the bundled instances,
+# captured before the lattice check dropped its clauses that cannot fail;
+# the CLI prints only the first five failures of each report
+VERIFY_A = """\
+PASS unpopular-projects
+PASS full-project
+PASS same-lecturer
+FAIL preference-reversal: 4 violation(s)
+  (M2, M3) s2 left l1 while preferring this side, but l1 does not prefer the other matching
+  (M2, M3) s3 left l2 while preferring this side, but l2 does not prefer the other matching
+  (M3, M2) s5 left l1 while preferring this side, but l1 does not prefer the other matching
+  (M3, M2) s4 left l2 while preferring this side, but l2 does not prefer the other matching
+PASS rank-boundaries
+PASS lattice-axioms
+"""
+VERIFY_A_PAIRS = """\
+PASS full-project
+PASS same-lecturer
+FAIL preference-reversal: 4 violation(s)
+  (M2, M3) s2 left l1 while preferring this side, but l1 does not prefer the other matching
+  (M2, M3) s3 left l2 while preferring this side, but l2 does not prefer the other matching
+  (M3, M2) s5 left l1 while preferring this side, but l1 does not prefer the other matching
+  (M3, M2) s4 left l2 while preferring this side, but l2 does not prefer the other matching
+PASS rank-boundaries
+"""
+VERIFY_B = """\
+PASS unpopular-projects
+PASS full-project
+PASS same-lecturer
+FAIL preference-reversal: 8 violation(s)
+  (M3, M4) s2 left l1 while preferring this side, but l1 does not prefer the other matching
+  (M3, M4) s4 left l2 while preferring this side, but l2 does not prefer the other matching
+  (M3, M6) s1 left l1 while preferring this side, but l1 does not prefer the other matching
+  (M3, M6) s3 left l2 while preferring this side, but l2 does not prefer the other matching
+  (M5, M6) s1 left l1 while preferring this side, but l1 does not prefer the other matching
+PASS rank-boundaries
+FAIL lattice-axioms: 2 violation(s)
+  dominance reversal fails between members 3 and 2
+  dominance reversal fails between members 5 and 4
+"""
+VERIFY_B_PAIRS = """\
+PASS full-project
+PASS same-lecturer
+FAIL preference-reversal: 8 violation(s)
+  (M3, M4) s2 left l1 while preferring this side, but l1 does not prefer the other matching
+  (M3, M4) s4 left l2 while preferring this side, but l2 does not prefer the other matching
+  (M3, M6) s1 left l1 while preferring this side, but l1 does not prefer the other matching
+  (M3, M6) s3 left l2 while preferring this side, but l2 does not prefer the other matching
+  (M5, M6) s1 left l1 while preferring this side, but l1 does not prefer the other matching
+PASS rank-boundaries
+"""
 
 
 def run(capsys, *argv):
@@ -185,6 +240,16 @@ class TestVerify:
         assert code == 1
         assert any(line.startswith("FAIL preference-reversal")
                    for line in out.splitlines())
+
+    @pytest.mark.parametrize("path, flags, expected", [
+        (A, [], VERIFY_A),
+        (A, ["--pairs"], VERIFY_A_PAIRS),
+        (B, [], VERIFY_B),
+        (B, ["--pairs"], VERIFY_B_PAIRS),
+    ], ids=["a", "a-pairs", "b", "b-pairs"])
+    def test_pinned_output(self, capsys, path, flags, expected):
+        # both instances refute preference reversal, so every run exits 1
+        assert run(capsys, "verify", *flags, path)[:2] == (1, expected)
 
 
 class TestGen:

@@ -16,6 +16,7 @@ from spas import (
     Matching,
     RawInstance,
     ValidationReport,
+    Violation,
     build_instance,
     is_valid_matching,
     validate_raw,
@@ -129,6 +130,35 @@ class TestBuildInstance:
         assert report.violations[0].subject == "lecturer_prefs"
         assert isinstance(build_instance(raw), ValidationReport)
 
+    @pytest.mark.parametrize("field, row, col, value, violation", [
+        ("student_prefs", 0, 1, 1.5, Violation(
+            "non-integer", "s1", "ranked project 1.5 is not an integer")),
+        ("project_capacity", 2, None, 1.0, Violation(
+            "non-integer", "p3", "capacity 1.0 is not an integer")),
+        ("project_owner", 0, None, True, Violation(
+            "non-integer", "p1", "owner True is not an integer")),
+        ("lecturer_capacity", 1, None, 2.0, Violation(
+            "non-integer", "l2", "capacity 2.0 is not an integer")),
+        ("lecturer_prefs", 1, 0, "2", Violation(
+            "non-integer", "l2", "ranked student '2' is not an integer")),
+    ], ids=["student_prefs", "project_capacity", "project_owner",
+            "lecturer_capacity", "lecturer_prefs"])
+    def test_non_integer_entry_is_reported(self, field, row, col, value, violation):
+        raw = raw_a()
+        if col is None:
+            getattr(raw, field)[row] = value
+        else:
+            getattr(raw, field)[row][col] = value
+        report = build_instance(raw)
+        assert isinstance(report, ValidationReport)
+        assert report.violations == (violation,)
+
+    def test_bool_is_not_an_integer(self):
+        report = build_instance(RawInstance([[True]], [1], [1], [1], [[1]]))
+        assert isinstance(report, ValidationReport)
+        assert [v.render() for v in report.violations] == [
+            "non-integer [s1]: ranked project True is not an integer"]
+
     @given(
         st.integers(0, 6).flatmap(lambda n1: st.integers(1, 5).flatmap(
             lambda n2: st.integers(1, 3).flatmap(lambda n3: st.tuples(
@@ -224,6 +254,12 @@ class TestMatching:
     def test_malformed_pair_rejected(self):
         with pytest.raises(ValueError):
             Matching(((0, 1),))
+
+    @pytest.mark.parametrize("pair", [(True, 1), (1, True), (1.0, 1)],
+                             ids=["bool-student", "bool-project", "float"])
+    def test_non_int_ids_rejected(self, pair):
+        with pytest.raises(ValueError):
+            Matching((pair,))
 
 
 class TestIsValidMatching:
