@@ -9,6 +9,11 @@ Instance grammar (``#``-prefixed comment lines and blank lines ignored):
     p<j> : capacity <c> lecturer l<k>    one line per project
     l<k> : capacity <d> : s<a> s<b> ...  one line per lecturer, best first
 
+Lines are split on Unicode whitespace (``str.split``).  Ids are the letter
+then ASCII digits without a leading zero; counts and capacities are ASCII
+digits and may be zero-padded.  A ``ParseError`` gives the line and the
+1-based character column of the token, found only when the error is raised.
+
 Matching grammar: one ``s<i> p<j>`` or ``s<i> -`` per line; unassigned
 students may be omitted.  Serialisers emit canonical ascending order, so
 parse-serialize round trips are byte identity on canonical files.
@@ -31,7 +36,6 @@ if TYPE_CHECKING:
     from .lattice import HasseDiagram
 
 _TOKEN = re.compile(r"\S+")
-_ID = re.compile(r"^([spl])([1-9][0-9]*)$")
 _COUNT_KEYWORDS = ("students", "projects", "lecturers")
 
 
@@ -50,28 +54,38 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _tokens(raw_line: str) -> list[tuple[str, int]]:
-    return [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(raw_line)]
+def _error(message: str, line: int, raw_line: str, index: int) -> ParseError:
+    """The error at the ``index``-th token of ``raw_line``, whose column is
+    looked up only here: parsing itself never tracks columns."""
+    column = [m.start() for m in _TOKEN.finditer(raw_line)][index] + 1
+    return ParseError(message, line, column)
 
 
-def _to_int(digits: str, line: int, column: int) -> int:
-    """``int`` of ASCII digits; past ``sys.get_int_max_str_digits()`` digits
-    it raises a bare ``ValueError``, reported here with its place."""
+def _ids(kind: str, words: list[str], start: int, stop: int,
+         raw_line: str, line: int, known: dict[str, dict[str, int]]) -> list[int]:
+    """``words[start:stop]`` as ``<kind><n>`` ids, n ASCII digits without a
+    leading zero.  ``known[kind]`` holds the tokens already decoded: lists
+    repeat ids, and a lookup is cheaper than the tests.  ``int`` refuses more
+    than ``sys.get_int_max_str_digits()`` digits with a bare ``ValueError``,
+    reported here with its place."""
+    memo = known[kind]
+    out: list[int] = []
     try:
-        return int(digits)
+        for w in words[start:stop]:
+            n = memo.get(w)
+            if n is None:
+                d = w[1:]
+                if w[0] != kind or not d.isdigit() or not d.isascii() or d[0] == "0":
+                    message = f"expected {kind}<number> identifier, got {w!r}"
+                    break
+                n = memo[w] = int(d)
+            out.append(n)
+        else:
+            return out
     except ValueError:
-        raise ParseError(
-            f"number of {len(digits)} digits is too long", line, column
-        ) from None
-
-
-def _parse_id(token: str, kind: str, line: int, column: int) -> int:
-    m = _ID.match(token)
-    if not m or m.group(1) != kind:
-        raise ParseError(
-            f"expected {kind}<number> identifier, got {token!r}", line, column
-        )
-    return _to_int(m.group(2), line, column)
+        message = f"number of {len(d)} digits is too long"
+    # an equal token earlier in the line would have failed first
+    raise _error(message, line, raw_line, words.index(w, start))
 
 
 def _is_count(token: str) -> bool:
@@ -80,12 +94,12 @@ def _is_count(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def _parse_count(tokens: list[tuple[str, int]], line: int) -> int:
-    if len(tokens) != 2 or not _is_count(tokens[1][0]):
-        raise ParseError(
-            f"expected '{tokens[0][0]} <count>'", line, tokens[0][1]
-        )
-    return _to_int(tokens[1][0], line, tokens[1][1])
+def _count(words: list[str], index: int, raw_line: str, line: int) -> int:
+    try:
+        return int(words[index])
+    except ValueError:
+        raise _error(f"number of {len(words[index])} digits is too long",
+                     line, raw_line, index) from None
 
 
 def parse_raw_instance(text: str) -> RawInstance:
@@ -98,73 +112,53 @@ def parse_raw_instance(text: str) -> RawInstance:
     students: dict[int, list[int]] = {}
     projects: dict[int, tuple[int, int]] = {}
     lecturers: dict[int, tuple[int, list[int]]] = {}
+    by_kind = {"s": students, "p": projects, "l": lecturers}
+    known: dict[str, dict[str, int]] = {"s": {}, "p": {}, "l": {}}
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        stripped = raw_line.strip()
-        if not stripped or stripped.startswith("#"):
+        words = raw_line.split()
+        if not words or words[0][0] == "#":
             continue
-        toks = _tokens(raw_line)
-        head, head_col = toks[0]
+        head = words[0]
 
         if head in _COUNT_KEYWORDS:
             if head in counts:
-                raise ParseError(f"duplicate '{head}' header", line_no, head_col)
-            counts[head] = _parse_count(toks, line_no)
+                raise _error(f"duplicate '{head}' header", line_no, raw_line, 0)
+            if len(words) != 2 or not _is_count(words[1]):
+                raise _error(f"expected '{head} <count>'", line_no, raw_line, 0)
+            counts[head] = _count(words, 1, raw_line, line_no)
             continue
 
         if len(counts) < 3:
-            raise ParseError(
-                "entity line before the three count headers", line_no, head_col
-            )
+            raise _error("entity line before the three count headers",
+                         line_no, raw_line, 0)
 
         kind = head[0]
+        if kind not in by_kind:
+            raise _error(f"unrecognised line {raw_line.strip()!r}",
+                         line_no, raw_line, 0)
+        (ident,) = _ids(kind, words, 0, 1, raw_line, line_no, known)
+        if ident in by_kind[kind]:
+            raise _error(f"duplicate line for {kind}{ident}", line_no, raw_line, 0)
         if kind == "s":
-            i = _parse_id(head, "s", line_no, head_col)
-            if i in students:
-                raise ParseError(f"duplicate line for s{i}", line_no, head_col)
-            if len(toks) < 2 or toks[1][0] != ":":
-                raise ParseError("expected ':' after student id", line_no, head_col)
-            students[i] = [
-                _parse_id(t, "p", line_no, c) for t, c in toks[2:]
-            ]
+            if len(words) < 2 or words[1] != ":":
+                raise _error("expected ':' after student id", line_no, raw_line, 0)
+            students[ident] = _ids("p", words, 2, len(words), raw_line, line_no,
+                                   known)
         elif kind == "p":
-            j = _parse_id(head, "p", line_no, head_col)
-            if j in projects:
-                raise ParseError(f"duplicate line for p{j}", line_no, head_col)
-            words = [t for t, _ in toks[1:]]
-            if (
-                len(toks) != 6
-                or words[0] != ":"
-                or words[1] != "capacity"
-                or not _is_count(words[2])
-                or words[3] != "lecturer"
-            ):
-                raise ParseError(
-                    "expected 'p<j> : capacity <c> lecturer l<k>'",
-                    line_no, head_col,
-                )
-            k = _parse_id(toks[5][0], "l", line_no, toks[5][1])
-            projects[j] = (_to_int(words[2], line_no, toks[3][1]), k)
-        elif kind == "l":
-            k = _parse_id(head, "l", line_no, head_col)
-            if k in lecturers:
-                raise ParseError(f"duplicate line for l{k}", line_no, head_col)
-            words = [t for t, _ in toks[1:]]
-            if (
-                len(toks) < 5
-                or words[0] != ":"
-                or words[1] != "capacity"
-                or not _is_count(words[2])
-                or words[3] != ":"
-            ):
-                raise ParseError(
-                    "expected 'l<k> : capacity <d> : s<a> ...'",
-                    line_no, head_col,
-                )
-            ranked = [_parse_id(t, "s", line_no, c) for t, c in toks[5:]]
-            lecturers[k] = (_to_int(words[2], line_no, toks[3][1]), ranked)
+            if (len(words) != 6 or words[1:3] != [":", "capacity"]
+                    or not _is_count(words[3]) or words[4] != "lecturer"):
+                raise _error("expected 'p<j> : capacity <c> lecturer l<k>'",
+                             line_no, raw_line, 0)
+            (k,) = _ids("l", words, 5, 6, raw_line, line_no, known)
+            projects[ident] = (_count(words, 3, raw_line, line_no), k)
         else:
-            raise ParseError(f"unrecognised line {stripped!r}", line_no, head_col)
+            if (len(words) < 5 or words[1:3] != [":", "capacity"]
+                    or not _is_count(words[3]) or words[4] != ":"):
+                raise _error("expected 'l<k> : capacity <d> : s<a> ...'",
+                             line_no, raw_line, 0)
+            ranked = _ids("s", words, 5, len(words), raw_line, line_no, known)
+            lecturers[ident] = (_count(words, 3, raw_line, line_no), ranked)
 
     if not counts and not (students or projects or lecturers):
         return RawInstance([], [], [], [], [])
@@ -225,26 +219,24 @@ def serialize_instance(instance: Instance) -> str:
 def parse_matching_file(text: str, instance: Instance) -> Matching:
     pairs: list[tuple[int, int]] = []
     seen: set[int] = set()
+    known: dict[str, dict[str, int]] = {"s": {}, "p": {}}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        stripped = raw_line.strip()
-        if not stripped or stripped.startswith("#"):
+        words = raw_line.split()
+        if not words or words[0][0] == "#":
             continue
-        toks = _tokens(raw_line)
-        if len(toks) != 2:
-            raise ParseError(
-                "expected 's<i> p<j>' or 's<i> -'", line_no, toks[0][1]
-            )
-        s = _parse_id(toks[0][0], "s", line_no, toks[0][1])
+        if len(words) != 2:
+            raise _error("expected 's<i> p<j>' or 's<i> -'", line_no, raw_line, 0)
+        (s,) = _ids("s", words, 0, 1, raw_line, line_no, known)
         if not 1 <= s <= instance.num_students:
-            raise ParseError(f"unknown student s{s}", line_no, toks[0][1])
+            raise _error(f"unknown student s{s}", line_no, raw_line, 0)
         if s in seen:
-            raise ParseError(f"duplicate line for s{s}", line_no, toks[0][1])
+            raise _error(f"duplicate line for s{s}", line_no, raw_line, 0)
         seen.add(s)
-        if toks[1][0] == "-":
+        if words[1] == "-":
             continue
-        p = _parse_id(toks[1][0], "p", line_no, toks[1][1])
+        (p,) = _ids("p", words, 1, 2, raw_line, line_no, known)
         if not 1 <= p <= instance.num_projects:
-            raise ParseError(f"unknown project p{p}", line_no, toks[1][1])
+            raise _error(f"unknown project p{p}", line_no, raw_line, 1)
         pairs.append((s, p))
     return Matching(tuple(pairs))
 

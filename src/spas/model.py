@@ -9,7 +9,7 @@ precomputed at build time so preference queries are O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -258,6 +258,26 @@ class Matching:
 EMPTY_MATCHING = Matching(())
 
 
+def _non_lists(raw: RawInstance) -> list[Violation]:
+    """Every field, else every preference row, that is not a list (a tuple
+    will do), naming the field or the row's entity."""
+    bad_fields = [
+        Violation("non-list", f.name, f"got {type(value).__name__}, not a list")
+        for f in fields(raw)
+        if not isinstance(value := getattr(raw, f.name), (list, tuple))
+    ]
+    if bad_fields:
+        return bad_fields
+    return [
+        Violation("non-list", name(i),
+                  f"preference list is {type(row).__name__}, not a list")
+        for name, rows in ((student_name, raw.student_prefs),
+                           (lecturer_name, raw.lecturer_prefs))
+        for i, row in enumerate(rows, start=1)
+        if not isinstance(row, (list, tuple))
+    ]
+
+
 def _non_integers(raw: RawInstance) -> list[Violation]:
     """Every entry of the five lists that is not a plain ``int`` (a
     ``bool`` is not), naming its entity, in field order."""
@@ -283,10 +303,11 @@ def _non_integers(raw: RawInstance) -> list[Violation]:
 def validate_raw(raw: RawInstance) -> ValidationReport:
     """Check every instance rule, collecting all violations and warnings.
 
-    Non-integer entries are reported alone: the other rules compare and
-    index with the entries.
+    Fields and preference rows that are not lists, else non-integer
+    entries, are reported alone: the other rules iterate the rows and
+    compare and index with the entries.
     """
-    typed = _non_integers(raw)
+    typed = _non_lists(raw) or _non_integers(raw)
     if typed:
         return ValidationReport(tuple(typed))
     n1 = len(raw.student_prefs)

@@ -14,16 +14,23 @@ check is the quadratic loop that one pass in ``validate_raw`` replaced, and
 lattice-axioms check as first written, combining ``Matching`` objects
 student by student for every pair and triple, which the rank-vector check
 in ``verification`` replaced.  These stay deliberately naive; the
-production code must agree with them.
+production code must agree with them.  ``token_parse_raw_instance`` and
+``token_parse_matching_file`` are the file parsers as first written: every
+token goes through a regex with its column attached, and ids through a
+second regex, which the split-and-test parsers in ``fileio`` replaced;
+they must accept the same files and raise the same errors at the same
+places.
 """
 
 import random
+import re
 from itertools import product
 from typing import Sequence
 
 from spas import (
     Instance,
     Matching,
+    ParseError,
     PropertyReport,
     RawInstance,
     ValidationReport,
@@ -441,3 +448,173 @@ def naive_lattice_axioms(
                     failures.append("meet does not distribute over join")
 
     return PropertyReport("lattice-axioms", not failures, tuple(failures))
+
+
+_TOKEN = re.compile(r"\S+")
+_ID = re.compile(r"^([spl])([1-9][0-9]*)$")
+_COUNT_KEYWORDS = ("students", "projects", "lecturers")
+
+
+def _tokens(raw_line: str) -> list[tuple[str, int]]:
+    return [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(raw_line)]
+
+
+def _to_int(digits: str, line: int, column: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"number of {len(digits)} digits is too long", line, column
+        ) from None
+
+
+def _parse_id(token: str, kind: str, line: int, column: int) -> int:
+    m = _ID.match(token)
+    if not m or m.group(1) != kind:
+        raise ParseError(
+            f"expected {kind}<number> identifier, got {token!r}", line, column
+        )
+    return _to_int(m.group(2), line, column)
+
+
+def _is_count(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
+def _parse_count(tokens: list[tuple[str, int]], line: int) -> int:
+    if len(tokens) != 2 or not _is_count(tokens[1][0]):
+        raise ParseError(
+            f"expected '{tokens[0][0]} <count>'", line, tokens[0][1]
+        )
+    return _to_int(tokens[1][0], line, tokens[1][1])
+
+
+def token_parse_raw_instance(text: str) -> RawInstance:
+    """The instance parser over ``(token, column)`` tuples."""
+    counts: dict[str, int] = {}
+    students: dict[int, list[int]] = {}
+    projects: dict[int, tuple[int, int]] = {}
+    lecturers: dict[int, tuple[int, list[int]]] = {}
+
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        stripped = raw_line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        toks = _tokens(raw_line)
+        head, head_col = toks[0]
+
+        if head in _COUNT_KEYWORDS:
+            if head in counts:
+                raise ParseError(f"duplicate '{head}' header", line_no, head_col)
+            counts[head] = _parse_count(toks, line_no)
+            continue
+
+        if len(counts) < 3:
+            raise ParseError(
+                "entity line before the three count headers", line_no, head_col
+            )
+
+        kind = head[0]
+        if kind == "s":
+            i = _parse_id(head, "s", line_no, head_col)
+            if i in students:
+                raise ParseError(f"duplicate line for s{i}", line_no, head_col)
+            if len(toks) < 2 or toks[1][0] != ":":
+                raise ParseError("expected ':' after student id", line_no, head_col)
+            students[i] = [
+                _parse_id(t, "p", line_no, c) for t, c in toks[2:]
+            ]
+        elif kind == "p":
+            j = _parse_id(head, "p", line_no, head_col)
+            if j in projects:
+                raise ParseError(f"duplicate line for p{j}", line_no, head_col)
+            words = [t for t, _ in toks[1:]]
+            if (
+                len(toks) != 6
+                or words[0] != ":"
+                or words[1] != "capacity"
+                or not _is_count(words[2])
+                or words[3] != "lecturer"
+            ):
+                raise ParseError(
+                    "expected 'p<j> : capacity <c> lecturer l<k>'",
+                    line_no, head_col,
+                )
+            k = _parse_id(toks[5][0], "l", line_no, toks[5][1])
+            projects[j] = (_to_int(words[2], line_no, toks[3][1]), k)
+        elif kind == "l":
+            k = _parse_id(head, "l", line_no, head_col)
+            if k in lecturers:
+                raise ParseError(f"duplicate line for l{k}", line_no, head_col)
+            words = [t for t, _ in toks[1:]]
+            if (
+                len(toks) < 5
+                or words[0] != ":"
+                or words[1] != "capacity"
+                or not _is_count(words[2])
+                or words[3] != ":"
+            ):
+                raise ParseError(
+                    "expected 'l<k> : capacity <d> : s<a> ...'",
+                    line_no, head_col,
+                )
+            ranked = [_parse_id(t, "s", line_no, c) for t, c in toks[5:]]
+            lecturers[k] = (_to_int(words[2], line_no, toks[3][1]), ranked)
+        else:
+            raise ParseError(f"unrecognised line {stripped!r}", line_no, head_col)
+
+    if not counts and not (students or projects or lecturers):
+        return RawInstance([], [], [], [], [])
+    for keyword in _COUNT_KEYWORDS:
+        if keyword not in counts:
+            raise ParseError(f"missing '{keyword}' header")
+
+    def gather(found: dict, n: int, prefix: str) -> None:
+        for ident in sorted(found):
+            if not 1 <= ident <= n:
+                raise ParseError(
+                    f"{prefix}{ident} is outside the declared range 1..{n}"
+                )
+        if len(found) < n:
+            missing = next(i for i in range(1, n + 1) if i not in found)
+            raise ParseError(f"missing line for {prefix}{missing}")
+
+    gather(students, counts["students"], "s")
+    gather(projects, counts["projects"], "p")
+    gather(lecturers, counts["lecturers"], "l")
+
+    return RawInstance(
+        student_prefs=[students[i] for i in range(1, counts["students"] + 1)],
+        project_capacity=[projects[j][0] for j in range(1, counts["projects"] + 1)],
+        project_owner=[projects[j][1] for j in range(1, counts["projects"] + 1)],
+        lecturer_capacity=[lecturers[k][0] for k in range(1, counts["lecturers"] + 1)],
+        lecturer_prefs=[lecturers[k][1] for k in range(1, counts["lecturers"] + 1)],
+    )
+
+
+def token_parse_matching_file(text: str, instance: Instance) -> Matching:
+    """The matching parser over ``(token, column)`` tuples."""
+    pairs: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        stripped = raw_line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        toks = _tokens(raw_line)
+        if len(toks) != 2:
+            raise ParseError(
+                "expected 's<i> p<j>' or 's<i> -'", line_no, toks[0][1]
+            )
+        s = _parse_id(toks[0][0], "s", line_no, toks[0][1])
+        if not 1 <= s <= instance.num_students:
+            raise ParseError(f"unknown student s{s}", line_no, toks[0][1])
+        if s in seen:
+            raise ParseError(f"duplicate line for s{s}", line_no, toks[0][1])
+        seen.add(s)
+        if toks[1][0] == "-":
+            continue
+        p = _parse_id(toks[1][0], "p", line_no, toks[1][1])
+        if not 1 <= p <= instance.num_projects:
+            raise ParseError(f"unknown project p{p}", line_no, toks[1][1])
+        pairs.append((s, p))
+    return Matching(tuple(pairs))

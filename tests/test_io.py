@@ -1,3 +1,5 @@
+import random
+import re
 from pathlib import Path
 from time import perf_counter
 
@@ -14,7 +16,9 @@ from known_instances import (
     INSTANCE_A,
     INSTANCE_B,
 )
+from oracles import token_parse_matching_file, token_parse_raw_instance
 from spas import (
+    GenParams,
     HasseDiagram,
     Instance,
     Matching,
@@ -24,11 +28,13 @@ from spas import (
     build_instance,
     emit_dot,
     enumerate_all,
+    generate,
     parse_instance_file,
     parse_matching_file,
     parse_raw_instance,
     serialize_instance,
     serialize_matching,
+    solve_lecturer_optimal,
     solve_student_optimal,
     validate_raw,
 )
@@ -43,14 +49,14 @@ HOSTILE_NUMBERS = ("100000000000", "1" + "0" * 4999, "\u00b2", "-1", "0",
 EDITS = ("drop", "duplicate", "swap", "drop-line", "duplicate-line")
 
 
-@st.composite
-def mutated(draw, text: str) -> str:
+def mutated(text: str, seed: int) -> str:
     """``text`` after one to three edits: drop, duplicate or swap tokens,
     drop or duplicate lines, or put a hostile number in place of a token's
-    digits (so ids keep their letter).  Places come from a drawn ``Random``
+    digits (so ids keep their letter).  Places come from ``Random(seed)``
     because plain integer draws favour the first line, the header, whose
-    errors stop the parse before the rest of the grammar is reached."""
-    rng = draw(st.randoms(use_true_random=True))
+    errors stop the parse before the rest of the grammar is reached; a
+    drawn seed keeps a failure replayable and shows in its report."""
+    rng = random.Random(seed)
     lines = [line.split() for line in text.splitlines()] or [[]]
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(lines))
@@ -206,32 +212,140 @@ class TestMatchingFiles:
             parse_matching_file("s1 -\ns1 p2\n", INSTANCE_A)
 
 
+SEEDS = st.integers(0, 2**32 - 1)
+
+
 class TestHostileInput:
     """Mutated files fail only with a typed error: a ParseError from the
     parse, or a ValidationReport from the validator; never a stray
     ValueError (of which ParseError is a subclass) or a hang."""
 
-    @given(st.integers(1, 10**6), st.data())
+    @given(st.integers(1, 10**6), SEEDS)
     @settings(max_examples=300, deadline=None)
-    def test_instance_files(self, seed, data):
+    def test_instance_files(self, seed, edit_seed):
         text = serialize_instance(corpus_instance(seed, 7, 6, 3))
         try:
-            raw = parse_raw_instance(data.draw(mutated(text)))
+            raw = parse_raw_instance(mutated(text, edit_seed))
         except ParseError:
             return
         assert isinstance(validate_raw(raw), ValidationReport)
         assert isinstance(build_instance(raw), (Instance, ValidationReport))
 
-    @given(st.integers(1, 10**6), st.data())
+    @given(st.integers(1, 10**6), SEEDS)
     @settings(max_examples=300, deadline=None)
-    def test_matching_files(self, seed, data):
+    def test_matching_files(self, seed, edit_seed):
         instance = corpus_instance(seed, 7, 6, 3)
         text = serialize_matching(solve_student_optimal(instance))
         try:
-            matching = parse_matching_file(data.draw(mutated(text)), instance)
+            matching = parse_matching_file(mutated(text, edit_seed), instance)
         except ParseError:
             return
         assert isinstance(matching, Matching)
+
+
+def outcome(parse, *args):
+    """What a parser gives: its result, or its error's text and place."""
+    try:
+        return parse(*args)
+    except ParseError as err:
+        return (str(err), err.line, err.column)
+
+
+# Token separators: str.split() breaks on each; "\x0b" and "\x0c" also end
+# a line, "\x1f" does not, and "\xa0" and "\u3000" are not ASCII.
+SPACES = ("\t", "\x0b", "\x0c", "\x1f", "\xa0", "\u3000", "  ")
+VARIANTS = {
+    **{f"space-{ascii(c)}": (lambda t, c=c: t.replace(" ", c)) for c in SPACES},
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "blanks": lambda t: "".join(f" \t{line}\u3000 \n" for line in t.splitlines()),
+    "comments": lambda t: "".join(f"# note\n{line}\n \u3000\n  #\n"
+                                  for line in t.splitlines()),
+    "zero-padded": lambda t: re.sub(
+        r"(students|projects|lecturers|capacity) ", r"\1 00", t),
+    "zero-padded-ids": lambda t: re.sub(r"\b([spl])(\d)", r"\g<1>0\2", t),
+    "unchanged": lambda t: t,
+}
+
+
+class TestParserOracle:
+    """The split-and-test parsers against the token-and-regex parsers they
+    replaced: equal results, or equal ParseError text, line and column."""
+
+    @given(st.integers(1, 10**6), SEEDS, st.sampled_from(sorted(VARIANTS)))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_instance_files(self, seed, edit_seed, variant):
+        text = VARIANTS[variant](mutated(
+            serialize_instance(corpus_instance(seed, 7, 6, 3)), edit_seed))
+        assert (outcome(parse_raw_instance, text)
+                == outcome(token_parse_raw_instance, text))
+
+    @given(st.integers(1, 10**6), SEEDS, st.sampled_from(sorted(VARIANTS)))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_matching_files(self, seed, edit_seed, variant):
+        instance = corpus_instance(seed, 7, 6, 3)
+        text = VARIANTS[variant](mutated(
+            serialize_matching(solve_student_optimal(instance)), edit_seed))
+        assert (outcome(parse_matching_file, text, instance)
+                == outcome(token_parse_matching_file, text, instance))
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("name", ["instance_a", "instance_b"])
+    def test_format_variants(self, variant, name):
+        instance = parse_instance_file((DATA / f"{name}.spa").read_text())
+        text = VARIANTS[variant]((DATA / f"{name}.spa").read_text())
+        assert (outcome(parse_raw_instance, text)
+                == outcome(token_parse_raw_instance, text))
+        text = VARIANTS[variant](serialize_matching(enumerate_all(instance)[0]))
+        assert (outcome(parse_matching_file, text, instance)
+                == outcome(token_parse_matching_file, text, instance))
+
+    @pytest.mark.parametrize("line", [
+        "s5 : s1", "s5 : l1", "s5 : p5 p5", "s5 : p05", "s5 : p1 p4 p1x",
+        "p5 : capacity 1 lecturer p1", "p5 : capacity 1 lecturer s1",
+        "p5 : capacity 01 lecturer l1", "l2 : capacity 2 : l1",
+        "l2 : capacity 2 : p2 s3", "l2 : capacity 2 : s2 s3 s5 s4 s02",
+        "l2 : capacity 02 : s2 s3 s5 s4", "s1 : p1 p2", "l1 :",
+    ])
+    def test_instance_lines_at_the_edges(self, line):
+        # the line replaces the last of its kind in instance_a, so every id
+        # before it has been read, in its own role and in the others
+        lines = (DATA / "instance_a.spa").read_text().splitlines()
+        last = max(i for i, old in enumerate(lines) if old[:2] == line[:2])
+        text = "\n".join(lines[:last] + lines[last + 1:] + [line]) + "\n"
+        assert (outcome(parse_raw_instance, text)
+                == outcome(token_parse_raw_instance, text))
+
+    @pytest.mark.parametrize("line", [
+        "s5 p5", "s6 p1", "s1 p6", "s0 p1", "s1 p0", "s1 -", "s5 -", "s6 -",
+        "s1", "s1 p1 p2", "s1 p1 # note", "p1 s1", "s1 l1", "s1 s2", "s-1 p1",
+        "S1 p1",
+    ])
+    def test_matching_lines_at_the_edges(self, line):
+        # INSTANCE_A has five students and five projects
+        for text in (line + "\n", "s2 p2\n" + line, f"# x\n\t{line}\r\n"):
+            assert (outcome(parse_matching_file, text, INSTANCE_A)
+                    == outcome(token_parse_matching_file, text, INSTANCE_A))
+
+    def test_zero_padded_counts_and_capacities_are_accepted(self):
+        text = (DATA / "instance_b.spa").read_text()
+        padded = VARIANTS["zero-padded"](text)
+        assert "capacity 00" in padded and "students 00" in padded
+        assert parse_instance_file(padded) == INSTANCE_B
+
+    def test_large_generated_instance_and_its_matchings(self):
+        instance = generate(GenParams(
+            students=2000, projects=500, lecturers=100, pref_len=(3, 6),
+            project_cap=(1, 4), seed=1, density=0.009))
+        text = serialize_instance(instance)
+        raw = parse_raw_instance(text)
+        assert raw == token_parse_raw_instance(text)
+        assert serialize_instance(build_instance(raw)) == text
+        for m in (solve_student_optimal(instance),
+                  solve_lecturer_optimal(instance)):
+            text = serialize_matching(m)
+            parsed = parse_matching_file(text, instance)
+            assert parsed == token_parse_matching_file(text, instance) == m
+            assert serialize_matching(parsed) == text
 
 
 class TestDot:

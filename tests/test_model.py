@@ -159,6 +159,37 @@ class TestBuildInstance:
         assert [v.render() for v in report.violations] == [
             "non-integer [s1]: ranked project True is not an integer"]
 
+    @pytest.mark.parametrize("raw, violations", [
+        (RawInstance([1], [1], [1], [1], [[1]]), [
+            Violation("non-list", "s1", "preference list is int, not a list")]),
+        (RawInstance([[1]], [1], [1], [1], [None, 2]), [
+            Violation("non-list", "l1",
+                      "preference list is NoneType, not a list"),
+            Violation("non-list", "l2", "preference list is int, not a list")]),
+        (RawInstance(None, [1], [1], [1], [[1]]), [
+            Violation("non-list", "student_prefs", "got NoneType, not a list")]),
+        (RawInstance([[1]], 1, [1], [1], [[1]]), [
+            Violation("non-list", "project_capacity", "got int, not a list")]),
+        (RawInstance([[1]], [1], None, [1], [[1]]), [
+            Violation("non-list", "project_owner", "got NoneType, not a list")]),
+        (RawInstance([[1]], [1], [1], "1", [[1]]), [
+            Violation("non-list", "lecturer_capacity", "got str, not a list")]),
+        (RawInstance([1], [1], [1], [1], None), [
+            Violation("non-list", "lecturer_prefs", "got NoneType, not a list")]),
+    ], ids=["student-row", "lecturer-rows", "student_prefs", "project_capacity",
+            "project_owner", "lecturer_capacity", "lecturer_prefs"])
+    def test_non_list_field_or_row_is_reported(self, raw, violations):
+        # the rows of a field are checked only once every field is a list
+        report = build_instance(raw)
+        assert isinstance(report, ValidationReport)
+        assert list(report.violations) == violations
+
+    def test_tuple_rows_and_fields_are_lists(self):
+        raw = raw_a()
+        raw.student_prefs = tuple(tuple(prefs) for prefs in raw.student_prefs)
+        raw.project_capacity = tuple(raw.project_capacity)
+        assert build_instance(raw) == INSTANCE_A
+
     @given(
         st.integers(0, 6).flatmap(lambda n1: st.integers(1, 5).flatmap(
             lambda n2: st.integers(1, 3).flatmap(lambda n3: st.tuples(
