@@ -499,3 +499,11 @@ def is_valid_matching(instance: Instance, matching: Matching) -> ValidationRepor
                 f"{load} students assigned, capacity is {c}"))
 
     return ValidationReport(tuple(violations))
+
+
+def require_valid_matching(instance: Instance, matching: Matching) -> None:
+    """Raise ``ValueError("invalid matching: ...")`` naming the first
+    violation :func:`is_valid_matching` reports, if there is one."""
+    report = is_valid_matching(instance, matching)
+    if not report.ok:
+        raise ValueError(f"invalid matching: {report.violations[0].render()}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import Instance, Matching, is_valid_matching
+from .model import Instance, Matching, require_valid_matching
 
 
 class BlockingPair(NamedTuple):
@@ -48,11 +48,7 @@ def find_blocking_pairs(
     the assignment can block.  After validation this is O(λ + |M|), λ the
     total length of the student lists, plus ordering the output.
     """
-    report = is_valid_matching(instance, matching)
-    if not report.ok:
-        raise ValueError(
-            f"invalid matching: {report.violations[0].render()}"
-        )
+    require_valid_matching(instance, matching)
     owner = instance.project_owner
     cap = instance.project_capacity
     dcap = instance.lecturer_capacity

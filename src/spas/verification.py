@@ -5,12 +5,17 @@ algebra over the raw pair sets, on purpose never calling the lattice
 module, so a green check is independent evidence rather than an echo of
 the code it guards.  Checks do not re-verify stability of their inputs;
 the caller owns that precondition, which also makes the failure paths
-testable with crafted unstable matchings.  Members must be valid
-matchings of the instance.
+testable with crafted unstable matchings.
 
-The pairwise lemmas and the unpopular-projects check read each matching
-through the assignee sets of every project and every lecturer, built in
-one pass over its pairs.
+Each member is validated and read once, into a view: its assignments
+(``as_dict``) and the assignee sets of every project and every lecturer.
+A member that is not a valid matching of the instance raises
+``ValueError`` when its view is built, so the checks then read the rank
+tables without bounds checks.  ``run_all_checks`` builds one view per
+member and shares it across every check and every pair; the public
+``check_*`` functions build views of their own arguments.  Each pairwise
+lemma quantifies over the students better off in the first matching, so
+those are found once per ordered pair and shared by all four.
 
 The lattice-axioms check reads each member as a rank vector: entry s - 1
 is the position of s's project on their list, or the list's length when
@@ -20,7 +25,13 @@ the worse choice the elementwise max, with a student assigned on one
 side only counting as better off there and unassigned in the worse one.
 A matching is below another when each entry equals the other's or is
 smaller than an entry other than the marker (``a == b or a < b < top``),
-so a student assigned on exactly one side breaks dominance.
+so a student assigned on exactly one side breaks dominance.  Equivalently,
+it is entrywise at most the other and both assign the same students, and
+that is how the check tests it.  The meet and join are entrywise at most
+and at least both arguments and assign their union and intersection, so
+they bound both exactly when the two assign the same students.  Lecturer
+dominance is decided once per pair of distinct assignee sets of each
+lecturer, not once per pair of members.
 
 The check is quadratic in the number of members and tests only what can
 fail on rank vectors: closure, the meet and join bounding their
@@ -38,10 +49,18 @@ requires its report to equal this one on 1000 sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import le, lt
+from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
 from .enumeration import StableSet, enumerate_all
-from .model import Instance, Matching, lecturer_name, project_name, student_name
+from .model import (
+    Instance,
+    Matching,
+    lecturer_name,
+    project_name,
+    require_valid_matching,
+    student_name,
+)
 
 
 @dataclass(frozen=True)
@@ -57,32 +76,78 @@ def _report(name: str, failures: list[str]) -> PropertyReport:
     return PropertyReport(name, not failures, tuple(failures))
 
 
-def _held(instance: Instance, m: Matching) -> tuple[list[set[int]], list[set[int]]]:
-    """Assignees of each project and of each lecturer, indexed by id (slot
-    0 unused), in one pass over the pairs in canonical order."""
+class _View(NamedTuple):
+    """One member as the checks read it; ``proj`` and ``lect`` are
+    indexed by id, slot 0 unused."""
+
+    assigned: dict[int, int]
+    proj: list[set[int]]
+    lect: list[set[int]]
+
+
+def _view(instance: Instance, m: Matching) -> _View:
+    """Validate ``m`` and read it in one pass over the pairs in canonical
+    order."""
+    require_valid_matching(instance, m)
     proj: list[set[int]] = [set() for _ in range(instance.num_projects + 1)]
     lect: list[set[int]] = [set() for _ in range(instance.num_lecturers + 1)]
     owner = instance.project_owner
     for s, p in m.pairs:
         proj[p].add(s)
         lect[owner[p - 1]].add(s)
-    return proj, lect
+    return _View(m.as_dict(), proj, lect)
 
 
 def _prefers_first_sets(
-    instance: Instance, k: int, first: set[int], second: set[int]
+    rank: dict[int, int], first: AbstractSet[int], second: AbstractSet[int]
 ) -> bool:
-    """Definitional lecturer comparison: strictly better position by position."""
-    if first == second:
+    """Definitional lecturer comparison, ``rank`` the lecturer's rank
+    table: strictly better position by position."""
+    # the two differences have equal sizes exactly when the sets do
+    if first == second or len(first) != len(second):
         return False
-    only_f = sorted(first - second, key=lambda s: instance.lecturer_rank(k, s))
-    only_s = sorted(second - first, key=lambda s: instance.lecturer_rank(k, s))
-    if len(only_f) != len(only_s):
-        return False
-    return all(
-        instance.lecturer_rank(k, x) < instance.lecturer_rank(k, y)
-        for x, y in zip(only_f, only_s)
-    )
+    only_f = sorted(map(rank.__getitem__, first - second))
+    only_s = sorted(map(rank.__getitem__, second - first))
+    return all(map(lt, only_f, only_s))
+
+
+def _unpopular_projects(instance: Instance, views: list[_View]) -> list[str]:
+    failures: list[str] = []
+    if not views:
+        return failures
+
+    for k in instance.lecturers():
+        counts = {len(v.lect[k]) for v in views}
+        if len(counts) > 1:
+            failures.append(
+                f"{lecturer_name(k)}: assigned counts differ across the "
+                f"stable set: {sorted(counts)}"
+            )
+
+    # every assignee is a student of the instance, so the unassigned sets
+    # differ exactly where the assigned sets do
+    first = views[0].assigned.keys()
+    for idx, v in enumerate(views[1:], start=1):
+        if v.assigned.keys() != first:
+            names = " ".join(
+                student_name(s) for s in sorted(v.assigned.keys() ^ first))
+            failures.append(
+                f"unassigned students differ between members 0 and {idx}: {names}"
+            )
+
+    under = {
+        k for v in views for k in instance.lecturers()
+        if len(v.lect[k]) < instance.lecturer_capacity[k - 1]
+    }
+    for k in sorted(under):
+        for p in instance.lecturer_projects[k - 1]:
+            counts = {len(v.proj[p]) for v in views}
+            if len(counts) > 1:
+                failures.append(
+                    f"{project_name(p)} of undersubscribed {lecturer_name(k)}: "
+                    f"assigned counts differ: {sorted(counts)}"
+                )
+    return failures
 
 
 def check_unpopular_projects(
@@ -96,57 +161,139 @@ def check_unpopular_projects(
     of students everywhere.  By (i) undersubscription is membership
     independent, so one member decides which lecturers part (iii) covers.
     """
+    views = [_view(instance, m) for m in stable]
+    return _report("unpopular-projects", _unpopular_projects(instance, views))
+
+
+_Better = list[tuple[int, int, int]]
+
+
+def _better_off(instance: Instance, a: _View, b: _View) -> _Better:
+    """(s, a(s), b(s)) for each student, ascending, assigned in both
+    matchings who strictly prefers a."""
+    srank = instance._srank
+    other = b.assigned
+    return [
+        (s, p, q) for s, p in a.assigned.items()
+        if (q := other.get(s)) is not None and srank[s - 1][p] < srank[s - 1][q]
+    ]
+
+
+def _full_project(
+    instance: Instance, a: _View, b: _View, better: _Better
+) -> list[str]:
     failures: list[str] = []
-    members = list(stable)
-    if not members:
-        return _report("unpopular-projects", failures)
-    held = [_held(instance, m) for m in members]
-
-    for k in instance.lecturers():
-        counts = {len(lect[k]) for _, lect in held}
-        if len(counts) > 1:
+    owner, cap, lrank = (
+        instance.project_owner, instance.project_capacity, instance._lrank)
+    for s, p, _ in better:
+        if len(b.proj[p]) == cap[p - 1]:
+            continue
+        k = owner[p - 1]
+        alt_students = b.lect[k]
+        rank = lrank[k - 1]
+        rank_s = rank[s]
+        if s in alt_students or any(rank_s < rank[t] for t in alt_students):
             failures.append(
-                f"{lecturer_name(k)}: assigned counts differ across the "
-                f"stable set: {sorted(counts)}"
+                f"{student_name(s)} holds {project_name(p)} and prefers it, "
+                f"yet {project_name(p)} is not full in the other matching"
             )
+    return failures
 
-    assigned_sets = [{s for s, _ in m.pairs} for m in members]
-    unassigned = [set(instance.students()) - a for a in assigned_sets]
-    for idx, u in enumerate(unassigned[1:], start=1):
-        if u != unassigned[0]:
-            diff = u ^ unassigned[0]
-            names = " ".join(student_name(s) for s in sorted(diff))
+
+def _same_lecturer(
+    instance: Instance, a: _View, b: _View, better: _Better
+) -> list[str]:
+    failures: list[str] = []
+    owner, lrank = instance.project_owner, instance._lrank
+    for s, p, q in better:
+        k = owner[p - 1]
+        if owner[q - 1] != k:
+            continue
+        set_m, set_alt = a.lect[k], b.lect[k]
+        if set_m == set_alt:
             failures.append(
-                f"unassigned students differ between members 0 and {idx}: {names}"
+                f"{student_name(s)} moved within {lecturer_name(k)} but the "
+                f"assigned sets are identical"
             )
+            continue
+        rank = lrank[k - 1]
+        rank_s = rank[s]
+        if not any(rank[t] < rank_s for t in set_alt - set_m):
+            failures.append(
+                f"no student above {student_name(s)} entered "
+                f"{lecturer_name(k)} in the other matching"
+            )
+        if not any(rank[t] > rank_s for t in set_m - set_alt):
+            failures.append(
+                f"no student below {student_name(s)} left "
+                f"{lecturer_name(k)} in the other matching"
+            )
+    return failures
 
-    under = {
-        k for _, lect in held for k in instance.lecturers()
-        if len(lect[k]) < instance.lecturer_capacity[k - 1]
-    }
-    for k in sorted(under):
-        for p in instance.lecturer_projects[k - 1]:
-            counts = {len(proj[p]) for proj, _ in held}
-            if len(counts) > 1:
+
+def _pref_reversal(
+    instance: Instance, a: _View, b: _View, better: _Better
+) -> list[str]:
+    failures: list[str] = []
+    owner = instance.project_owner
+    movers = {s for s, _, _ in better}
+    # a better-off student leaves exactly the lecturer they hold in a,
+    # when the other matching places them with someone else
+    losing = {owner[p - 1] for _, p, q in better if owner[p - 1] != owner[q - 1]}
+    for k in sorted(losing):
+        set_m, set_alt = a.lect[k], b.lect[k]
+        mover = next(s for s in set_m - set_alt if s in movers)
+        if not _prefers_first_sets(instance._lrank[k - 1], set_alt, set_m):
+            failures.append(
+                f"{student_name(mover)} left {lecturer_name(k)} while "
+                f"preferring this side, but {lecturer_name(k)} does not "
+                f"prefer the other matching"
+            )
+    return failures
+
+
+def _rank_boundaries(
+    instance: Instance, a: _View, b: _View, better: _Better
+) -> list[str]:
+    failures: list[str] = []
+    owner, cap, lrank = (
+        instance.project_owner, instance.project_capacity, instance._lrank)
+    for s, _, pj in better:
+        k = owner[pj - 1]
+        rank = lrank[k - 1]
+        rank_s = rank[s]
+        for t in a.proj[pj] - b.proj[pj]:
+            if rank[t] < rank_s:
                 failures.append(
-                    f"{project_name(p)} of undersubscribed {lecturer_name(k)}: "
-                    f"assigned counts differ: {sorted(counts)}"
+                    f"{student_name(t)} in the project set difference of "
+                    f"{project_name(pj)} outranks {student_name(s)}"
                 )
-    return _report("unpopular-projects", failures)
+        if len(a.proj[pj]) < cap[pj - 1]:
+            for t in a.lect[k] - b.lect[k]:
+                if rank[t] < rank_s:
+                    failures.append(
+                        f"{student_name(t)} in the lecturer set difference of "
+                        f"{lecturer_name(k)} outranks {student_name(s)}"
+                    )
+    return failures
 
 
-def _better_off(
-    instance: Instance, m: Matching, m_alt: Matching
-) -> Iterator[tuple[int, int, int]]:
-    """(s, m(s), m_alt(s)) for each student, ascending, assigned in both
-    matchings who strictly prefers m."""
-    b = m_alt.as_dict()
-    for s, p in m.as_dict().items():
-        q = b.get(s)
-        if q is not None and p != q and (
-            instance.student_rank(s, p) < instance.student_rank(s, q)
-        ):
-            yield s, p, q
+_PairBody = Callable[[Instance, _View, _View, _Better], list[str]]
+
+# report order of run_all_checks
+_PAIRWISE: tuple[tuple[str, _PairBody], ...] = (
+    ("full-project", _full_project),
+    ("same-lecturer", _same_lecturer),
+    ("preference-reversal", _pref_reversal),
+    ("rank-boundaries", _rank_boundaries),
+)
+
+
+def _check_pair(
+    name: str, body: _PairBody, instance: Instance, m: Matching, m_alt: Matching
+) -> PropertyReport:
+    a, b = _view(instance, m), _view(instance, m_alt)
+    return _report(name, body(instance, a, b, _better_off(instance, a, b)))
 
 
 def check_prop_full_project(
@@ -158,21 +305,7 @@ def check_prop_full_project(
     either in m_alt(k) or ranked above someone in m_alt(k): p is full in
     m_alt.
     """
-    failures: list[str] = []
-    proj_alt, lect_alt = _held(instance, m_alt)
-    for s, p, _ in _better_off(instance, m, m_alt):
-        k = instance.owner(p)
-        alt_students = lect_alt[k]
-        rank_s = instance.lecturer_rank(k, s)
-        triggered = s in alt_students or any(
-            rank_s < instance.lecturer_rank(k, t) for t in alt_students
-        )
-        if triggered and len(proj_alt[p]) != instance.project_capacity[p - 1]:
-            failures.append(
-                f"{student_name(s)} holds {project_name(p)} and prefers it, "
-                f"yet {project_name(p)} is not full in the other matching"
-            )
-    return _report("full-project", failures)
+    return _check_pair("full-project", _full_project, instance, m, m_alt)
 
 
 def check_lemma_same_lecturer(
@@ -185,35 +318,7 @@ def check_lemma_same_lecturer(
     m_alt(k) \\ m(k) outranks s, and someone in m(k) \\ m_alt(k) is
     outranked by s.
     """
-    failures: list[str] = []
-    lect_m, lect_alt = _held(instance, m)[1], _held(instance, m_alt)[1]
-    for s, p, q in _better_off(instance, m, m_alt):
-        k = instance.owner(p)
-        if instance.owner(q) != k:
-            continue
-        set_m, set_alt = lect_m[k], lect_alt[k]
-        if set_m == set_alt:
-            failures.append(
-                f"{student_name(s)} moved within {lecturer_name(k)} but the "
-                f"assigned sets are identical"
-            )
-            continue
-        rank_s = instance.lecturer_rank(k, s)
-        if not any(
-            instance.lecturer_rank(k, t) < rank_s for t in set_alt - set_m
-        ):
-            failures.append(
-                f"no student above {student_name(s)} entered "
-                f"{lecturer_name(k)} in the other matching"
-            )
-        if not any(
-            instance.lecturer_rank(k, t) > rank_s for t in set_m - set_alt
-        ):
-            failures.append(
-                f"no student below {student_name(s)} left "
-                f"{lecturer_name(k)} in the other matching"
-            )
-    return _report("same-lecturer", failures)
+    return _check_pair("same-lecturer", _same_lecturer, instance, m, m_alt)
 
 
 def check_lemma_pref_reversal(
@@ -224,23 +329,7 @@ def check_lemma_pref_reversal(
     For each lecturer with different assigned sets: if some student in
     m(k) \\ m_alt(k) strictly prefers m, then k prefers m_alt to m.
     """
-    failures: list[str] = []
-    better = {s for s, _, _ in _better_off(instance, m, m_alt)}
-    lect_m, lect_alt = _held(instance, m)[1], _held(instance, m_alt)[1]
-    for k in instance.lecturers():
-        set_m, set_alt = lect_m[k], lect_alt[k]
-        if set_m == set_alt:
-            continue
-        mover = next((s for s in set_m - set_alt if s in better), None)
-        if mover is None:
-            continue
-        if not _prefers_first_sets(instance, k, set_alt, set_m):
-            failures.append(
-                f"{student_name(mover)} left {lecturer_name(k)} while "
-                f"preferring this side, but {lecturer_name(k)} does not "
-                f"prefer the other matching"
-            )
-    return _report("preference-reversal", failures)
+    return _check_pair("preference-reversal", _pref_reversal, instance, m, m_alt)
 
 
 def check_lemma_rank_boundaries(
@@ -253,25 +342,59 @@ def check_lemma_rank_boundaries(
     p is undersubscribed in m, everyone in m(k) \\ m_alt(k) is ranked
     below s.
     """
+    return _check_pair("rank-boundaries", _rank_boundaries, instance, m, m_alt)
+
+
+def _class_ids(
+    sets: Sequence[Iterable[int]],
+) -> tuple[list[int], list[frozenset[int]]]:
+    """One id per distinct set, in order of first appearance, and the
+    distinct sets by id."""
+    ids: dict[frozenset[int], int] = {}
+    return [ids.setdefault(frozenset(x), len(ids)) for x in sets], list(ids)
+
+
+def _lattice_axioms(instance: Instance, views: list[_View]) -> list[str]:
     failures: list[str] = []
-    (proj_m, lect_m), (proj_alt, lect_alt) = _held(instance, m), _held(instance, m_alt)
-    for s, _, pj in _better_off(instance, m, m_alt):
-        k = instance.owner(pj)
-        rank_s = instance.lecturer_rank(k, s)
-        for t in proj_m[pj] - proj_alt[pj]:
-            if instance.lecturer_rank(k, t) < rank_s:
+    srank = instance._srank
+    top = tuple(len(prefs) for prefs in instance.student_prefs)
+    vecs = [
+        tuple(srank[s - 1][a[s]] if s in a else t
+              for s, t in enumerate(top, start=1))
+        for a in (v.assigned for v in views)
+    ]
+    present = set(vecs)
+    assigned, _ = _class_ids([v.assigned.keys() for v in views])
+    # per lecturer: each member's assignee set id, and whether the lecturer
+    # weakly prefers one set to another
+    weak = []
+    for k in instance.lecturers():
+        ids, sets = _class_ids([v.lect[k] for v in views])
+        rank = instance._lrank[k - 1]
+        weak.append((ids, [
+            [c == d or _prefers_first_sets(rank, c, d) for d in sets]
+            for c in sets
+        ]))
+
+    for i, x in enumerate(vecs):
+        for j, y in enumerate(vecs):
+            if tuple(map(min, x, y)) not in present:
+                failures.append(f"meet of members {i} and {j} left the stable set")
+                continue
+            if tuple(map(max, x, y)) not in present:
+                failures.append(f"join of members {i} and {j} left the stable set")
+                continue
+            same = assigned[i] == assigned[j]
+            if not same:
+                failures.append(f"meet of {i} and {j} is not a lower bound")
+                failures.append(f"join of {i} and {j} is not an upper bound")
+            student_dom = same and all(map(le, x, y))
+            lect_dom = all(table[ids[j]][ids[i]] for ids, table in weak)
+            if student_dom != lect_dom:
                 failures.append(
-                    f"{student_name(t)} in the project set difference of "
-                    f"{project_name(pj)} outranks {student_name(s)}"
+                    f"dominance reversal fails between members {i} and {j}"
                 )
-        if len(proj_m[pj]) < instance.project_capacity[pj - 1]:
-            for t in lect_m[k] - lect_alt[k]:
-                if instance.lecturer_rank(k, t) < rank_s:
-                    failures.append(
-                        f"{student_name(t)} in the lecturer set difference of "
-                        f"{lecturer_name(k)} outranks {student_name(s)}"
-                    )
-    return _report("rank-boundaries", failures)
+    return failures
 
 
 def check_lattice_axioms(
@@ -286,56 +409,8 @@ def check_lattice_axioms(
     distributive identities, hold for any rank vectors (see the module
     docstring), so they are not re-tested here.
     """
-    failures: list[str] = []
-    members = list(stable)
-    top = tuple(len(prefs) for prefs in instance.student_prefs)
-
-    def vector(m: Matching) -> tuple[int, ...]:
-        a = m.as_dict()
-        return tuple(
-            instance.student_rank(s, a[s]) if s in a else t
-            for s, t in enumerate(top, start=1)
-        )
-
-    def leq(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
-        return all(x == y or x < y < t for x, y, t in zip(v, w, top))
-
-    vecs = [vector(m) for m in members]
-    present = set(vecs)
-    lect = [_held(instance, m)[1] for m in members]
-
-    for i, x in enumerate(vecs):
-        for j, y in enumerate(vecs):
-            mt, jn = tuple(map(min, x, y)), tuple(map(max, x, y))
-            if mt not in present:
-                failures.append(f"meet of members {i} and {j} left the stable set")
-                continue
-            if jn not in present:
-                failures.append(f"join of members {i} and {j} left the stable set")
-                continue
-            if not (leq(mt, x) and leq(mt, y)):
-                failures.append(f"meet of {i} and {j} is not a lower bound")
-            if not (leq(x, jn) and leq(y, jn)):
-                failures.append(f"join of {i} and {j} is not an upper bound")
-            lect_dom = all(
-                lect[j][k] == lect[i][k]
-                or _prefers_first_sets(instance, k, lect[j][k], lect[i][k])
-                for k in instance.lecturers()
-            )
-            if leq(x, y) != lect_dom:
-                failures.append(
-                    f"dominance reversal fails between members {i} and {j}"
-                )
-
-    return _report("lattice-axioms", failures)
-
-
-PAIRWISE_CHECKS = (
-    ("full-project", check_prop_full_project),
-    ("same-lecturer", check_lemma_same_lecturer),
-    ("preference-reversal", check_lemma_pref_reversal),
-    ("rank-boundaries", check_lemma_rank_boundaries),
-)
+    views = [_view(instance, m) for m in stable]
+    return _report("lattice-axioms", _lattice_axioms(instance, views))
 
 
 def run_all_checks(
@@ -349,19 +424,27 @@ def run_all_checks(
     orientation-sensitive)."""
     if stable is None:
         stable = enumerate_all(instance)
-    members = list(stable)
+    views = [_view(instance, m) for m in stable]
     reports: list[PropertyReport] = []
     if not pairs_only:
-        reports.append(check_unpopular_projects(instance, members))
-    for name, check in PAIRWISE_CHECKS:
-        failures: list[str] = []
-        for i, x in enumerate(members):
-            for j, y in enumerate(members):
-                if i == j:
-                    continue
-                r = check(instance, x, y)
-                failures.extend(f"(M{i + 1}, M{j + 1}) {f}" for f in r.failures)
-        reports.append(_report(name, failures))
+        reports.append(
+            _report("unpopular-projects", _unpopular_projects(instance, views)))
+    pair_failures: list[list[str]] = [[] for _ in _PAIRWISE]
+    for i, x in enumerate(views, start=1):
+        for j, y in enumerate(views, start=1):
+            if i == j:
+                continue
+            better = _better_off(instance, x, y)
+            if not better:  # every lemma quantifies over these students
+                continue
+            for failures, (_, body) in zip(pair_failures, _PAIRWISE):
+                failures.extend(
+                    f"(M{i}, M{j}) {f}" for f in body(instance, x, y, better))
+    reports += (
+        _report(name, failures)
+        for (name, _), failures in zip(_PAIRWISE, pair_failures)
+    )
     if not pairs_only:
-        reports.append(check_lattice_axioms(instance, members))
+        reports.append(
+            _report("lattice-axioms", _lattice_axioms(instance, views)))
     return tuple(reports)

@@ -13,7 +13,11 @@ check is the quadratic loop that one pass in ``validate_raw`` replaced, and
 ``is_valid_matching`` replaced.  ``naive_lattice_axioms`` is the
 lattice-axioms check as first written, combining ``Matching`` objects
 student by student for every pair and triple, which the rank-vector check
-in ``verification`` replaced.  These stay deliberately naive; the
+in ``verification`` replaced.  ``naive_run_all_checks`` is the
+full verification report as first written: the pairwise checks rebuild
+both matchings' assignee sets and rescan for the better-off students on
+every ordered pair, which the per-member views in ``verification``
+replaced.  These stay deliberately naive; the
 production code must agree with them.  ``token_parse_raw_instance`` and
 ``token_parse_matching_file`` are the file parsers as first written: every
 token goes through a regex with its column attached, and ids through a
@@ -25,7 +29,7 @@ places.
 import random
 import re
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from spas import (
     Instance,
@@ -448,6 +452,248 @@ def naive_lattice_axioms(
                     failures.append("meet does not distribute over join")
 
     return PropertyReport("lattice-axioms", not failures, tuple(failures))
+
+
+def _report(name: str, failures: list[str]) -> PropertyReport:
+    return PropertyReport(name, not failures, tuple(failures))
+
+
+def _held(instance: Instance, m: Matching) -> tuple[list[set[int]], list[set[int]]]:
+    """Assignees of each project and of each lecturer, indexed by id (slot
+    0 unused), in one pass over the pairs in canonical order."""
+    proj: list[set[int]] = [set() for _ in range(instance.num_projects + 1)]
+    lect: list[set[int]] = [set() for _ in range(instance.num_lecturers + 1)]
+    owner = instance.project_owner
+    for s, p in m.pairs:
+        proj[p].add(s)
+        lect[owner[p - 1]].add(s)
+    return proj, lect
+
+
+def _check_unpopular_projects(
+    instance: Instance, stable: Sequence[Matching]
+) -> PropertyReport:
+    """Count and membership invariants shared by every stable matching.
+
+    (i) each lecturer gets the same number of students everywhere,
+    (ii) exactly the same students are unassigned everywhere, and
+    (iii) each project of an undersubscribed lecturer gets the same number
+    of students everywhere.  By (i) undersubscription is membership
+    independent, so one member decides which lecturers part (iii) covers.
+    """
+    failures: list[str] = []
+    members = list(stable)
+    if not members:
+        return _report("unpopular-projects", failures)
+    held = [_held(instance, m) for m in members]
+
+    for k in instance.lecturers():
+        counts = {len(lect[k]) for _, lect in held}
+        if len(counts) > 1:
+            failures.append(
+                f"{lecturer_name(k)}: assigned counts differ across the "
+                f"stable set: {sorted(counts)}"
+            )
+
+    assigned_sets = [{s for s, _ in m.pairs} for m in members]
+    unassigned = [set(instance.students()) - a for a in assigned_sets]
+    for idx, u in enumerate(unassigned[1:], start=1):
+        if u != unassigned[0]:
+            diff = u ^ unassigned[0]
+            names = " ".join(student_name(s) for s in sorted(diff))
+            failures.append(
+                f"unassigned students differ between members 0 and {idx}: {names}"
+            )
+
+    under = {
+        k for _, lect in held for k in instance.lecturers()
+        if len(lect[k]) < instance.lecturer_capacity[k - 1]
+    }
+    for k in sorted(under):
+        for p in instance.lecturer_projects[k - 1]:
+            counts = {len(proj[p]) for proj, _ in held}
+            if len(counts) > 1:
+                failures.append(
+                    f"{project_name(p)} of undersubscribed {lecturer_name(k)}: "
+                    f"assigned counts differ: {sorted(counts)}"
+                )
+    return _report("unpopular-projects", failures)
+
+
+def _better_off(
+    instance: Instance, m: Matching, m_alt: Matching
+) -> Iterator[tuple[int, int, int]]:
+    """(s, m(s), m_alt(s)) for each student, ascending, assigned in both
+    matchings who strictly prefers m."""
+    b = m_alt.as_dict()
+    for s, p in m.as_dict().items():
+        q = b.get(s)
+        if q is not None and p != q and (
+            instance.student_rank(s, p) < instance.student_rank(s, q)
+        ):
+            yield s, p, q
+
+
+def _check_prop_full_project(
+    instance: Instance, m: Matching, m_alt: Matching
+) -> PropertyReport:
+    """A project a strictly-better-off student holds must be full elsewhere.
+
+    For each student with m(s) = p, owner k, who strictly prefers m and is
+    either in m_alt(k) or ranked above someone in m_alt(k): p is full in
+    m_alt.
+    """
+    failures: list[str] = []
+    proj_alt, lect_alt = _held(instance, m_alt)
+    for s, p, _ in _better_off(instance, m, m_alt):
+        k = instance.owner(p)
+        alt_students = lect_alt[k]
+        rank_s = instance.lecturer_rank(k, s)
+        triggered = s in alt_students or any(
+            rank_s < instance.lecturer_rank(k, t) for t in alt_students
+        )
+        if triggered and len(proj_alt[p]) != instance.project_capacity[p - 1]:
+            failures.append(
+                f"{student_name(s)} holds {project_name(p)} and prefers it, "
+                f"yet {project_name(p)} is not full in the other matching"
+            )
+    return _report("full-project", failures)
+
+
+def _check_lemma_same_lecturer(
+    instance: Instance, m: Matching, m_alt: Matching
+) -> PropertyReport:
+    """Students moved between projects of one lecturer bound the diff sets.
+
+    For s assigned in both matchings to different projects of the same
+    lecturer k and preferring m: the sets differ, someone in
+    m_alt(k) \\ m(k) outranks s, and someone in m(k) \\ m_alt(k) is
+    outranked by s.
+    """
+    failures: list[str] = []
+    lect_m, lect_alt = _held(instance, m)[1], _held(instance, m_alt)[1]
+    for s, p, q in _better_off(instance, m, m_alt):
+        k = instance.owner(p)
+        if instance.owner(q) != k:
+            continue
+        set_m, set_alt = lect_m[k], lect_alt[k]
+        if set_m == set_alt:
+            failures.append(
+                f"{student_name(s)} moved within {lecturer_name(k)} but the "
+                f"assigned sets are identical"
+            )
+            continue
+        rank_s = instance.lecturer_rank(k, s)
+        if not any(
+            instance.lecturer_rank(k, t) < rank_s for t in set_alt - set_m
+        ):
+            failures.append(
+                f"no student above {student_name(s)} entered "
+                f"{lecturer_name(k)} in the other matching"
+            )
+        if not any(
+            instance.lecturer_rank(k, t) > rank_s for t in set_m - set_alt
+        ):
+            failures.append(
+                f"no student below {student_name(s)} left "
+                f"{lecturer_name(k)} in the other matching"
+            )
+    return _report("same-lecturer", failures)
+
+
+def _check_lemma_pref_reversal(
+    instance: Instance, m: Matching, m_alt: Matching
+) -> PropertyReport:
+    """A lecturer losing a strictly-better-off student prefers the other side.
+
+    For each lecturer with different assigned sets: if some student in
+    m(k) \\ m_alt(k) strictly prefers m, then k prefers m_alt to m.
+    """
+    failures: list[str] = []
+    better = {s for s, _, _ in _better_off(instance, m, m_alt)}
+    lect_m, lect_alt = _held(instance, m)[1], _held(instance, m_alt)[1]
+    for k in instance.lecturers():
+        set_m, set_alt = lect_m[k], lect_alt[k]
+        if set_m == set_alt:
+            continue
+        mover = next((s for s in set_m - set_alt if s in better), None)
+        if mover is None:
+            continue
+        if not _prefers_first_sets(instance, k, set_alt, set_m):
+            failures.append(
+                f"{student_name(mover)} left {lecturer_name(k)} while "
+                f"preferring this side, but {lecturer_name(k)} does not "
+                f"prefer the other matching"
+            )
+    return _report("preference-reversal", failures)
+
+
+def _check_lemma_rank_boundaries(
+    instance: Instance, m: Matching, m_alt: Matching
+) -> PropertyReport:
+    """A better-off student outranks whoever replaced them.
+
+    For s assigned to different projects, preferring m, with p = m_alt(s)
+    owned by k: (a) everyone in m(p) \\ m_alt(p) is ranked below s; (b) if
+    p is undersubscribed in m, everyone in m(k) \\ m_alt(k) is ranked
+    below s.
+    """
+    failures: list[str] = []
+    (proj_m, lect_m), (proj_alt, lect_alt) = _held(instance, m), _held(instance, m_alt)
+    for s, _, pj in _better_off(instance, m, m_alt):
+        k = instance.owner(pj)
+        rank_s = instance.lecturer_rank(k, s)
+        for t in proj_m[pj] - proj_alt[pj]:
+            if instance.lecturer_rank(k, t) < rank_s:
+                failures.append(
+                    f"{student_name(t)} in the project set difference of "
+                    f"{project_name(pj)} outranks {student_name(s)}"
+                )
+        if len(proj_m[pj]) < instance.project_capacity[pj - 1]:
+            for t in lect_m[k] - lect_alt[k]:
+                if instance.lecturer_rank(k, t) < rank_s:
+                    failures.append(
+                        f"{student_name(t)} in the lecturer set difference of "
+                        f"{lecturer_name(k)} outranks {student_name(s)}"
+                    )
+    return _report("rank-boundaries", failures)
+
+
+_PAIRWISE_CHECKS = (
+    ("full-project", _check_prop_full_project),
+    ("same-lecturer", _check_lemma_same_lecturer),
+    ("preference-reversal", _check_lemma_pref_reversal),
+    ("rank-boundaries", _check_lemma_rank_boundaries),
+)
+
+
+def naive_run_all_checks(
+    instance: Instance,
+    stable: Sequence[Matching],
+    *,
+    pairs_only: bool = False,
+) -> tuple[PropertyReport, ...]:
+    """The full ``run_all_checks`` report as first written: each pairwise
+    check rebuilds both matchings' assignee sets and rescans for the
+    better-off students on every ordered pair, through the id-checked rank
+    queries; the lattice axioms come from ``naive_lattice_axioms``."""
+    members = list(stable)
+    reports: list[PropertyReport] = []
+    if not pairs_only:
+        reports.append(_check_unpopular_projects(instance, members))
+    for name, check in _PAIRWISE_CHECKS:
+        failures: list[str] = []
+        for i, x in enumerate(members):
+            for j, y in enumerate(members):
+                if i == j:
+                    continue
+                r = check(instance, x, y)
+                failures.extend(f"(M{i + 1}, M{j + 1}) {f}" for f in r.failures)
+        reports.append(_report(name, failures))
+    if not pairs_only:
+        reports.append(naive_lattice_axioms(instance, members))
+    return tuple(reports)
+
 
 
 _TOKEN = re.compile(r"\S+")

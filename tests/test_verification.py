@@ -16,7 +16,11 @@ from known_instances import (
     INSTANCE_B,
     disjoint_union,
 )
-from oracles import naive_lattice_axioms, random_valid_matching
+from oracles import (
+    naive_lattice_axioms,
+    naive_run_all_checks,
+    random_valid_matching,
+)
 from spas import (
     Matching,
     check_lattice_axioms,
@@ -26,7 +30,9 @@ from spas import (
     check_prop_full_project,
     check_unpopular_projects,
     enumerate_all,
+    find_blocking_pairs,
     run_all_checks,
+    verification,
 )
 
 PAIRWISE = (
@@ -139,14 +145,15 @@ class TestFailurePaths:
         assert check_lemma_same_lecturer(INSTANCE_A, first, second) == report
 
     def test_rank_boundaries_violation(self):
-        # s3 prefers the second side (holding p3) and sits on p1 in the
-        # first; s4 replaces nobody on p1 yet appears in the project set
-        # difference and outranks s3, violating part (a)
-        first = Matching(((3, 1),))
-        second = Matching(((3, 3), (4, 1)))
-        report = check_lemma_rank_boundaries(INSTANCE_A, second, first)
-        assert not report.passed
-        assert check_lemma_rank_boundaries(INSTANCE_A, second, first) == report
+        # s1 prefers the second side (holding p1) and sits on p2 in the
+        # first; s3 replaces nobody on p2 yet appears in the project set
+        # difference and outranks s1 on l1's list, violating part (a)
+        first = Matching(((1, 2),))
+        second = Matching(((1, 1), (3, 2)))
+        report = check_lemma_rank_boundaries(INSTANCE_B, second, first)
+        assert report.failures == (
+            "s3 in the project set difference of p2 outranks s1",)
+        assert check_lemma_rank_boundaries(INSTANCE_B, second, first) == report
 
     def test_pref_reversal_vacuous_when_mover_unassigned(self):
         # s1 is in the first l2 set but unassigned on the other side, so
@@ -298,6 +305,68 @@ class TestAgainstNaiveLatticeAxioms:
                 for kind in kinds:
                     kinds[kind] += kind in f
         assert all(kinds.values()), kinds
+
+
+class TestAgainstNaiveRunAllChecks:
+    """The shared views and better-off scan against the per-pair rebuild."""
+
+    def test_equal_on_every_corpus_stable_set(self, corpus7):
+        for seed, instance, stable in corpus7:
+            expected = naive_run_all_checks(instance, stable)
+            assert run_all_checks(instance, stable) == expected, seed
+
+    def test_equal_on_mixed_sets(self, corpus7):
+        for seed, instance, members in mixed_sets(corpus7):
+            expected = naive_run_all_checks(instance, members)
+            assert run_all_checks(instance, members) == expected, seed
+            assert run_all_checks(instance, members, pairs_only=True) == (
+                naive_run_all_checks(instance, members, pairs_only=True)), seed
+
+
+class TestInvalidMembers:
+    """Every check validates its members, whatever their place."""
+
+    @pytest.mark.parametrize("bad", [
+        Matching(((99, 1),)),
+        Matching(((1, 99),)),
+        Matching(((1, 2), (2, 2), (3, 2), (4, 2))),
+    ], ids=["unknown-student", "unknown-project", "unacceptable-over-capacity"])
+    def test_typed_error_in_either_place(self, bad):
+        with pytest.raises(ValueError) as expected:
+            find_blocking_pairs(INSTANCE_A, bad)
+        message = str(expected.value)
+        assert message.startswith("invalid matching: ")
+        calls = [
+            lambda first, second, fn=fn: fn(INSTANCE_A, first, second)
+            for fn in PAIRWISE
+        ] + [
+            lambda first, second, fn=fn: fn(INSTANCE_A, (first, second))
+            for fn in (check_unpopular_projects, check_lattice_axioms,
+                       run_all_checks)
+        ]
+        for call in calls:
+            for first, second in ((bad, A_M1), (A_M1, bad)):
+                with pytest.raises(ValueError) as got:
+                    call(first, second)
+                assert str(got.value) == message
+
+
+def test_run_all_checks_reads_each_member_once(monkeypatch):
+    # the pairwise lemmas used to rebuild both members' assignee sets in
+    # each check of each ordered pair: 28352 builds on this 64-member set
+    instance = disjoint_union(INSTANCE_A, INSTANCE_A, INSTANCE_A)
+    stable = enumerate_all(instance)
+    assert len(stable) == 64
+    built = []
+    view = verification._view
+
+    def counting_view(instance, m):
+        built.append(m)
+        return view(instance, m)
+
+    monkeypatch.setattr(verification, "_view", counting_view)
+    run_all_checks(instance, stable)
+    assert built == list(stable)
 
 
 class TestPinnedOutput:
