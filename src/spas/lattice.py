@@ -7,13 +7,30 @@ whole stable set they give the student-optimal and lecturer-optimal
 extremes.  The operations require stable inputs: the constructions are
 only guaranteed on those, so unstable arguments are rejected unless the
 caller opts out (``check=False``, meant for oracle-style tests).
+
+Each instance keeps a weak memo of the matchings that passed the stability
+check, and only passes are recorded: a member is checked once however many
+operations take it, while an unstable argument is checked, and rejected,
+on every call.  The memo lives on the instance (``_known_stable``, left
+out of pickles) but belongs to this module: nothing else reads or fills
+it.  The student-side comparisons read the instance's rank tables
+directly: ``meet``, ``join``, ``student_dominates`` and ``build_hasse``
+look a student's rank up only where two matchings give them different
+projects.  A project missing from a student's list raises the error of
+:meth:`Instance.student_rank`, and students outside the instance are
+ignored.
+
+Dominance of x over y is: both assign the same students, and each
+student's rank in x is at most their rank in y (the argument is in the
+``verification`` module's docstring).  ``build_hasse`` decides it for all
+pairs at once with bitsets, one column of ranks per student.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import Instance, Matching
 from .stability import find_blocking_pairs
@@ -27,7 +44,10 @@ class LecturerComparison(Enum):
 
 
 def _require_stable(instance: Instance, *matchings: Matching) -> None:
+    known = instance._known_stable
     for m in matchings:
+        if m in known:
+            continue
         blocking = find_blocking_pairs(instance, m)
         if blocking:
             bp = blocking[0]
@@ -35,6 +55,28 @@ def _require_stable(instance: Instance, *matchings: Matching) -> None:
                 "matching is not stable, e.g. blocking pair "
                 f"(s{bp.student}, p{bp.project})"
             )
+        known.add(m)
+
+
+def _pairs_in_range(
+    instance: Instance, first: Matching, second: Matching
+) -> Iterator[tuple[int, int | None, int | None]]:
+    """(s, project in first, project in second) for every student of the
+    instance assigned in either matching, ascending."""
+    a, b = first.as_dict(), second.as_dict()
+    n = instance.num_students
+    for s in sorted(a.keys() | b.keys()):
+        if s > n:
+            return
+        yield s, a.get(s), b.get(s)
+
+
+def _prefers(instance: Instance, s: int, p: int, q: int) -> bool:
+    rank = instance._srank[s - 1]
+    try:
+        return rank[p] < rank[q]
+    except KeyError:
+        return instance.student_prefers(s, p, q)  # raises the accessor's error
 
 
 def student_dominates(
@@ -43,14 +85,10 @@ def student_dominates(
     """True iff every student weakly prefers ``first`` to ``second``."""
     if check:
         _require_stable(instance, first, second)
-    a, b = first.as_dict(), second.as_dict()
-    for s in instance.students():
-        pa, pb = a.get(s), b.get(s)
+    for s, pa, pb in _pairs_in_range(instance, first, second):
         if pa == pb:
             continue
-        if pa is None or pb is None:
-            return False
-        if instance.student_rank(s, pa) >= instance.student_rank(s, pb):
+        if pa is None or pb is None or not _prefers(instance, s, pa, pb):
             return False
     return True
 
@@ -109,21 +147,15 @@ def lecturer_dominates(
 def _combine(
     instance: Instance, first: Matching, second: Matching, better: bool
 ) -> Matching:
-    a, b = first.as_dict(), second.as_dict()
     pairs = []
-    for s in instance.students():
-        pa, pb = a.get(s), b.get(s)
-        if pa is None and pb is None:
-            continue
+    for s, pa, pb in _pairs_in_range(instance, first, second):
         if pa is None or pb is None:
             # never happens for stable inputs; assigned counts as better
             chosen = (pa or pb) if better else None
         elif pa == pb:
             chosen = pa
-        elif instance.student_rank(s, pa) < instance.student_rank(s, pb):
-            chosen = pa if better else pb
         else:
-            chosen = pb if better else pa
+            chosen = pa if _prefers(instance, s, pa, pb) == better else pb
         if chosen is not None:
             pairs.append((s, chosen))
     return Matching(tuple(pairs))
@@ -200,27 +232,67 @@ class HasseDiagram:
         return tuple(i for i in range(len(self.nodes)) if i not in origins)
 
 
+def _bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _dominated(instance: Instance, nodes: Sequence[Matching]) -> list[int]:
+    """Bitset per node of the other nodes it dominates.
+
+    Node i dominates j when, for every student, j gives them a project
+    ranked no better than i's, or both leave them unassigned.  So per
+    student, i keeps the nodes whose rank there is at least its own (with
+    unassigned, rank -1, keeping only the unassigned).  Students on whom
+    every node agrees are skipped, and ranks are read only where two nodes
+    give a student different projects: a project missing from the
+    student's list raises :meth:`Instance.student_rank`'s error there, as
+    a pairwise comparison would, and nowhere else.
+    """
+    everyone = (1 << len(nodes)) - 1
+    dom = [everyone ^ (1 << i) for i in range(len(nodes))]
+    reads = [m.as_dict() for m in nodes]
+    for s, rank in enumerate(instance._srank, start=1):
+        projects = [a.get(s) for a in reads]
+        held = set(projects)
+        if len(held) < 2:
+            continue
+        held.discard(None)
+        if len(held) > 1 and not held <= rank.keys():
+            instance.student_rank(s, min(held - rank.keys()))  # raises
+        value = {p: rank.get(p, 0) for p in held}
+        value[None] = -1
+        column = [value[p] for p in projects]
+        exactly: dict[int, int] = {}
+        for i, r in enumerate(column):
+            exactly[r] = exactly.get(r, 0) | (1 << i)
+        keep = {-1: exactly.pop(-1, 0)}
+        at_least = 0
+        for r in sorted(exactly, reverse=True):
+            at_least |= exactly[r]
+            keep[r] = at_least
+        for i, r in enumerate(column):
+            dom[i] &= keep[r]
+    return dom
+
+
 def build_hasse(instance: Instance, stable: Sequence[Matching]) -> HasseDiagram:
     """Cover edges of the dominance order over an enumerated stable set.
 
-    Pairwise dominance first; an edge survives when no third element sits
-    strictly between its endpoints.  Quadratic-ish and fine at desk scale.
+    A bitset transitive reduction: the covers of node i are the nodes it
+    dominates, less every node dominated by one of those.  Dominance takes
+    O(n·|S|) operations on |S|-bit integers, n the number of students, and
+    the reduction one per dominating pair.
     """
     nodes = tuple(stable)
-    n = len(nodes)
-    dom = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                dom[i][j] = student_dominates(
-                    instance, nodes[i], nodes[j], check=False
-                )
+    dom = _dominated(instance, nodes)
     edges = []
-    for i in range(n):
-        for j in range(n):
-            if not dom[i][j]:
-                continue
-            if any(dom[i][x] and dom[x][j] for x in range(n) if x != i and x != j):
-                continue
-            edges.append((i, j))
-    return HasseDiagram(nodes=nodes, edges=tuple(sorted(edges)))
+    for i, below in enumerate(dom):
+        covered = below
+        for x in _bits(below):
+            covered &= ~dom[x]
+        edges.extend((i, j) for j in _bits(covered))
+    return HasseDiagram(nodes=nodes, edges=tuple(edges))

@@ -9,6 +9,7 @@ precomputed at build time so preference queries are O(1).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import groupby
@@ -76,8 +77,11 @@ class Instance:
     """A validated, immutable problem instance.
 
     Construct through :func:`build_instance`; direct construction skips
-    validation.  Immutable after construction and safe to share across
-    concurrent readers.
+    validation.  The problem data are immutable after construction and the
+    instance is safe to share across concurrent readers.  Besides the lazy
+    rank tables it carries one private cache that does not change any
+    answer: ``_known_stable``, the lattice layer's memo of matchings that
+    passed the stability check.
     """
 
     student_prefs: tuple[tuple[int, ...], ...]
@@ -130,6 +134,16 @@ class Instance:
         return tuple(
             {s: r for r, s in enumerate(prefs)} for prefs in self.lecturer_prefs
         )
+
+    @cached_property
+    def _known_stable(self) -> weakref.WeakSet[Matching]:
+        """Storage for :mod:`spas.lattice`'s stability memo, which owns it:
+        only ``lattice._require_stable`` reads or fills it, with the
+        matchings that passed :func:`~spas.stability.find_blocking_pairs`
+        for this instance.  Held weakly, so it keeps no matching alive.
+        Concurrent callers that miss at the same time both check and both
+        add: harmless."""
+        return weakref.WeakSet()
 
     @cached_property
     def _projected(self) -> tuple[tuple[int, ...], ...]:
@@ -213,6 +227,11 @@ class Instance:
                 f"{project_name(p)} is not offered by {lecturer_name(k)}"
             )
         return self._projected[p - 1]
+
+    def __getstate__(self) -> dict:
+        # the lattice memo holds weak references, which do not pickle; a
+        # copy starts with an empty memo and re-checks each member once
+        return {k: v for k, v in self.__dict__.items() if k != "_known_stable"}
 
     def __repr__(self) -> str:  # the field dump is unusable for big instances
         return (

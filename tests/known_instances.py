@@ -133,3 +133,10 @@ B_M = tuple(Matching.from_assignments(row) for row in _B_TABLE)
 B_HASSE_EDGES = (
     (0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 6), (5, 6),
 )
+
+# the unions the lattice suites pin, with the parts' stable sets
+UNIONS = {
+    "a+b": ((INSTANCE_A, INSTANCE_B), (A_STABLE, B_M)),
+    "a+a+a": ((INSTANCE_A,) * 3, (A_STABLE,) * 3),
+    "b+b": ((INSTANCE_B,) * 2, (B_M,) * 2),
+}

@@ -17,7 +17,9 @@ in ``verification`` replaced.  ``naive_run_all_checks`` is the
 full verification report as first written: the pairwise checks rebuild
 both matchings' assignee sets and rescan for the better-off students on
 every ordered pair, which the per-member views in ``verification``
-replaced.  These stay deliberately naive; the
+replaced.  ``hasse_def`` is the Hasse diagram as first written: pairwise
+``_dominates_def``, then a third-member loop per edge, which the bitset
+reduction in ``lattice`` replaced.  These stay deliberately naive; the
 production code must agree with them.  ``token_parse_raw_instance`` and
 ``token_parse_matching_file`` are the file parsers as first written: every
 token goes through a regex with its column attached, and ids through a
@@ -374,6 +376,29 @@ def _combine_def(
         if chosen is not None:
             pairs.append((s, chosen))
     return Matching(tuple(pairs))
+
+
+def hasse_def(
+    instance: Instance, stable: Sequence[Matching]
+) -> tuple[tuple[int, int], ...]:
+    """Cover edges of dominance: pairwise dominance first; an edge survives
+    when no third element sits strictly between its endpoints.  Cubic."""
+    nodes = tuple(stable)
+    n = len(nodes)
+    dom = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                dom[i][j] = _dominates_def(instance, nodes[i], nodes[j])
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if not dom[i][j]:
+                continue
+            if any(dom[i][x] and dom[x][j] for x in range(n) if x != i and x != j):
+                continue
+            edges.append((i, j))
+    return tuple(sorted(edges))
 
 
 def naive_lattice_axioms(

@@ -1,9 +1,26 @@
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from known_instances import A_M1, B_M, INSTANCE_A, disjoint_union, one_student_markets
-from spas import GenParams, generate, parse_instance_file, serialize_instance
+from known_instances import (
+    A_M1,
+    B_M,
+    INSTANCE_A,
+    UNIONS,
+    disjoint_union,
+    one_student_markets,
+    union_stable_set,
+)
+from oracles import _dominates_def
+from spas import (
+    GenParams,
+    generate,
+    parse_instance_file,
+    serialize_instance,
+    serialize_matching,
+)
 from spas.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -210,6 +227,92 @@ class TestLattice:
         assert code == 0
         expected = emit_dot(build_hasse(INSTANCE_B, enumerate_all(INSTANCE_B)))
         assert dot_path.read_text() == expected
+
+
+# one incomparable pair of members of each union (indices into
+# union_stable_set), so meet and join differ from both
+UNION_PAIRS = {"a+b": (9, 10), "a+a+a": (19, 41), "b+b": (16, 17)}
+TABLE_ROWS = ("b_m2", "b_m3", "b_m4", "b_m5")
+
+
+def lattice_cases(tmp: Path) -> dict[str, tuple[str, ...]]:
+    """Case name -> argv of every pinned ``lattice``, ``lattice --dot``,
+    ``meet`` and ``join`` run.  The union instances and their member
+    matchings are written to ``tmp``; a ``--dot`` run writes
+    ``tmp/<case>.dot``."""
+    cases: dict[str, tuple[str, ...]] = {}
+    for name, (parts, sets) in UNIONS.items():
+        i, j = UNION_PAIRS[name]
+        instance = disjoint_union(*parts)
+        stable = union_stable_set(parts, sets)
+        x, y = stable[i], stable[j]
+        assert not _dominates_def(instance, x, y)
+        assert not _dominates_def(instance, y, x)
+        path = tmp / f"{name}.spa"
+        path.write_text(serialize_instance(instance))
+        files = []
+        for k, m in ((i, x), (j, y)):
+            files.append(tmp / f"{name}_m{k + 1}.match")
+            files[-1].write_text(serialize_matching(m))
+        cases[f"lattice_{name}"] = ("lattice", str(path))
+        cases[f"lattice_dot_{name}"] = (
+            "lattice", "--dot", str(tmp / f"lattice_dot_{name}.dot"), str(path))
+        for op in ("meet", "join"):
+            cases[f"{op}_{name}"] = (op, str(path), *map(str, files))
+    for k, first in enumerate(TABLE_ROWS):
+        for second in TABLE_ROWS[k + 1:]:
+            for op in ("meet", "join"):
+                cases[f"{op}_{first}_{second}"] = (
+                    op, B, str(DATA / f"{first}.match"),
+                    str(DATA / f"{second}.match"))
+    return cases
+
+
+def lattice_output(tmp: Path, case: str, argv: tuple[str, ...]) -> str:
+    """Stdout of one case, or the DOT file it wrote; the exit code must be 0."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, case
+    dot = tmp / f"{case}.dot"
+    return dot.read_text() if dot.exists() else out.getvalue()
+
+
+def lattice_golden(case: str) -> Path:
+    return DATA / "golden" / f"{case}.out"
+
+
+def write_lattice_golden(tmp: str) -> None:
+    """Write the output of every case of :func:`lattice_cases`, using the
+    scratch directory ``tmp``.  Regenerate with
+
+        PYTHONPATH=src:tests python -c "import test_cli as t; t.write_lattice_golden('/tmp')"
+    """
+    lattice_golden("").parent.mkdir(exist_ok=True)
+    for case, argv in lattice_cases(Path(tmp)).items():
+        lattice_golden(case).write_text(lattice_output(Path(tmp), case, argv))
+
+
+class TestLatticeGolden:
+    """Byte-stable ``lattice``, ``lattice --dot``, ``meet`` and ``join``
+    output: each case equals its golden file, written before the lattice
+    layer moved onto rank tables."""
+
+    def test_every_case_has_a_golden_file(self, tmp_path):
+        cases = set(lattice_cases(tmp_path))
+        files = {p.stem for p in lattice_golden("").parent.glob("*.out")}
+        assert cases == files
+
+    def test_outputs_are_byte_identical(self, tmp_path):
+        for case, argv in lattice_cases(tmp_path).items():
+            text = lattice_output(tmp_path, case, argv)
+            assert text == lattice_golden(case).read_text(), case
+
+    def test_dot_run_prints_the_edges(self, capsys, tmp_path):
+        cases = lattice_cases(tmp_path)
+        for name in UNIONS:
+            _, out, _ = run(capsys, *cases[f"lattice_dot_{name}"])
+            assert out == lattice_golden(f"lattice_{name}").read_text()
 
 
 class TestVerify:

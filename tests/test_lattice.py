@@ -1,3 +1,9 @@
+import copy
+import gc
+import pickle
+import random
+import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -14,11 +20,26 @@ from known_instances import (
     B_M,
     INSTANCE_A,
     INSTANCE_B,
+    UNIONS,
+    disjoint_union,
+    union_stable_set,
+)
+from oracles import (
+    _combine_def,
+    _dominates_def,
+    _lect_dominates_def,
+    _lect_set,
+    _prefers_first_sets,
+    hasse_def,
+    random_valid_matching,
 )
 from spas import (
+    Instance,
     LecturerComparison,
     Matching,
+    RawInstance,
     build_hasse,
+    build_instance,
     enumerate_all,
     join,
     join_all,
@@ -28,6 +49,19 @@ from spas import (
     meet_all,
     student_dominates,
 )
+from spas import lattice
+
+
+def mixed_set(seed: int) -> tuple[Instance, list[Matching]]:
+    """A corpus stable set plus 1-4 random valid matchings, shuffled: the
+    extras may assign other students, so not every pair is comparable."""
+    rng = random.Random(seed)
+    instance = corpus_instance(seed, 6, 5, 3)
+    members = list(enumerate_all(instance))
+    members += [random_valid_matching(instance, rng)
+                for _ in range(rng.randint(1, 4))]
+    rng.shuffle(members)
+    return instance, members
 
 
 class TestStudentDominance:
@@ -226,6 +260,10 @@ class TestHasse:
         assert diagram.nodes == A_STABLE
         assert diagram.edges == A_HASSE_EDGES
 
+    def test_empty(self):
+        diagram = build_hasse(INSTANCE_A, ())
+        assert diagram.edges == hasse_def(INSTANCE_A, ()) == ()
+
     def test_singleton(self):
         diagram = build_hasse(INSTANCE_A, (A_M1,))
         assert diagram.edges == ()
@@ -254,11 +292,249 @@ class TestHasse:
             for j, y in enumerate(nodes):
                 if i == j:
                     continue
-                dominates = student_dominates(instance, x, y, check=False)
+                dominates = _dominates_def(instance, x, y)
                 between = any(
                     k != i and k != j
-                    and student_dominates(instance, x, nodes[k], check=False)
-                    and student_dominates(instance, nodes[k], y, check=False)
+                    and _dominates_def(instance, x, nodes[k])
+                    and _dominates_def(instance, nodes[k], y)
                     for k in range(len(nodes))
                 )
                 assert ((i, j) in edge_set) == (dominates and not between)
+
+    @given(st.integers(1, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_definition_on_corpus(self, seed):
+        instance = corpus_instance(seed, 7, 6, 3)
+        stable = enumerate_all(instance)
+        assert build_hasse(instance, stable).edges == hasse_def(instance, stable)
+
+    @given(st.integers(1, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_definition_on_mixed_sets(self, seed):
+        # members that assign different students, duplicates and orders
+        # that are no lattice
+        instance, members = mixed_set(seed)
+        members += members[:2]
+        assert build_hasse(instance, members).edges == hasse_def(instance, members)
+
+    @pytest.mark.parametrize("members, edges", [
+        ([((1, 3),)], ()),
+        ([((1, 3),), ((1, 3),)], ((0, 1), (1, 0))),
+        ([((1, 3),), ()], ()),
+        ([((1, 3), (2, 2)), ((1, 3), (2, 3))], ((0, 1),)),
+        ([((1, 3), (2, 2)), ((1, 3),)], ()),
+    ], ids=["single", "duplicate", "one-unassigned", "agree-on-s1",
+            "agree-on-s1-s2-unassigned"])
+    def test_unranked_project_read_only_where_members_differ(
+            self, members, edges):
+        # s1 does not rank p3: no member gives s1 another project, so no
+        # rank of p3 is ever compared, as in the pairwise definition
+        nodes = [Matching(m) for m in members]
+        assert build_hasse(INSTANCE_A, nodes).edges == edges
+        assert hasse_def(INSTANCE_A, nodes) == edges
+
+    def test_unranked_project_where_members_differ_raises(self):
+        nodes = [Matching(((1, 1),)), Matching(((1, 3),))]
+        for build in (build_hasse, hasse_def):
+            with pytest.raises(ValueError, match="^p3 is not on the list of s1$"):
+                build(INSTANCE_A, nodes)
+
+    @pytest.mark.parametrize("name", sorted(UNIONS))
+    def test_equals_definition_on_unions(self, name):
+        parts, sets = UNIONS[name]
+        instance = disjoint_union(*parts)
+        stable = union_stable_set(parts, sets)
+        assert build_hasse(instance, stable).edges == hasse_def(instance, stable)
+
+
+def fresh(instance: Instance) -> Instance:
+    """An equal instance whose stability memo starts empty."""
+    return copy.copy(instance)
+
+
+def a_with_s1_above_s3() -> Instance:
+    # s1 prefers p1, which l1 would take from s3 when l1 ranks s1 first
+    raw = RawInstance(
+        student_prefs=[list(p) for p in INSTANCE_A.student_prefs],
+        project_capacity=list(INSTANCE_A.project_capacity),
+        project_owner=list(INSTANCE_A.project_owner),
+        lecturer_capacity=list(INSTANCE_A.lecturer_capacity),
+        lecturer_prefs=[[4, 5, 1, 3, 2], [2, 3, 5, 4]],
+    )
+    return build_instance(raw)
+
+
+class TestStabilityMemo:
+    UNSTABLE = Matching(((1, 2),))
+    MESSAGE = "matching is not stable, e.g. blocking pair (s1, p1)"
+
+    @pytest.mark.parametrize("call", [
+        lambda i, m: meet(i, A_M1, m),
+        lambda i, m: join(i, m, A_M1),
+        lambda i, m: student_dominates(i, A_M1, m),
+        lambda i, m: lecturer_dominates(i, m, A_M1),
+        lambda i, m: meet_all(i, [A_M1, A_M2, m]),
+        lambda i, m: join_all(i, [m, A_M2]),
+    ], ids=["meet", "join", "student_dominates", "lecturer_dominates",
+            "meet_all", "join_all"])
+    def test_unstable_rejected_on_every_call(self, call):
+        instance = fresh(INSTANCE_A)
+        for _ in range(3):
+            with pytest.raises(ValueError) as exc:
+                call(instance, self.UNSTABLE)
+            assert str(exc.value) == self.MESSAGE
+        assert self.UNSTABLE not in instance._known_stable
+
+    def test_each_member_checked_once(self, monkeypatch):
+        checked = []
+
+        def counting(instance, m):
+            checked.append(m)
+            return find(instance, m)
+
+        find = lattice.find_blocking_pairs
+        monkeypatch.setattr(lattice, "find_blocking_pairs", counting)
+        instance = fresh(INSTANCE_B)
+        for x, y in combinations(B_M, 2):
+            meet(instance, x, y)
+            join(instance, y, x)
+        meet_all(instance, B_M)
+        assert sorted(checked, key=B_M.index) == list(B_M)
+
+    def test_equal_distinct_object_is_a_hit(self, monkeypatch):
+        instance = fresh(INSTANCE_A)
+        assert meet(instance, A_M1, A_M2) == A_M1
+        monkeypatch.setattr(lattice, "find_blocking_pairs", None)
+        twins = Matching(A_M1.pairs), Matching(tuple(reversed(A_M2.pairs)))
+        assert twins[0] is not A_M1 and twins[1] is not A_M2
+        assert join(instance, *twins) == A_M2
+
+    def test_verdict_is_per_instance(self):
+        other = a_with_s1_above_s3()
+        assert other.student_prefs == INSTANCE_A.student_prefs
+        instance = fresh(INSTANCE_A)
+        assert meet(instance, A_M2, A_M2) == A_M2
+        with pytest.raises(ValueError, match=r"blocking pair \(s1, p1\)"):
+            meet(other, A_M2, A_M2)
+        assert A_M2 in instance._known_stable
+        assert A_M2 not in other._known_stable
+
+    def test_memo_keeps_no_matching_alive(self):
+        instance = fresh(INSTANCE_B)
+        members = [Matching(m.pairs) for m in B_M]
+        meet_all(instance, members)
+        assert len(instance._known_stable) == len(B_M)
+        del members
+        gc.collect()
+        assert len(instance._known_stable) == 0
+
+    def test_concurrent_callers_share_the_memo(self):
+        # check-then-add races only repeat a check; every call still gets
+        # the right answer and an unstable argument is always rejected
+        instance = fresh(INSTANCE_B)
+        wrong = []
+
+        def work():
+            for x, y in combinations(B_M, 2):
+                if meet(instance, x, y) != _combine_def(instance, x, y, True):
+                    wrong.append((x, y))
+                try:
+                    join(instance, x, Matching(()))
+                    wrong.append(x)
+                except ValueError:
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert set(instance._known_stable) == set(B_M)
+
+    def test_copies_and_pickles_start_empty(self):
+        instance = fresh(INSTANCE_B)
+        meet_all(instance, B_M)
+        for twin in (copy.deepcopy(instance),
+                     pickle.loads(pickle.dumps(instance))):
+            assert twin == instance
+            assert len(twin._known_stable) == 0
+            assert meet_all(twin, B_M) == B_M[0]
+
+
+class TestAgainstDefinitions:
+    """The rank-table comparisons against the definitions in the oracles,
+    with ``check=False``."""
+
+    @given(st.integers(1, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_student_side_on_mixed_pairs(self, seed):
+        instance, members = mixed_set(seed)
+        for x in members:
+            for y in members:
+                assert meet(instance, x, y, check=False) == _combine_def(
+                    instance, x, y, True)
+                assert join(instance, x, y, check=False) == _combine_def(
+                    instance, x, y, False)
+                assert student_dominates(
+                    instance, x, y, check=False) == _dominates_def(instance, x, y)
+
+    @given(st.integers(1, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_lecturer_side_on_corpus_pairs(self, seed):
+        instance = corpus_instance(seed, 7, 6, 3)
+        stable = enumerate_all(instance)
+        for x in stable:
+            for y in stable:
+                assert lecturer_dominates(
+                    instance, x, y, check=False) == _lect_dominates_def(
+                        instance, x, y)
+                for k in instance.lecturers():
+                    sx, sy = _lect_set(instance, x, k), _lect_set(instance, y, k)
+                    want = (
+                        LecturerComparison.INDIFFERENT if sx == sy else
+                        LecturerComparison.PREFERS_FIRST
+                        if _prefers_first_sets(instance, k, sx, sy) else
+                        LecturerComparison.PREFERS_SECOND
+                        if _prefers_first_sets(instance, k, sy, sx) else
+                        LecturerComparison.INCOMPARABLE
+                    )
+                    assert lecturer_compare(instance, k, x, y) is want
+
+    @pytest.mark.parametrize("first, second, bad", [
+        (((1, 1),), ((1, 3),), "p3"),
+        (((1, 4),), ((1, 3),), "p4"),
+    ])
+    def test_unacceptable_pair_error_text(self, first, second, bad):
+        # the error of Instance.student_rank, naming the first unranked project
+        x, y = Matching(first), Matching(second)
+        message = f"{bad} is not on the list of s1"
+        for call in (meet, join, student_dominates):
+            with pytest.raises(ValueError) as exc:
+                call(INSTANCE_A, x, y, check=False)
+            assert str(exc.value) == message
+
+    def test_unacceptable_pair_on_both_sides_is_kept(self):
+        m = Matching(((1, 3),))
+        assert meet(INSTANCE_A, m, m, check=False) == m
+        assert student_dominates(INSTANCE_A, m, m, check=False)
+
+    def test_students_outside_the_instance_are_ignored(self):
+        x = Matching(((1, 1), (99, 1)))
+        y = Matching(((99, 2),))
+        assert meet(INSTANCE_A, x, y, check=False) == Matching(((1, 1),))
+        assert join(INSTANCE_A, x, y, check=False) == Matching(())
+        assert not student_dominates(INSTANCE_A, y, x, check=False)
+
+    def test_size_mismatch_error_text(self):
+        with pytest.raises(ValueError) as exc:
+            lecturer_compare(INSTANCE_A, 1, Matching(((1, 1),)), A_M2)
+        assert str(exc.value) == (
+            "lecturer l1 is assigned 1 and 3 students; stable matchings "
+            "always agree on this, so some input is unstable")
