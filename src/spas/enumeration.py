@@ -38,10 +38,9 @@ exponential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .model import Instance, Matching
+from .model import Instance, Matching, _Frozen
 from .solvers import solve_lecturer_optimal, solve_student_optimal
 
 DEFAULT_SIZE_GUARD = 20
@@ -59,15 +58,17 @@ class SizeGuardError(RuntimeError):
         self.guard = guard
 
 
-@dataclass(frozen=True)
-class StableSet:
+class StableSet(_Frozen):
     """All stable matchings of one instance.
 
     Deduplicated and ordered lexicographically on the canonical pair lists,
     so repeated runs and golden files agree byte for byte.
     """
 
-    matchings: tuple[Matching, ...]
+    __match_args__ = ("matchings",)
+
+    def __init__(self, matchings: tuple[Matching, ...]) -> None:
+        self.__dict__["matchings"] = matchings
 
     def __len__(self) -> int:
         return len(self.matchings)
@@ -202,9 +203,9 @@ def enumerate_all(
             if lload[k] < dcap[k] and any(pload[p] < cap[p] for _, p in envy[k]):
                 break  # P1 blocks; everything else was settled
         else:
-            found.append(
-                Matching(tuple((s, assigned[s]) for s in range(1, n1 + 1) if assigned[s]))
-            )
+            found.append(Matching._canonical(
+                tuple((s, assigned[s]) for s in range(1, n1 + 1) if assigned[s])
+            ))
         retract(i, choice, old, skipped)
 
     found.sort(key=lambda m: m.pairs)

@@ -11,26 +11,35 @@ drawn inside the feasible band, so every generated instance validates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .model import Instance, RawInstance, build_instance
+from .model import Instance, RawInstance, _Frozen, build_instance
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(_Frozen):
     """Generation recipe; the seed is part of the identity of the output.
 
     ``density`` is the probability that any given project enters a
     student's candidate list before the length range is applied.
     """
 
-    students: int
-    projects: int
-    lecturers: int
-    pref_len: tuple[int, int] = (1, 4)
-    project_cap: tuple[int, int] = (1, 2)
-    seed: int = 0
-    density: float = 0.5
+    __match_args__ = ("students", "projects", "lecturers", "pref_len",
+                      "project_cap", "seed", "density")
+
+    def __init__(
+        self,
+        students: int,
+        projects: int,
+        lecturers: int,
+        pref_len: tuple[int, int] = (1, 4),
+        project_cap: tuple[int, int] = (1, 2),
+        seed: int = 0,
+        density: float = 0.5,
+    ) -> None:
+        self.__dict__.update(
+            students=students, projects=projects, lecturers=lecturers,
+            pref_len=pref_len, project_cap=project_cap, seed=seed,
+            density=density,
+        )
 
 
 def _validate_params(params: GenParams) -> None:

@@ -28,11 +28,10 @@ pairs at once with bitsets, one column of ranks per student.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from .model import Instance, Matching
+from .model import Instance, Matching, _Frozen
 from .stability import find_blocking_pairs
 
 
@@ -158,7 +157,7 @@ def _combine(
             chosen = pa if _prefers(instance, s, pa, pb) == better else pb
         if chosen is not None:
             pairs.append((s, chosen))
-    return Matching(tuple(pairs))
+    return Matching._canonical(tuple(pairs))
 
 
 def meet(
@@ -208,8 +207,7 @@ def join_all(
     return _fold(instance, matchings, check=check, better=False, name="join_all")
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(_Frozen):
     """Transitive reduction of student-side dominance over a stable set.
 
     ``edges`` holds 0-based index pairs into ``nodes``; an edge (i, j)
@@ -217,8 +215,12 @@ class HasseDiagram:
     Rendered labels are ``M1``..``Mk`` in stable-set order.
     """
 
-    nodes: tuple[Matching, ...]
-    edges: tuple[tuple[int, int], ...]
+    __match_args__ = ("nodes", "edges")
+
+    def __init__(
+        self, nodes: tuple[Matching, ...], edges: tuple[tuple[int, int], ...]
+    ) -> None:
+        self.__dict__.update(nodes=nodes, edges=edges)
 
     def label(self, i: int) -> str:
         return f"M{i + 1}"

@@ -10,7 +10,6 @@ precomputed at build time so preference queries are O(1).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -29,51 +28,106 @@ def lecturer_name(k: int) -> str:
     return f"l{k}"
 
 
-@dataclass(frozen=True)
-class Violation:
+class _Record:
+    """Base of the package's value classes, written by hand: every command
+    imports this module, and the standard library's class generator, with
+    the :mod:`inspect` module it loads, would add several milliseconds to
+    each start-up (README, "Start-up").  ``__match_args__`` names the fields
+    in constructor order; equality (with objects of the same class only)
+    and ``repr`` read the fields through it."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A :class:`_Record` that hashes as the tuple of its fields and whose
+    fields cannot be assigned or deleted; ``__init__`` stores them through
+    ``__dict__``."""
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Violation(_Frozen):
     """One broken rule, naming the offending identifier(s)."""
 
-    rule: str
-    subject: str
-    message: str
+    __match_args__ = ("rule", "subject", "message")
+
+    def __init__(self, rule: str, subject: str, message: str) -> None:
+        self.__dict__.update(rule=rule, subject=subject, message=message)
 
     def render(self) -> str:
         return f"{self.rule} [{self.subject}]: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Frozen):
     """Outcome of validating an instance or a matching.
 
     An empty ``violations`` tuple means the checked object is valid;
     ``warnings`` never block construction.
     """
 
-    violations: tuple[Violation, ...] = ()
-    warnings: tuple[Violation, ...] = ()
+    __match_args__ = ("violations", "warnings")
+
+    def __init__(
+        self,
+        violations: tuple[Violation, ...] = (),
+        warnings: tuple[Violation, ...] = (),
+    ) -> None:
+        self.__dict__.update(violations=violations, warnings=warnings)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass
-class RawInstance:
+_FRESH: list = []  # default marker: each omitted RawInstance field gets a new list
+
+
+class RawInstance(_Record):
     """Unvalidated instance description, as parsed or hand-built.
 
     Lists are indexed by entity number minus one; preference entries are
-    1-based identifiers of the other role.
+    1-based identifiers of the other role.  Mutable, so unhashable.
     """
 
-    student_prefs: list[list[int]] = field(default_factory=list)
-    project_capacity: list[int] = field(default_factory=list)
-    project_owner: list[int] = field(default_factory=list)
-    lecturer_capacity: list[int] = field(default_factory=list)
-    lecturer_prefs: list[list[int]] = field(default_factory=list)
+    __match_args__ = ("student_prefs", "project_capacity", "project_owner",
+                      "lecturer_capacity", "lecturer_prefs")
+
+    def __init__(
+        self,
+        student_prefs: list[list[int]] = _FRESH,
+        project_capacity: list[int] = _FRESH,
+        project_owner: list[int] = _FRESH,
+        lecturer_capacity: list[int] = _FRESH,
+        lecturer_prefs: list[list[int]] = _FRESH,
+    ) -> None:
+        self.student_prefs = [] if student_prefs is _FRESH else student_prefs
+        self.project_capacity = [] if project_capacity is _FRESH else project_capacity
+        self.project_owner = [] if project_owner is _FRESH else project_owner
+        self.lecturer_capacity = [] if lecturer_capacity is _FRESH else lecturer_capacity
+        self.lecturer_prefs = [] if lecturer_prefs is _FRESH else lecturer_prefs
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Frozen):
     """A validated, immutable problem instance.
 
     Construct through :func:`build_instance`; direct construction skips
@@ -84,11 +138,21 @@ class Instance:
     passed the stability check.
     """
 
-    student_prefs: tuple[tuple[int, ...], ...]
-    project_capacity: tuple[int, ...]
-    project_owner: tuple[int, ...]
-    lecturer_capacity: tuple[int, ...]
-    lecturer_prefs: tuple[tuple[int, ...], ...]
+    __match_args__ = RawInstance.__match_args__
+
+    def __init__(
+        self,
+        student_prefs: tuple[tuple[int, ...], ...],
+        project_capacity: tuple[int, ...],
+        project_owner: tuple[int, ...],
+        lecturer_capacity: tuple[int, ...],
+        lecturer_prefs: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.__dict__.update(
+            student_prefs=student_prefs, project_capacity=project_capacity,
+            project_owner=project_owner, lecturer_capacity=lecturer_capacity,
+            lecturer_prefs=lecturer_prefs,
+        )
 
     # -- sizes and id ranges -------------------------------------------------
 
@@ -240,8 +304,7 @@ class Instance:
         )
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Frozen):
     """A set of (student, project) pairs in canonical ascending order.
 
     Two matchings with equal pair sets compare and hash equal regardless of
@@ -249,16 +312,38 @@ class Matching:
     the business of :func:`is_valid_matching`.
     """
 
-    pairs: tuple[tuple[int, int], ...] = ()
+    __match_args__ = ("pairs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, pairs: tuple[tuple[int, int], ...] = ()) -> None:
         canon = []
-        for pair in self.pairs:
-            s, p = pair
+        for pair in pairs:
+            try:
+                s, p = pair
+            except (TypeError, ValueError):  # not a pair at all
+                s = p = None
             if not (type(s) is int and type(p) is int and s > 0 and p > 0):
                 raise ValueError(f"malformed pair {pair!r}")
             canon.append((s, p))
-        object.__setattr__(self, "pairs", tuple(sorted(set(canon))))
+        self.__dict__["pairs"] = tuple(sorted(set(canon)))
+
+    @classmethod
+    def _canonical(cls, pairs: tuple[tuple[int, int], ...]) -> Matching:
+        """A matching on ``pairs`` as given, without the check and the sort:
+        for callers whose pairs are canonical by construction (positive
+        ints, ascending, one pair per student)."""
+        m = object.__new__(cls)
+        m.__dict__["pairs"] = pairs
+        return m
+
+    # written out for the one field: matchings are hashed and compared on
+    # the lattice layer's hot paths
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
 
     @classmethod
     def from_assignments(cls, assignments: Mapping[int, int | None]) -> "Matching":
@@ -281,9 +366,9 @@ def _non_lists(raw: RawInstance) -> list[Violation]:
     """Every field, else every preference row, that is not a list (a tuple
     will do), naming the field or the row's entity."""
     bad_fields = [
-        Violation("non-list", f.name, f"got {type(value).__name__}, not a list")
-        for f in fields(raw)
-        if not isinstance(value := getattr(raw, f.name), (list, tuple))
+        Violation("non-list", f, f"got {type(value).__name__}, not a list")
+        for f in RawInstance.__match_args__
+        if not isinstance(value := getattr(raw, f), (list, tuple))
     ]
     if bad_fields:
         return bad_fields

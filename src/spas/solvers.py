@@ -104,7 +104,7 @@ def solve_student_optimal(instance: Instance) -> Matching:
         if lload[k] == dcap[k - 1]:
             lthr[k] = lrank[k - 1][worst_of_lecturer(k)]
 
-    return Matching(tuple((s, p) for s, p in enumerate(assigned) if p))
+    return Matching._canonical(tuple((s, p) for s, p in enumerate(assigned) if p))
 
 
 def solve_lecturer_optimal(instance: Instance) -> Matching:
@@ -176,4 +176,4 @@ def solve_lecturer_optimal(instance: Instance) -> Matching:
             pload[p] += 1
             lload[k] += 1
 
-    return Matching(tuple((s, p) for s, p in enumerate(assigned) if p))
+    return Matching._canonical(tuple((s, p) for s, p in enumerate(assigned) if p))

@@ -48,7 +48,6 @@ requires its report to equal this one on 1000 sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import le, lt
 from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
@@ -56,6 +55,7 @@ from .enumeration import StableSet, enumerate_all
 from .model import (
     Instance,
     Matching,
+    _Frozen,
     lecturer_name,
     project_name,
     require_valid_matching,
@@ -63,13 +63,13 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Frozen):
     """Outcome of one property check; failures carry the offending agents."""
 
-    name: str
-    passed: bool
-    failures: tuple[str, ...] = ()
+    __match_args__ = ("name", "passed", "failures")
+
+    def __init__(self, name: str, passed: bool, failures: tuple[str, ...] = ()) -> None:
+        self.__dict__.update(name=name, passed=passed, failures=failures)
 
 
 def _report(name: str, failures: list[str]) -> PropertyReport:

@@ -77,29 +77,53 @@ COMMANDS = {
              "--seed", "1"], BASE | {"spas.generator"}),
 }
 
-# Runs one command in a fresh interpreter, then prints the loaded spas
-# modules as the last line of stderr.
+# Runs one command in a fresh interpreter, then prints the loaded modules
+# as the last line of stderr.
 CHILD = """
 import sys
 from spas.cli import main
 main(sys.argv[1:])
-print(" ".join(m for m in sys.modules if m.split(".")[0] == "spas"),
-      file=sys.stderr)
+print(" ".join(sys.modules), file=sys.stderr)
 """
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_command_loads_only_its_layers(command):
-    argv, expected = COMMANDS[command]
+def loaded_modules(child: str, *argv: str) -> set[str]:
+    """Module names a fresh interpreter running ``child`` lists on the last
+    line of its stderr, with this checkout's ``src`` on the path."""
     src = str(Path(spas.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True,
+        [sys.executable, "-c", child, *argv], env=env, capture_output=True,
         text=True, stdin=subprocess.DEVNULL, timeout=60, check=True,
     )
-    assert set(proc.stderr.splitlines()[-1].split()) == expected
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_only_its_layers(command):
+    argv, expected = COMMANDS[command]
+    loaded = loaded_modules(CHILD, *argv)
+    assert {m for m in loaded if m.split(".")[0] == "spas"} == expected
+
+
+# modules that cost start-up and that no command needs
+HEAVY = {"dataclasses", "inspect"}
+
+
+@pytest.fixture(scope="module")
+def bare_heavy() -> set[str]:
+    """What of HEAVY a bare interpreter already loads here (a ``.pth`` file
+    may import them), so that it does not count against a command."""
+    return HEAVY & loaded_modules(
+        "import sys; print(' '.join(sys.modules), file=sys.stderr)")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_no_heavy_stdlib_module(command, bare_heavy):
+    argv, _ = COMMANDS[command]
+    assert HEAVY & loaded_modules(CHILD, *argv) <= bare_heavy
 
 
 def test_importing_main_module_does_not_run_the_cli():

@@ -286,10 +286,11 @@ class TestMatching:
         with pytest.raises(ValueError):
             Matching(((0, 1),))
 
-    @pytest.mark.parametrize("pair", [(True, 1), (1, True), (1.0, 1)],
-                             ids=["bool-student", "bool-project", "float"])
+    @pytest.mark.parametrize(
+        "pair", [(True, 1), (1, True), (1.0, 1), (1, 2, 3), 5],
+        ids=["bool-student", "bool-project", "float", "triple", "not-a-pair"])
     def test_non_int_ids_rejected(self, pair):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed pair"):
             Matching((pair,))
 
 
