@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .fileio import (
     ParseError,
@@ -32,6 +30,7 @@ from .model import (
     validate_raw,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .enumeration import StableSet
 
@@ -53,8 +52,18 @@ def _print_report(report: ValidationReport) -> None:
         print(f"WARNING {w.render()}")
 
 
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _load_instance(path: str) -> Instance:
-    obj = parse_instance_file(Path(path).read_text())
+    obj = parse_instance_file(_read(path))
     if isinstance(obj, ValidationReport):
         _print_report(obj)
         raise _Exit(EXIT_FALSE)
@@ -62,7 +71,7 @@ def _load_instance(path: str) -> Instance:
 
 
 def _load_matching(path: str, instance: Instance) -> Matching:
-    return parse_matching_file(Path(path).read_text(), instance)
+    return parse_matching_file(_read(path), instance)
 
 
 def _load_stable_set(args: argparse.Namespace) -> tuple[Instance, StableSet]:
@@ -77,7 +86,7 @@ def _load_stable_set(args: argparse.Namespace) -> tuple[Instance, StableSet]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = validate_raw(parse_raw_instance(Path(args.instance).read_text()))
+    report = validate_raw(parse_raw_instance(_read(args.instance)))
     _print_report(report)
     print("VALID" if report.ok else "INVALID")
     return EXIT_OK if report.ok else EXIT_FALSE
@@ -146,7 +155,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     for a, b in diagram.edges:
         print(f"{diagram.label(a)} -> {diagram.label(b)}")
     if args.dot:
-        Path(args.dot).write_text(emit_dot(diagram))
+        _write(args.dot, emit_dot(diagram))
     return EXIT_OK
 
 
@@ -179,7 +188,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     )
     text = serialize_instance(generate(params))
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

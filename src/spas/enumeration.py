@@ -38,10 +38,12 @@ exponential.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .model import Instance, Matching, _Frozen
 from .solvers import solve_lecturer_optimal, solve_student_optimal
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 DEFAULT_SIZE_GUARD = 20
 
@@ -86,20 +88,16 @@ class StableSet(_Frozen):
         return self.matchings.index(m)
 
 
-def enumerate_all(
-    instance: Instance,
-    *,
-    force: bool = False,
-    size_guard: int = DEFAULT_SIZE_GUARD,
-) -> StableSet:
+def enumerate_all(instance: Instance, *, force: bool = False) -> StableSet:
     """Exactly the stable matchings of the instance.
 
-    Raises :class:`SizeGuardError` beyond ``size_guard`` students unless
-    ``force`` is set; the search is exponential in the worst case.
+    Raises :class:`SizeGuardError` beyond :data:`DEFAULT_SIZE_GUARD`
+    students unless ``force`` is set; the search is exponential in the
+    worst case.
     """
     n1 = instance.num_students
-    if not force and n1 > size_guard:
-        raise SizeGuardError(n1, size_guard)
+    if not force and n1 > DEFAULT_SIZE_GUARD:
+        raise SizeGuardError(n1, DEFAULT_SIZE_GUARD)
     best = solve_student_optimal(instance)
     worst = solve_lecturer_optimal(instance)
     if best == worst:
@@ -213,11 +211,8 @@ def enumerate_all(
 
 
 def stable_pairs(
-    instance: Instance,
-    *,
-    force: bool = False,
-    size_guard: int = DEFAULT_SIZE_GUARD,
+    instance: Instance, *, force: bool = False
 ) -> frozenset[tuple[int, int]]:
     """Pairs that belong to at least one stable matching."""
-    stable = enumerate_all(instance, force=force, size_guard=size_guard)
+    stable = enumerate_all(instance, force=force)
     return frozenset(pair for m in stable for pair in m.pairs)

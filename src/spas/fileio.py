@@ -22,7 +22,6 @@ parse-serialize round trips are byte identity on canonical files.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING
 
 from .model import (
     Instance,
@@ -32,6 +31,7 @@ from .model import (
     build_instance,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .lattice import HasseDiagram
 

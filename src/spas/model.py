@@ -13,7 +13,12 @@ import weakref
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator, Mapping
+
+# not typing.TYPE_CHECKING: importing typing would add to every command's
+# start-up (README, "Start-up"), and type checkers honour this name too
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator, Mapping
 
 
 def student_name(s: int) -> str:

@@ -151,8 +151,8 @@ def test_c7_solver_consistency(corpus7):
         assert stable.matchings == reference, seed
         best = solve_student_optimal(instance)
         worst = solve_lecturer_optimal(instance)
-        assert best == meet_all(instance, reference, check=False), seed
-        assert worst == join_all(instance, reference, check=False), seed
+        assert best == meet_all(instance, reference), seed
+        assert worst == join_all(instance, reference), seed
         assert is_stable(instance, best), seed
         assert is_stable(instance, worst), seed
     print(f"criterion 7: PASS ({len(corpus7)} instances, 0 failures)")

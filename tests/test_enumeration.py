@@ -96,9 +96,13 @@ class TestSizeGuard:
             enumerate_all(instance)
 
     def test_guard_overridable(self):
+        parts, sets = (INSTANCE_B, INSTANCE_B, INSTANCE_A), (B_M, B_M, A_STABLE)
+        instance = disjoint_union(*parts)
+        assert instance.num_students == 23
         with pytest.raises(SizeGuardError):
-            enumerate_all(INSTANCE_B, size_guard=5)
-        assert enumerate_all(INSTANCE_B, size_guard=5, force=True).matchings == B_M
+            enumerate_all(instance)
+        assert enumerate_all(instance, force=True).matchings == union_stable_set(
+            parts, sets)
 
 
 class TestStablePairs:

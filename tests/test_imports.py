@@ -89,13 +89,15 @@ print(" ".join(sys.modules), file=sys.stderr)
 
 def loaded_modules(child: str, *argv: str) -> set[str]:
     """Module names a fresh interpreter running ``child`` lists on the last
-    line of its stderr, with this checkout's ``src`` on the path."""
+    line of its stderr, with this checkout's ``src`` on the path.  It runs
+    without ``site`` (``-S``), so that no ``.pth`` file loads anything
+    before the command does."""
     src = str(Path(spas.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", child, *argv], env=env, capture_output=True,
+        [sys.executable, "-S", "-c", child, *argv], env=env, capture_output=True,
         text=True, stdin=subprocess.DEVNULL, timeout=60, check=True,
     )
     return set(proc.stderr.splitlines()[-1].split())
@@ -109,21 +111,25 @@ def test_command_loads_only_its_layers(command):
 
 
 # modules that cost start-up and that no command needs
-HEAVY = {"dataclasses", "inspect"}
+HEAVY = {"dataclasses", "inspect", "pathlib"}
+# typing is needed only for the runtime NamedTuple of the stability and
+# verification layers, which these commands do not load
+UNTYPED = {"validate", "solve", "enumerate", "gen"}
 
 
 @pytest.fixture(scope="module")
 def bare_heavy() -> set[str]:
-    """What of HEAVY a bare interpreter already loads here (a ``.pth`` file
-    may import them), so that it does not count against a command."""
-    return HEAVY & loaded_modules(
+    """What of HEAVY and typing a bare interpreter already loads here, so
+    that it does not count against a command."""
+    return (HEAVY | {"typing"}) & loaded_modules(
         "import sys; print(' '.join(sys.modules), file=sys.stderr)")
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_command_loads_no_heavy_stdlib_module(command, bare_heavy):
     argv, _ = COMMANDS[command]
-    assert HEAVY & loaded_modules(CHILD, *argv) <= bare_heavy
+    heavy = HEAVY | {"typing"} if command in UNTYPED else HEAVY
+    assert heavy & loaded_modules(CHILD, *argv) <= bare_heavy
 
 
 def test_importing_main_module_does_not_run_the_cli():

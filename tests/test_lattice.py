@@ -1,10 +1,10 @@
 import copy
 import gc
 import pickle
-import random
 import sys
 import threading
 from itertools import combinations
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +31,6 @@ from oracles import (
     _lect_set,
     _prefers_first_sets,
     hasse_def,
-    random_valid_matching,
 )
 from spas import (
     Instance,
@@ -50,18 +49,6 @@ from spas import (
     student_dominates,
 )
 from spas import lattice
-
-
-def mixed_set(seed: int) -> tuple[Instance, list[Matching]]:
-    """A corpus stable set plus 1-4 random valid matchings, shuffled: the
-    extras may assign other students, so not every pair is comparable."""
-    rng = random.Random(seed)
-    instance = corpus_instance(seed, 6, 5, 3)
-    members = list(enumerate_all(instance))
-    members += [random_valid_matching(instance, rng)
-                for _ in range(rng.randint(1, 4))]
-    rng.shuffle(members)
-    return instance, members
 
 
 class TestStudentDominance:
@@ -86,7 +73,7 @@ class TestStudentDominance:
             instance = corpus_instance(seed, 6, 5, 3)
             stable = list(enumerate_all(instance))
             dom = {
-                (i, j): student_dominates(instance, x, y, check=False)
+                (i, j): student_dominates(instance, x, y)
                 for i, x in enumerate(stable)
                 for j, y in enumerate(stable)
             }
@@ -158,32 +145,32 @@ class TestLecturerDominance:
         stable = enumerate_all(instance)
         for x in stable:
             for y in stable:
-                if student_dominates(instance, x, y, check=False):
-                    assert lecturer_dominates(instance, y, x, check=False)
+                if student_dominates(instance, x, y):
+                    assert lecturer_dominates(instance, y, x)
 
     def test_one_way_reversal_on_table_instance(self):
         for x in B_M:
             for y in B_M:
-                if student_dominates(INSTANCE_B, x, y, check=False):
-                    assert lecturer_dominates(INSTANCE_B, y, x, check=False)
+                if student_dominates(INSTANCE_B, x, y):
+                    assert lecturer_dominates(INSTANCE_B, y, x)
 
     def test_converse_reversal_refuted_by_table_instance(self):
         # both lecturers strictly prefer row 3 over row 4, yet the student
         # side is split (s2 against s6), so lecturer dominance does not
         # imply reversed student dominance
-        assert lecturer_dominates(INSTANCE_B, B_M[2], B_M[3], check=False)
-        assert not student_dominates(INSTANCE_B, B_M[3], B_M[2], check=False)
+        assert lecturer_dominates(INSTANCE_B, B_M[2], B_M[3])
+        assert not student_dominates(INSTANCE_B, B_M[3], B_M[2])
 
     @given(st.integers(1, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_join_is_lecturer_dominant_and_meet_dominated(self, seed):
         instance = corpus_instance(seed, 6, 5, 3)
         stable = enumerate_all(instance)
-        top = join_all(instance, stable, check=False)
-        bottom = meet_all(instance, stable, check=False)
+        top = join_all(instance, stable)
+        bottom = meet_all(instance, stable)
         for m in stable:
-            assert lecturer_dominates(instance, top, m, check=False)
-            assert lecturer_dominates(instance, m, bottom, check=False)
+            assert lecturer_dominates(instance, top, m)
+            assert lecturer_dominates(instance, m, bottom)
 
 
 class TestMeetJoin:
@@ -206,10 +193,6 @@ class TestMeetJoin:
         with pytest.raises(ValueError):
             join(INSTANCE_A, Matching(()), A_M1)
 
-    def test_permissive_mode_skips_the_check(self):
-        swapped = Matching(((1, 1), (2, 2), (3, 3), (4, 5), (5, 4)))
-        assert meet(INSTANCE_A, swapped, A_M2, check=False) == swapped
-
     @given(st.integers(1, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_closure_and_bounds(self, seed):
@@ -217,13 +200,13 @@ class TestMeetJoin:
         stable = enumerate_all(instance)
         members = set(stable)
         for x, y in combinations(stable, 2):
-            lo = meet(instance, x, y, check=False)
-            hi = join(instance, x, y, check=False)
+            lo = meet(instance, x, y)
+            hi = join(instance, x, y)
             assert lo in members and hi in members
-            assert student_dominates(instance, lo, x, check=False)
-            assert student_dominates(instance, lo, y, check=False)
-            assert student_dominates(instance, x, hi, check=False)
-            assert student_dominates(instance, y, hi, check=False)
+            assert student_dominates(instance, lo, x)
+            assert student_dominates(instance, lo, y)
+            assert student_dominates(instance, x, hi)
+            assert student_dominates(instance, y, hi)
 
 
 class TestMeetAllJoinAll:
@@ -277,8 +260,8 @@ class TestHasse:
         diagram = build_hasse(instance, stable)
         (src,) = diagram.source_indices()
         (snk,) = diagram.sink_indices()
-        assert diagram.nodes[src] == meet_all(instance, stable, check=False)
-        assert diagram.nodes[snk] == join_all(instance, stable, check=False)
+        assert diagram.nodes[src] == meet_all(instance, stable)
+        assert diagram.nodes[snk] == join_all(instance, stable)
 
     @given(st.integers(1, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -307,37 +290,6 @@ class TestHasse:
         instance = corpus_instance(seed, 7, 6, 3)
         stable = enumerate_all(instance)
         assert build_hasse(instance, stable).edges == hasse_def(instance, stable)
-
-    @given(st.integers(1, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_equals_definition_on_mixed_sets(self, seed):
-        # members that assign different students, duplicates and orders
-        # that are no lattice
-        instance, members = mixed_set(seed)
-        members += members[:2]
-        assert build_hasse(instance, members).edges == hasse_def(instance, members)
-
-    @pytest.mark.parametrize("members, edges", [
-        ([((1, 3),)], ()),
-        ([((1, 3),), ((1, 3),)], ((0, 1), (1, 0))),
-        ([((1, 3),), ()], ()),
-        ([((1, 3), (2, 2)), ((1, 3), (2, 3))], ((0, 1),)),
-        ([((1, 3), (2, 2)), ((1, 3),)], ()),
-    ], ids=["single", "duplicate", "one-unassigned", "agree-on-s1",
-            "agree-on-s1-s2-unassigned"])
-    def test_unranked_project_read_only_where_members_differ(
-            self, members, edges):
-        # s1 does not rank p3: no member gives s1 another project, so no
-        # rank of p3 is ever compared, as in the pairwise definition
-        nodes = [Matching(m) for m in members]
-        assert build_hasse(INSTANCE_A, nodes).edges == edges
-        assert hasse_def(INSTANCE_A, nodes) == edges
-
-    def test_unranked_project_where_members_differ_raises(self):
-        nodes = [Matching(((1, 1),)), Matching(((1, 3),))]
-        for build in (build_hasse, hasse_def):
-            with pytest.raises(ValueError, match="^p3 is not on the list of s1$"):
-                build(INSTANCE_A, nodes)
 
     @pytest.mark.parametrize("name", sorted(UNIONS))
     def test_equals_definition_on_unions(self, name):
@@ -375,8 +327,10 @@ class TestStabilityMemo:
         lambda i, m: lecturer_dominates(i, m, A_M1),
         lambda i, m: meet_all(i, [A_M1, A_M2, m]),
         lambda i, m: join_all(i, [m, A_M2]),
+        lambda i, m: lecturer_compare(i, 2, A_M1, m),
+        lambda i, m: build_hasse(i, [A_M2, m, A_M1]),
     ], ids=["meet", "join", "student_dominates", "lecturer_dominates",
-            "meet_all", "join_all"])
+            "meet_all", "join_all", "lecturer_compare", "build_hasse"])
     def test_unstable_rejected_on_every_call(self, call):
         instance = fresh(INSTANCE_A)
         for _ in range(3):
@@ -400,6 +354,24 @@ class TestStabilityMemo:
             join(instance, y, x)
         meet_all(instance, B_M)
         assert sorted(checked, key=B_M.index) == list(B_M)
+
+    def test_hasse_then_meet_join_check_each_member_once(self, monkeypatch):
+        checked = []
+
+        def counting(instance, m):
+            checked.append(m)
+            return find(instance, m)
+
+        find = lattice.find_blocking_pairs
+        monkeypatch.setattr(lattice, "find_blocking_pairs", counting)
+        parts, sets = UNIONS["a+b"]
+        instance = disjoint_union(*parts)
+        stable = union_stable_set(parts, sets)
+        build_hasse(instance, stable)
+        for x, y in combinations(stable, 2):
+            meet(instance, x, y)
+            join(instance, x, y)
+        assert sorted(checked, key=stable.index) == list(stable)
 
     def test_equal_distinct_object_is_a_hit(self, monkeypatch):
         instance = fresh(INSTANCE_A)
@@ -468,73 +440,57 @@ class TestStabilityMemo:
             assert meet_all(twin, B_M) == B_M[0]
 
 
+def assert_student_side_is_definitional(
+    instance: Instance, stable: Sequence[Matching]
+) -> None:
+    for x in stable:
+        for y in stable:
+            assert meet(instance, x, y) == _combine_def(instance, x, y, True)
+            assert join(instance, x, y) == _combine_def(instance, x, y, False)
+            assert student_dominates(instance, x, y) == _dominates_def(
+                instance, x, y)
+
+
+def assert_lecturer_side_is_definitional(
+    instance: Instance, stable: Sequence[Matching]
+) -> None:
+    for x in stable:
+        for y in stable:
+            assert lecturer_dominates(instance, x, y) == _lect_dominates_def(
+                instance, x, y)
+            for k in instance.lecturers():
+                sx, sy = _lect_set(instance, x, k), _lect_set(instance, y, k)
+                want = (
+                    LecturerComparison.INDIFFERENT if sx == sy else
+                    LecturerComparison.PREFERS_FIRST
+                    if _prefers_first_sets(instance, k, sx, sy) else
+                    LecturerComparison.PREFERS_SECOND
+                    if _prefers_first_sets(instance, k, sy, sx) else
+                    LecturerComparison.INCOMPARABLE
+                )
+                assert lecturer_compare(instance, k, x, y) is want
+
+
 class TestAgainstDefinitions:
     """The rank-table comparisons against the definitions in the oracles,
-    with ``check=False``."""
+    on whole stable sets."""
 
     @given(st.integers(1, 10**6))
     @settings(max_examples=60, deadline=None)
-    def test_student_side_on_mixed_pairs(self, seed):
-        instance, members = mixed_set(seed)
-        for x in members:
-            for y in members:
-                assert meet(instance, x, y, check=False) == _combine_def(
-                    instance, x, y, True)
-                assert join(instance, x, y, check=False) == _combine_def(
-                    instance, x, y, False)
-                assert student_dominates(
-                    instance, x, y, check=False) == _dominates_def(instance, x, y)
+    def test_student_side_on_corpus_pairs(self, seed):
+        instance = corpus_instance(seed, 6, 5, 3)
+        assert_student_side_is_definitional(instance, enumerate_all(instance))
 
     @given(st.integers(1, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_lecturer_side_on_corpus_pairs(self, seed):
         instance = corpus_instance(seed, 7, 6, 3)
-        stable = enumerate_all(instance)
-        for x in stable:
-            for y in stable:
-                assert lecturer_dominates(
-                    instance, x, y, check=False) == _lect_dominates_def(
-                        instance, x, y)
-                for k in instance.lecturers():
-                    sx, sy = _lect_set(instance, x, k), _lect_set(instance, y, k)
-                    want = (
-                        LecturerComparison.INDIFFERENT if sx == sy else
-                        LecturerComparison.PREFERS_FIRST
-                        if _prefers_first_sets(instance, k, sx, sy) else
-                        LecturerComparison.PREFERS_SECOND
-                        if _prefers_first_sets(instance, k, sy, sx) else
-                        LecturerComparison.INCOMPARABLE
-                    )
-                    assert lecturer_compare(instance, k, x, y) is want
+        assert_lecturer_side_is_definitional(instance, enumerate_all(instance))
 
-    @pytest.mark.parametrize("first, second, bad", [
-        (((1, 1),), ((1, 3),), "p3"),
-        (((1, 4),), ((1, 3),), "p4"),
-    ])
-    def test_unacceptable_pair_error_text(self, first, second, bad):
-        # the error of Instance.student_rank, naming the first unranked project
-        x, y = Matching(first), Matching(second)
-        message = f"{bad} is not on the list of s1"
-        for call in (meet, join, student_dominates):
-            with pytest.raises(ValueError) as exc:
-                call(INSTANCE_A, x, y, check=False)
-            assert str(exc.value) == message
-
-    def test_unacceptable_pair_on_both_sides_is_kept(self):
-        m = Matching(((1, 3),))
-        assert meet(INSTANCE_A, m, m, check=False) == m
-        assert student_dominates(INSTANCE_A, m, m, check=False)
-
-    def test_students_outside_the_instance_are_ignored(self):
-        x = Matching(((1, 1), (99, 1)))
-        y = Matching(((99, 2),))
-        assert meet(INSTANCE_A, x, y, check=False) == Matching(((1, 1),))
-        assert join(INSTANCE_A, x, y, check=False) == Matching(())
-        assert not student_dominates(INSTANCE_A, y, x, check=False)
-
-    def test_size_mismatch_error_text(self):
-        with pytest.raises(ValueError) as exc:
-            lecturer_compare(INSTANCE_A, 1, Matching(((1, 1),)), A_M2)
-        assert str(exc.value) == (
-            "lecturer l1 is assigned 1 and 3 students; stable matchings "
-            "always agree on this, so some input is unstable")
+    @pytest.mark.parametrize("name", sorted(UNIONS))
+    def test_on_unions(self, name):
+        parts, sets = UNIONS[name]
+        instance = disjoint_union(*parts)
+        stable = union_stable_set(parts, sets)
+        assert_student_side_is_definitional(instance, stable)
+        assert_lecturer_side_is_definitional(instance, stable)

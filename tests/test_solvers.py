@@ -24,8 +24,8 @@ def assert_da_matches_fold(instance: Instance) -> None:
     # meet and join of the whole unseeded stable set: every student's best
     # and every student's worst stable project
     stable = dfs_stable_set(instance)
-    assert solve_student_optimal(instance) == meet_all(instance, stable, check=False)
-    assert solve_lecturer_optimal(instance) == join_all(instance, stable, check=False)
+    assert solve_student_optimal(instance) == meet_all(instance, stable)
+    assert solve_lecturer_optimal(instance) == join_all(instance, stable)
 
 
 class TestKnownInstances:
@@ -94,8 +94,8 @@ class TestMethodAgreement:
         best = solve_student_optimal(instance)
         worst = solve_lecturer_optimal(instance)
         for m in stable:
-            assert student_dominates(instance, best, m, check=False)
-            assert student_dominates(instance, m, worst, check=False)
+            assert student_dominates(instance, best, m)
+            assert student_dominates(instance, m, worst)
 
     def test_da_scales_past_the_guard(self):
         # far beyond the enumeration guard: a sparse 120-student draw, and
@@ -114,4 +114,4 @@ class TestMethodAgreement:
             worst = solve_lecturer_optimal(instance)
             assert is_stable(instance, best)
             assert is_stable(instance, worst)
-            assert student_dominates(instance, best, worst, check=False)
+            assert student_dominates(instance, best, worst)
