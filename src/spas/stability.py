@@ -16,22 +16,24 @@ output is deterministic.  S1 together with P2 cannot occur.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .model import Instance, Matching, require_valid_matching
 
 
-class BlockingPair(NamedTuple):
+class BlockingPair(namedtuple(
+    "BlockingPair", "student project student_condition project_condition"
+)):
     """Witness that a matching is unstable.
 
     A named tuple: immutable and hashable, and equal to the plain tuple
-    ``(student, project, student_condition, project_condition)``.
+    ``(student, project, student_condition, project_condition)``.  Built
+    with :func:`collections.namedtuple`, which every command has loaded
+    already, and not ``typing.NamedTuple``, whose import would add several
+    milliseconds to each start-up (README, "Start-up").
     """
 
-    student: int
-    project: int
-    student_condition: str
-    project_condition: str
+    __slots__ = ()
 
 
 def find_blocking_pairs(

@@ -14,8 +14,11 @@ A member that is not a valid matching of the instance raises
 tables without bounds checks.  ``run_all_checks`` builds one view per
 member and shares it across every check and every pair; the public
 ``check_*`` functions build views of their own arguments.  Each pairwise
-lemma quantifies over the students better off in the first matching, so
-those are found once per ordered pair and shared by all four.
+lemma quantifies over the students assigned in both matchings who are
+strictly better off in the first, so ``_pair_failures`` decides all four
+on an ordered pair in one walk over the first member's assignments;
+``run_all_checks`` and each public pairwise check call it, the latter
+keeping only its own lemma's failures.
 
 The lattice-axioms check reads each member as a rank vector: entry s - 1
 is the position of s's project on their list, or the list's length when
@@ -48,10 +51,9 @@ requires its report to equal this one on 1000 sets.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import le, lt
-from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
-from .enumeration import StableSet, enumerate_all
 from .model import (
     Instance,
     Matching,
@@ -61,6 +63,12 @@ from .model import (
     require_valid_matching,
     student_name,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence, Set as AbstractSet
+
+    from .enumeration import StableSet
 
 
 class PropertyReport(_Frozen):
@@ -76,13 +84,10 @@ def _report(name: str, failures: list[str]) -> PropertyReport:
     return PropertyReport(name, not failures, tuple(failures))
 
 
-class _View(NamedTuple):
-    """One member as the checks read it; ``proj`` and ``lect`` are
-    indexed by id, slot 0 unused."""
-
-    assigned: dict[int, int]
-    proj: list[set[int]]
-    lect: list[set[int]]
+# One member as the checks read it: ``assigned`` maps each assigned student
+# to their project, and ``proj`` and ``lect`` hold the assignee set of each
+# project and lecturer, indexed by id, slot 0 unused.
+_View = namedtuple("_View", "assigned proj lect")
 
 
 def _view(instance: Instance, m: Matching) -> _View:
@@ -165,86 +170,82 @@ def check_unpopular_projects(
     return _report("unpopular-projects", _unpopular_projects(instance, views))
 
 
-_Better = list[tuple[int, int, int]]
+# report order of the pairwise lemmas
+_PAIR_NAMES = (
+    "full-project", "same-lecturer", "preference-reversal", "rank-boundaries")
 
 
-def _better_off(instance: Instance, a: _View, b: _View) -> _Better:
-    """(s, a(s), b(s)) for each student, ascending, assigned in both
-    matchings who strictly prefers a."""
-    srank = instance._srank
-    other = b.assigned
-    return [
-        (s, p, q) for s, p in a.assigned.items()
-        if (q := other.get(s)) is not None and srank[s - 1][p] < srank[s - 1][q]
-    ]
+def _pair_failures(
+    instance: Instance, a: _View, b: _View
+) -> tuple[list[str], list[str], list[str], list[str]]:
+    """The four pairwise lemmas' failures on (a, b), in report order.
 
-
-def _full_project(
-    instance: Instance, a: _View, b: _View, better: _Better
-) -> list[str]:
-    failures: list[str] = []
-    owner, cap, lrank = (
-        instance.project_owner, instance.project_capacity, instance._lrank)
-    for s, p, _ in better:
-        if len(b.proj[p]) == cap[p - 1]:
+    Every lemma quantifies over the students assigned in both matchings
+    who strictly prefer a, so one walk over a's assignments, in ascending
+    student order, visits each of them once.  Full-project, same-lecturer
+    and rank-boundaries are decided per student; preference-reversal
+    afterwards, over the lecturers those students leave, ascending."""
+    owner, cap, srank, lrank = (
+        instance.project_owner, instance.project_capacity, instance._srank,
+        instance._lrank)
+    full, same, reversal, bounds = failures = ([], [], [], [])
+    movers: set[int] = set()
+    losing: set[int] = set()
+    for s, p in a.assigned.items():
+        q = b.assigned.get(s)
+        if q is None or srank[s - 1][p] >= srank[s - 1][q]:
             continue
-        k = owner[p - 1]
-        alt_students = b.lect[k]
+        movers.add(s)
+        k, kq = owner[p - 1], owner[q - 1]
         rank = lrank[k - 1]
         rank_s = rank[s]
-        if s in alt_students or any(rank_s < rank[t] for t in alt_students):
-            failures.append(
+        held, alt = a.lect[k], b.lect[k]
+        if len(b.proj[p]) != cap[p - 1] and (
+            s in alt or any(rank_s < rank[t] for t in alt)
+        ):
+            full.append(
                 f"{student_name(s)} holds {project_name(p)} and prefers it, "
                 f"yet {project_name(p)} is not full in the other matching"
             )
-    return failures
-
-
-def _same_lecturer(
-    instance: Instance, a: _View, b: _View, better: _Better
-) -> list[str]:
-    failures: list[str] = []
-    owner, lrank = instance.project_owner, instance._lrank
-    for s, p, q in better:
-        k = owner[p - 1]
-        if owner[q - 1] != k:
-            continue
-        set_m, set_alt = a.lect[k], b.lect[k]
-        if set_m == set_alt:
-            failures.append(
+        if kq != k:
+            # s leaves exactly the lecturer they hold in a
+            losing.add(k)
+        elif held == alt:
+            same.append(
                 f"{student_name(s)} moved within {lecturer_name(k)} but the "
                 f"assigned sets are identical"
             )
-            continue
-        rank = lrank[k - 1]
+        else:
+            if not any(rank[t] < rank_s for t in alt - held):
+                same.append(
+                    f"no student above {student_name(s)} entered "
+                    f"{lecturer_name(k)} in the other matching"
+                )
+            if not any(rank[t] > rank_s for t in held - alt):
+                same.append(
+                    f"no student below {student_name(s)} left "
+                    f"{lecturer_name(k)} in the other matching"
+                )
+        rank = lrank[kq - 1]
         rank_s = rank[s]
-        if not any(rank[t] < rank_s for t in set_alt - set_m):
-            failures.append(
-                f"no student above {student_name(s)} entered "
-                f"{lecturer_name(k)} in the other matching"
-            )
-        if not any(rank[t] > rank_s for t in set_m - set_alt):
-            failures.append(
-                f"no student below {student_name(s)} left "
-                f"{lecturer_name(k)} in the other matching"
-            )
-    return failures
-
-
-def _pref_reversal(
-    instance: Instance, a: _View, b: _View, better: _Better
-) -> list[str]:
-    failures: list[str] = []
-    owner = instance.project_owner
-    movers = {s for s, _, _ in better}
-    # a better-off student leaves exactly the lecturer they hold in a,
-    # when the other matching places them with someone else
-    losing = {owner[p - 1] for _, p, q in better if owner[p - 1] != owner[q - 1]}
+        for t in a.proj[q] - b.proj[q]:
+            if rank[t] < rank_s:
+                bounds.append(
+                    f"{student_name(t)} in the project set difference of "
+                    f"{project_name(q)} outranks {student_name(s)}"
+                )
+        if len(a.proj[q]) < cap[q - 1]:
+            for t in a.lect[kq] - b.lect[kq]:
+                if rank[t] < rank_s:
+                    bounds.append(
+                        f"{student_name(t)} in the lecturer set difference of "
+                        f"{lecturer_name(kq)} outranks {student_name(s)}"
+                    )
     for k in sorted(losing):
         set_m, set_alt = a.lect[k], b.lect[k]
         mover = next(s for s in set_m - set_alt if s in movers)
-        if not _prefers_first_sets(instance._lrank[k - 1], set_alt, set_m):
-            failures.append(
+        if not _prefers_first_sets(lrank[k - 1], set_alt, set_m):
+            reversal.append(
                 f"{student_name(mover)} left {lecturer_name(k)} while "
                 f"preferring this side, but {lecturer_name(k)} does not "
                 f"prefer the other matching"
@@ -252,48 +253,11 @@ def _pref_reversal(
     return failures
 
 
-def _rank_boundaries(
-    instance: Instance, a: _View, b: _View, better: _Better
-) -> list[str]:
-    failures: list[str] = []
-    owner, cap, lrank = (
-        instance.project_owner, instance.project_capacity, instance._lrank)
-    for s, _, pj in better:
-        k = owner[pj - 1]
-        rank = lrank[k - 1]
-        rank_s = rank[s]
-        for t in a.proj[pj] - b.proj[pj]:
-            if rank[t] < rank_s:
-                failures.append(
-                    f"{student_name(t)} in the project set difference of "
-                    f"{project_name(pj)} outranks {student_name(s)}"
-                )
-        if len(a.proj[pj]) < cap[pj - 1]:
-            for t in a.lect[k] - b.lect[k]:
-                if rank[t] < rank_s:
-                    failures.append(
-                        f"{student_name(t)} in the lecturer set difference of "
-                        f"{lecturer_name(k)} outranks {student_name(s)}"
-                    )
-    return failures
-
-
-_PairBody = Callable[[Instance, _View, _View, _Better], list[str]]
-
-# report order of run_all_checks
-_PAIRWISE: tuple[tuple[str, _PairBody], ...] = (
-    ("full-project", _full_project),
-    ("same-lecturer", _same_lecturer),
-    ("preference-reversal", _pref_reversal),
-    ("rank-boundaries", _rank_boundaries),
-)
-
-
 def _check_pair(
-    name: str, body: _PairBody, instance: Instance, m: Matching, m_alt: Matching
+    lemma: int, instance: Instance, m: Matching, m_alt: Matching
 ) -> PropertyReport:
     a, b = _view(instance, m), _view(instance, m_alt)
-    return _report(name, body(instance, a, b, _better_off(instance, a, b)))
+    return _report(_PAIR_NAMES[lemma], _pair_failures(instance, a, b)[lemma])
 
 
 def check_prop_full_project(
@@ -305,7 +269,7 @@ def check_prop_full_project(
     either in m_alt(k) or ranked above someone in m_alt(k): p is full in
     m_alt.
     """
-    return _check_pair("full-project", _full_project, instance, m, m_alt)
+    return _check_pair(0, instance, m, m_alt)
 
 
 def check_lemma_same_lecturer(
@@ -318,7 +282,7 @@ def check_lemma_same_lecturer(
     m_alt(k) \\ m(k) outranks s, and someone in m(k) \\ m_alt(k) is
     outranked by s.
     """
-    return _check_pair("same-lecturer", _same_lecturer, instance, m, m_alt)
+    return _check_pair(1, instance, m, m_alt)
 
 
 def check_lemma_pref_reversal(
@@ -329,7 +293,7 @@ def check_lemma_pref_reversal(
     For each lecturer with different assigned sets: if some student in
     m(k) \\ m_alt(k) strictly prefers m, then k prefers m_alt to m.
     """
-    return _check_pair("preference-reversal", _pref_reversal, instance, m, m_alt)
+    return _check_pair(2, instance, m, m_alt)
 
 
 def check_lemma_rank_boundaries(
@@ -342,7 +306,7 @@ def check_lemma_rank_boundaries(
     p is undersubscribed in m, everyone in m(k) \\ m_alt(k) is ranked
     below s.
     """
-    return _check_pair("rank-boundaries", _rank_boundaries, instance, m, m_alt)
+    return _check_pair(3, instance, m, m_alt)
 
 
 def _class_ids(
@@ -414,36 +378,25 @@ def check_lattice_axioms(
 
 
 def run_all_checks(
-    instance: Instance,
-    stable: StableSet | None = None,
-    *,
-    pairs_only: bool = False,
+    instance: Instance, stable: StableSet, *, pairs_only: bool = False
 ) -> tuple[PropertyReport, ...]:
     """Run every check over a stable set, quantifying pairwise checks over
     all ordered pairs of distinct members (the statements are
     orientation-sensitive)."""
-    if stable is None:
-        stable = enumerate_all(instance)
     views = [_view(instance, m) for m in stable]
     reports: list[PropertyReport] = []
     if not pairs_only:
         reports.append(
             _report("unpopular-projects", _unpopular_projects(instance, views)))
-    pair_failures: list[list[str]] = [[] for _ in _PAIRWISE]
+    pair_failures: list[list[str]] = [[] for _ in _PAIR_NAMES]
     for i, x in enumerate(views, start=1):
         for j, y in enumerate(views, start=1):
             if i == j:
                 continue
-            better = _better_off(instance, x, y)
-            if not better:  # every lemma quantifies over these students
-                continue
-            for failures, (_, body) in zip(pair_failures, _PAIRWISE):
-                failures.extend(
-                    f"(M{i}, M{j}) {f}" for f in body(instance, x, y, better))
-    reports += (
-        _report(name, failures)
-        for (name, _), failures in zip(_PAIRWISE, pair_failures)
-    )
+            for failures, found in zip(
+                    pair_failures, _pair_failures(instance, x, y)):
+                failures.extend(f"(M{i}, M{j}) {f}" for f in found)
+    reports += map(_report, _PAIR_NAMES, pair_failures)
     if not pairs_only:
         reports.append(
             _report("lattice-axioms", _lattice_axioms(instance, views)))

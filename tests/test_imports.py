@@ -111,25 +111,21 @@ def test_command_loads_only_its_layers(command):
 
 
 # modules that cost start-up and that no command needs
-HEAVY = {"dataclasses", "inspect", "pathlib"}
-# typing is needed only for the runtime NamedTuple of the stability and
-# verification layers, which these commands do not load
-UNTYPED = {"validate", "solve", "enumerate", "gen"}
+HEAVY = {"dataclasses", "inspect", "pathlib", "typing"}
 
 
 @pytest.fixture(scope="module")
 def bare_heavy() -> set[str]:
-    """What of HEAVY and typing a bare interpreter already loads here, so
-    that it does not count against a command."""
-    return (HEAVY | {"typing"}) & loaded_modules(
+    """What of HEAVY a bare interpreter already loads here, so that it
+    does not count against a command."""
+    return HEAVY & loaded_modules(
         "import sys; print(' '.join(sys.modules), file=sys.stderr)")
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_command_loads_no_heavy_stdlib_module(command, bare_heavy):
     argv, _ = COMMANDS[command]
-    heavy = HEAVY | {"typing"} if command in UNTYPED else HEAVY
-    assert heavy & loaded_modules(CHILD, *argv) <= bare_heavy
+    assert HEAVY & loaded_modules(CHILD, *argv) <= bare_heavy
 
 
 def test_importing_main_module_does_not_run_the_cli():

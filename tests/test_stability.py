@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -36,6 +38,36 @@ class TestKnownMatchings:
             find_blocking_pairs(INSTANCE_A, Matching(((1, 1), (3, 1))))
         with pytest.raises(ValueError):
             is_stable(INSTANCE_A, Matching(((1, 3),)))
+
+
+class TestBlockingPairValue:
+    VALUE = BlockingPair(1, 2, "S2", "P4")
+
+    def test_fields_and_repr(self):
+        assert BlockingPair._fields == (
+            "student", "project", "student_condition", "project_condition")
+        assert repr(self.VALUE) == (
+            "BlockingPair(student=1, project=2, student_condition='S2', "
+            "project_condition='P4')")
+
+    def test_equal_and_hashed_like_the_plain_tuple(self):
+        assert self.VALUE == (1, 2, "S2", "P4")
+        assert hash(self.VALUE) == hash((1, 2, "S2", "P4"))
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.VALUE.student = 3
+        with pytest.raises(AttributeError):
+            self.VALUE.extra = 1
+
+    @pytest.mark.parametrize("roundtrip", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_roundtrip(self, roundtrip):
+        back = roundtrip(self.VALUE)
+        assert type(back) is BlockingPair
+        assert back == self.VALUE
+        assert repr(back) == repr(self.VALUE)
 
 
 class TestConditionLabels:

@@ -17,6 +17,7 @@ from known_instances import (
     disjoint_union,
 )
 from oracles import (
+    _PAIRWISE_CHECKS,
     naive_lattice_axioms,
     naive_run_all_checks,
     random_valid_matching,
@@ -213,7 +214,7 @@ class TestLatticeAxioms:
 class TestRunAllChecks:
     def test_clean_instance_green(self):
         instance = corpus_instance(7, 6, 5, 3)
-        reports = run_all_checks(instance)
+        reports = run_all_checks(instance, enumerate_all(instance))
         assert [r.name for r in reports] == [
             "unpopular-projects",
             "full-project",
@@ -225,14 +226,16 @@ class TestRunAllChecks:
         assert all(r.passed for r in reports)
 
     def test_small_instance_fails_only_preference_reversal(self):
-        reports = {r.name: r for r in run_all_checks(INSTANCE_A)}
+        reports = {r.name: r for r in run_all_checks(
+            INSTANCE_A, enumerate_all(INSTANCE_A))}
         assert not reports["preference-reversal"].passed
         for name in ("unpopular-projects", "full-project", "same-lecturer",
                      "rank-boundaries", "lattice-axioms"):
             assert reports[name].passed, reports[name].failures
 
     def test_table_instance_fails_exactly_the_refuted_claims(self):
-        reports = {r.name: r for r in run_all_checks(INSTANCE_B)}
+        reports = {r.name: r for r in run_all_checks(
+            INSTANCE_B, enumerate_all(INSTANCE_B))}
         assert not reports["preference-reversal"].passed
         assert not reports["lattice-axioms"].passed
         for name in ("unpopular-projects", "full-project", "same-lecturer",
@@ -240,7 +243,8 @@ class TestRunAllChecks:
             assert reports[name].passed, reports[name].failures
 
     def test_pairs_only_subset(self):
-        reports = run_all_checks(INSTANCE_A, pairs_only=True)
+        reports = run_all_checks(
+            INSTANCE_A, enumerate_all(INSTANCE_A), pairs_only=True)
         assert [r.name for r in reports] == [
             "full-project",
             "same-lecturer",
@@ -254,7 +258,8 @@ class TestRunAllChecks:
         # seeds above ~3900 at this shape can refute the universal claims
         # (see the pinned counterexamples); this range is scanned clean
         instance = corpus_instance(seed, 6, 5, 3)
-        assert all(r.passed for r in run_all_checks(instance))
+        assert all(
+            r.passed for r in run_all_checks(instance, enumerate_all(instance)))
 
     @given(st.integers(1, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -323,6 +328,17 @@ class TestAgainstNaiveRunAllChecks:
                 naive_run_all_checks(instance, members, pairs_only=True)), seed
 
 
+def test_pair_checks_equal_their_oracles_on_mixed_sets(corpus7):
+    # each public pair check keeps one lemma's share of the walk that
+    # run_all_checks makes, so compare each on its own
+    for seed, instance, members in mixed_sets(corpus7):
+        for x, y in permutations(members, 2):
+            for fn, (name, oracle) in zip(PAIRWISE, _PAIRWISE_CHECKS):
+                report = fn(instance, x, y)
+                assert report.name == name
+                assert report == oracle(instance, x, y), (seed, name)
+
+
 class TestInvalidMembers:
     """Every check validates its members, whatever their place."""
 
@@ -372,9 +388,9 @@ def test_run_all_checks_reads_each_member_once(monkeypatch):
 class TestPinnedOutput:
     """Failure counts and text of run_all_checks as the checks gave them
     before the rank-vector rewrite, which reproduces them byte for byte.
-    The digests were computed then with, for a+b,
+    To recompute a digest, for a+b:
 
-        PYTHONPATH=src:tests python -c "from test_verification import *; print(digest(run_all_checks(disjoint_union(INSTANCE_A, INSTANCE_B))))"
+        PYTHONPATH=src:tests python -c "from test_verification import *; u = disjoint_union(INSTANCE_A, INSTANCE_B); print(digest(run_all_checks(u, enumerate_all(u))))"
     """
 
     @pytest.mark.parametrize("parts, reversals, axioms, sha", [
@@ -386,7 +402,8 @@ class TestPinnedOutput:
          "f40a3abbbf5a78c0c4a165cf5b21a7f44cc4792cbbd27c1bf4532f4e20ea8601"),
     ], ids=["a+b", "a+a+a", "b+b"])
     def test_unions(self, parts, reversals, axioms, sha):
-        reports = run_all_checks(disjoint_union(*parts))
+        instance = disjoint_union(*parts)
+        reports = run_all_checks(instance, enumerate_all(instance))
         counts = {r.name: len(r.failures) for r in reports}
         assert counts == {
             "unpopular-projects": 0,
