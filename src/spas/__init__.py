@@ -25,7 +25,6 @@ _SUBMODULE = {
     "PropertyReport": "verification",
     "RawInstance": "model",
     "SizeGuardError": "enumeration",
-    "StableSet": "enumeration",
     "ValidationReport": "model",
     "Violation": "model",
     "build_hasse": "lattice",

@@ -30,10 +30,6 @@ from .model import (
     validate_raw,
 )
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .enumeration import StableSet
-
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
@@ -74,7 +70,7 @@ def _load_matching(path: str, instance: Instance) -> Matching:
     return parse_matching_file(_read(path), instance)
 
 
-def _load_stable_set(args: argparse.Namespace) -> tuple[Instance, StableSet]:
+def _load_stable_set(args: argparse.Namespace) -> tuple[Instance, tuple[Matching, ...]]:
     from .enumeration import SizeGuardError, enumerate_all
 
     instance = _load_instance(args.instance)
@@ -238,11 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lattice)
 
     p = sub.add_parser("verify", help="run the structural property checks")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--pairs", action="store_true",
-                       help="pairwise checks only")
-    group.add_argument("--all", action="store_true",
-                       help="every check (default)")
+    p.add_argument("--pairs", action="store_true",
+                   help="pairwise checks only")
     p.add_argument("--force", action="store_true")
     p.add_argument("instance")
     p.set_defaults(fn=_cmd_verify)

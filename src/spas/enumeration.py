@@ -4,46 +4,58 @@ The stable matchings form a distributive lattice whose bottom is the
 student-optimal matching M_s and whose top is the lecturer-optimal
 matching M_l, both found in linear time by deferred acceptance.  Every
 stable matching M therefore gives each student s a project no better than
-M_s(s) and no worse than M_l(s) (the sandwich), and the same students are
-assigned in every stable matching (Abraham, Irving & Manlove, 2007).  So
-the search starts from the two DAs: if M_s equals M_l it is the only
-stable matching; otherwise a student unassigned in M_s stays unassigned,
-and every other student branches only over the positions of their list
-from M_s(s) down to M_l(s).
+M_s(s) and no worse than M_l(s) (the sandwich).  Every stable matching
+also assigns the same students, gives each lecturer the same number of
+students, and gives each project of an undersubscribed lecturer the same
+number of students (Abraham, Irving & Manlove, 2007;
+``verification.check_unpopular_projects`` checks all three on a stable
+set).  So the search starts from the two DAs: if M_s equals M_l it is the
+only stable matching.  Otherwise a student unassigned in M_s stays
+unassigned, every other student branches only over the positions of their
+list from M_s(s) down to M_l(s), and the loads of M_s bound the search:
+lecturer k takes at most |M_s(k)| students, a project p of a lecturer
+with |M_s(k)| < d_k at most |M_s(p)|, and every other project at most its
+capacity c_p.
 
 Depth-first search assigns students in index order, on an explicit stack
 so that the depth is not bounded by the interpreter's recursion limit.  A
 branch dies as soon as a blocking pair is already decided by the frozen
 prefix:
 
-* once a project is full its assignee set can no longer change, so a
-  skipped project that is full and whose lecturer prefers the skipping
+* once a project is at its bound its assignee set can no longer change,
+  so a skipped project at its bound whose lecturer prefers the skipping
   student blocks every completion (P4);
-* once a lecturer is full, their student set and all their project loads
-  are final, which settles the two conditions that pair an
+* once a lecturer is at their bound, their student set and all their
+  project loads are final, which settles the two conditions that pair an
   undersubscribed project with a full lecturer (P2, P3).
 
-Only the both-undersubscribed condition (P1) stays open until the leaves,
-where it is checked against the recorded skipped pairs.  A student skips
-every project above their choice, not only those from M_s(s) on: the
-sandwich bounds what a student may hold, not what they may envy, and a
-pair above M_s(s) can still block a matching the narrowed search builds,
-so it still feeds the cuts and the leaf check.  (In stable marriage some
-pair inside the bands then blocks as well; that argument is not carried
-over to SPA-S here.)  Cuts fire only on state that can no longer change,
-so they are conservative; equality with a brute-force oracle and with the
-unseeded search is pinned in the test suite.  The worst case stays
-exponential.
+A student skips every project above their choice, not only those from
+M_s(s) on: the sandwich bounds what a student may hold, not what they may
+envy, so a pair above M_s(s) still feeds the cuts.  The search finds
+every stable matching, and every leaf it reaches is stable:
+
+* Every stable matching meets the bounds, so the search prunes none of
+  them.  A cut that fires at a bound below the capacity is still sound:
+  its pair is P1 in every completion.
+* A leaf M assigns exactly M_s's students (the spans), so it meets every
+  bound with equality, and a lecturer or project is full at M exactly
+  when its bound is its capacity.  The cuts saw each skipped pair once
+  its project or lecturer had reached that bound, so they have decided
+  P2, P3 and P4 at M.
+* Suppose (s, p) were a P1 pair at M, and k owns p.  Then k is
+  undersubscribed, so |M_l(k)| = |M_s(k)| < d_k and
+  |M_l(p)| = |M_s(p)| = |M(p)| < c_p.  s prefers p to M(s), and M(s)
+  weakly to M_l(s), or s is unassigned in both.  So (s, p) blocks M_l by
+  P1, but M_l is stable.
+
+Equality with a brute-force oracle and with the unseeded search is pinned
+in the test suite.  The worst case stays exponential.
 """
 
 from __future__ import annotations
 
-from .model import Instance, Matching, _Frozen
+from .model import Instance, Matching
 from .solvers import solve_lecturer_optimal, solve_student_optimal
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from collections.abc import Iterator
 
 DEFAULT_SIZE_GUARD = 20
 
@@ -60,36 +72,10 @@ class SizeGuardError(RuntimeError):
         self.guard = guard
 
 
-class StableSet(_Frozen):
-    """All stable matchings of one instance.
-
-    Deduplicated and ordered lexicographically on the canonical pair lists,
-    so repeated runs and golden files agree byte for byte.
-    """
-
-    __match_args__ = ("matchings",)
-
-    def __init__(self, matchings: tuple[Matching, ...]) -> None:
-        self.__dict__["matchings"] = matchings
-
-    def __len__(self) -> int:
-        return len(self.matchings)
-
-    def __iter__(self) -> Iterator[Matching]:
-        return iter(self.matchings)
-
-    def __getitem__(self, i: int) -> Matching:
-        return self.matchings[i]
-
-    def __contains__(self, m: object) -> bool:
-        return m in self.matchings
-
-    def index(self, m: Matching) -> int:
-        return self.matchings.index(m)
-
-
-def enumerate_all(instance: Instance, *, force: bool = False) -> StableSet:
-    """Exactly the stable matchings of the instance.
+def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching, ...]:
+    """Exactly the stable matchings of the instance, without duplicates and
+    ordered lexicographically on their canonical pair lists, so repeated
+    runs and golden files agree byte for byte.
 
     Raises :class:`SizeGuardError` beyond :data:`DEFAULT_SIZE_GUARD`
     students unless ``force`` is set; the search is exponential in the
@@ -101,14 +87,23 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> StableSet:
     best = solve_student_optimal(instance)
     worst = solve_lecturer_optimal(instance)
     if best == worst:
-        return StableSet((best,))
+        return (best,)
 
     prefs = instance.student_prefs
-    cap = (0,) + instance.project_capacity
-    dcap = (0,) + instance.lecturer_capacity
     owner = (0,) + instance.project_owner
     lrank = instance._lrank
     srank = instance._srank
+
+    # the bounds: M_s's load on each lecturer, and on each project of a
+    # lecturer M_s leaves undersubscribed; other projects keep c_p
+    pmax = [0] * len(owner)
+    lmax = [0] * (instance.num_lecturers + 1)
+    for _, p in best.pairs:
+        pmax[p] += 1
+        lmax[owner[p]] += 1
+    for p, c in enumerate(instance.project_capacity, start=1):
+        if lmax[owner[p]] == instance.lecturer_capacity[owner[p] - 1]:
+            pmax[p] = c
 
     # list positions each student branches over, position len(list) meaning
     # unassigned: from M_s(s) down to M_l(s), or unassigned if M_s leaves s so
@@ -118,19 +113,19 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> StableSet:
         span[s] = range(srank[s - 1][p], srank[s - 1][last[s]] + 1)
 
     assigned = [0] * (n1 + 1)
-    pload = [0] * len(cap)
-    lload = [0] * len(dcap)
-    pworst = [-1] * len(cap)  # worst (largest) lecturer rank assigned to p
-    lworst = [-1] * len(dcap)
-    envy: list[list[tuple[int, int]]] = [[] for _ in range(len(dcap))]
+    pload = [0] * len(pmax)
+    lload = [0] * len(lmax)
+    pworst = [-1] * len(pmax)  # worst (largest) lecturer rank assigned to p
+    lworst = [-1] * len(lmax)
+    envy: list[list[tuple[int, int]]] = [[] for _ in range(len(lmax))]
     found: list[Matching] = []
 
     def blocked(s: int, p: int) -> bool:
         # (s, p) skipped earlier; decide P-conditions that are already final
         k = owner[p]
-        if pload[p] == cap[p]:
+        if pload[p] == pmax[p]:
             return lrank[k - 1][s] < pworst[p]
-        if lload[k] == dcap[k]:
+        if lload[k] == lmax[k]:
             a = assigned[s]
             if a and owner[a] == k:
                 return True
@@ -167,7 +162,7 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> StableSet:
         old = (0, 0)
         if choice:
             k0 = owner[choice]
-            if pload[choice] == cap[choice] or lload[k0] == dcap[k0]:
+            if pload[choice] == pmax[choice] or lload[k0] == lmax[k0]:
                 continue
             assigned[i] = choice
             pload[choice] += 1
@@ -181,33 +176,28 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> StableSet:
 
         dead = any(blocked(i, p) for p in skipped)
         if not dead and choice:
-            if pload[choice] == cap[choice]:
+            if pload[choice] == pmax[choice]:
                 dead = any(
                     p == choice and blocked(s, p) for s, p in envy[k0]
                 )
-            if not dead and lload[k0] == dcap[k0]:
+            if not dead and lload[k0] == lmax[k0]:
                 dead = any(blocked(s, p) for s, p in envy[k0])
         if dead:
             retract(i, choice, old, ())
             continue
 
+        if i == n1:
+            found.append(Matching._canonical(tuple(
+                (s, assigned[s]) for s in range(1, n1 + 1) if assigned[s])))
+            retract(i, choice, old, ())
+            continue
         for p in skipped:
             envy[owner[p]].append((i, p))
-        if i < n1:
-            undo.append((i, choice, old, skipped))
-            todo.append(iter(span[i + 1]))
-            continue
-        for k in range(1, len(dcap)):
-            if lload[k] < dcap[k] and any(pload[p] < cap[p] for _, p in envy[k]):
-                break  # P1 blocks; everything else was settled
-        else:
-            found.append(Matching._canonical(
-                tuple((s, assigned[s]) for s in range(1, n1 + 1) if assigned[s])
-            ))
-        retract(i, choice, old, skipped)
+        undo.append((i, choice, old, skipped))
+        todo.append(iter(span[i + 1]))
 
     found.sort(key=lambda m: m.pairs)
-    return StableSet(tuple(found))
+    return tuple(found)
 
 
 def stable_pairs(

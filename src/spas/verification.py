@@ -68,8 +68,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Sequence, Set as AbstractSet
 
-    from .enumeration import StableSet
-
 
 class PropertyReport(_Frozen):
     """Outcome of one property check; failures carry the offending agents."""
@@ -378,7 +376,7 @@ def check_lattice_axioms(
 
 
 def run_all_checks(
-    instance: Instance, stable: StableSet, *, pairs_only: bool = False
+    instance: Instance, stable: Sequence[Matching], *, pairs_only: bool = False
 ) -> tuple[PropertyReport, ...]:
     """Run every check over a stable set, quantifying pairwise checks over
     all ordered pairs of distinct members (the statements are

@@ -83,7 +83,7 @@ def test_c1b_small_instance_extremes_and_dominance():
 def test_c2_table_instance_structure():
     t0 = perf_counter()
     stable = enumerate_all(INSTANCE_B)
-    assert stable.matchings == B_M
+    assert stable == B_M
     assert meet(INSTANCE_B, B_M[2], B_M[3]) == B_M[1]
     assert join(INSTANCE_B, B_M[2], B_M[3]) == B_M[4]
     diagram = build_hasse(INSTANCE_B, stable)
@@ -99,7 +99,7 @@ def test_c3_oracle_equivalence_500_instances():
     mismatches = []
     for seed in range(1, 501):
         instance = corpus_instance(seed, 5, 5, 3)
-        if enumerate_all(instance).matchings != brute_force_stable_set(instance):
+        if enumerate_all(instance) != brute_force_stable_set(instance):
             mismatches.append(seed)
     elapsed = perf_counter() - t0
     assert mismatches == []
@@ -148,7 +148,7 @@ def test_c7_solver_consistency(corpus7):
     # acceptance is checked against a set it took no part in building
     for seed, instance, stable in corpus7:
         reference = dfs_stable_set(instance)
-        assert stable.matchings == reference, seed
+        assert stable == reference, seed
         best = solve_student_optimal(instance)
         worst = solve_lecturer_optimal(instance)
         assert best == meet_all(instance, reference), seed

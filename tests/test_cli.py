@@ -395,6 +395,9 @@ class TestUsageAndErrors:
     def test_missing_required_option(self, capsys):
         assert main(["solve", A]) == 2
 
+    def test_unknown_option(self, capsys):
+        assert main(["verify", "--all", A]) == 2
+
     def test_parse_error_exit(self, capsys, tmp_path):
         path = tmp_path / "broken.spa"
         path.write_text("students x\n")

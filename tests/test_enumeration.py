@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from spas import (
     is_stable,
     parse_matching_file,
     serialize_matching,
+    solve_lecturer_optimal,
     solve_student_optimal,
     stable_pairs,
 )
@@ -39,15 +41,15 @@ DATA = Path(__file__).parent / "data"
 class TestKnownInstances:
     def test_small_instance_stable_set(self):
         # the two sub-markets are independent, so four stable matchings
-        assert enumerate_all(INSTANCE_A).matchings == A_STABLE
+        assert enumerate_all(INSTANCE_A) == A_STABLE
 
     def test_table_instance_stable_set(self):
-        assert enumerate_all(INSTANCE_B).matchings == B_M
+        assert enumerate_all(INSTANCE_B) == B_M
 
     def test_empty_instance(self):
         built = build_instance(RawInstance([], [], [], [], []))
         assert isinstance(built, Instance)
-        assert enumerate_all(built).matchings == (Matching(()),)
+        assert enumerate_all(built) == (Matching(()),)
 
     def test_unique_stable_matching(self):
         built = build_instance(RawInstance(
@@ -58,7 +60,7 @@ class TestKnownInstances:
             lecturer_prefs=[[1]],
         ))
         assert isinstance(built, Instance)
-        assert enumerate_all(built).matchings == (Matching(((1, 1),)),)
+        assert enumerate_all(built) == (Matching(((1, 1),)),)
 
 
 class TestStableSetShape:
@@ -81,6 +83,7 @@ class TestStableSetShape:
 
     def test_container_protocol(self):
         stable = enumerate_all(INSTANCE_B)
+        assert type(stable) is tuple
         assert len(stable) == 7
         assert stable[2] == B_M[2]
         assert B_M[5] in stable
@@ -101,7 +104,7 @@ class TestSizeGuard:
         assert instance.num_students == 23
         with pytest.raises(SizeGuardError):
             enumerate_all(instance)
-        assert enumerate_all(instance, force=True).matchings == union_stable_set(
+        assert enumerate_all(instance, force=True) == union_stable_set(
             parts, sets)
 
 
@@ -131,7 +134,7 @@ class TestAgainstBruteForce:
     @settings(max_examples=80, deadline=None)
     def test_equals_oracle(self, seed):
         instance = corpus_instance(seed, 5, 5, 3)
-        assert enumerate_all(instance).matchings == brute_force_stable_set(instance)
+        assert enumerate_all(instance) == brute_force_stable_set(instance)
 
     def test_equals_oracle_on_known_instance(self):
         assert brute_force_stable_set(INSTANCE_A) == A_STABLE
@@ -189,16 +192,40 @@ def read_golden(n: int, b: int, instance: Instance) -> tuple[Matching, ...]:
 
 class TestSeededSearch:
     """The search seeded by both deferred-acceptance matchings against the
-    unseeded search, at sizes the brute force cannot reach."""
+    unseeded search.  Random draws rarely reach the search: it runs only
+    where the two DAs differ."""
+
+    def test_equals_unseeded_where_the_das_differ(self):
+        # dense lists over few projects: 51 of these 300 draws have
+        # M_s != M_l, and in 10 of them M_s leaves a lecturer
+        # undersubscribed, the only case where the load bounds differ
+        # from the capacities
+        searched = undersubscribed = 0
+        for seed in range(300):
+            instance = generate(GenParams(
+                8, 6, 3, pref_len=(2, 5), project_cap=(1, 2), seed=seed,
+                density=0.8))
+            best = solve_student_optimal(instance)
+            if best == solve_lecturer_optimal(instance):
+                continue
+            searched += 1
+            load = Counter(instance.project_owner[p - 1] for _, p in best.pairs)
+            undersubscribed += any(
+                load[k] < d for k, d in enumerate(instance.lecturer_capacity, 1))
+            assert enumerate_all(instance) == dfs_stable_set(instance), seed
+        assert (searched, undersubscribed) == (51, 10)
 
     @pytest.mark.parametrize("n", range(14, 19))
     def test_equals_unseeded_on_bench_shape(self, n):
+        # M_s = M_l on every one of these instances, so they pin the early
+        # return after the two DAs, and the 18-student golden file, not the
+        # search itself
         for b, instance in enumerate(enum_bench_instances(n)):
             if n == GOLDEN_N:
                 reference = read_golden(n, b, instance)
             else:
                 reference = dfs_stable_set(instance)
-            assert enumerate_all(instance).matchings == reference
+            assert enumerate_all(instance) == reference
 
     @pytest.mark.parametrize("parts, count, search_union", [
         ((INSTANCE_A, INSTANCE_B), 28, True),
@@ -214,7 +241,7 @@ class TestSeededSearch:
         assert len(reference) == count
         if search_union:
             assert dfs_stable_set(instance) == reference
-        assert enumerate_all(instance).matchings == reference
+        assert enumerate_all(instance) == reference
 
     def test_one_project_lists_past_the_guard(self):
         # one project per list: the stable matching is unique, and the
@@ -223,7 +250,7 @@ class TestSeededSearch:
             students=1200, projects=400, lecturers=40, pref_len=(1, 1),
             seed=1200))
         stable = enumerate_all(instance, force=True)
-        assert stable.matchings == (solve_student_optimal(instance),)
+        assert stable == (solve_student_optimal(instance),)
         assert is_stable(instance, stable[0])
 
     def test_search_deeper_than_the_recursion_limit(self):
@@ -232,5 +259,5 @@ class TestSeededSearch:
         parts = (INSTANCE_A, one_student_markets(1000))
         trivial = Matching(tuple((i, i) for i in range(1, 1001)))
         stable = enumerate_all(disjoint_union(*parts), force=True)
-        assert stable.matchings == union_stable_set(parts, [A_STABLE, [trivial]])
+        assert stable == union_stable_set(parts, [A_STABLE, [trivial]])
         assert len(stable) == 4

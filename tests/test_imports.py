@@ -18,8 +18,8 @@ B = str(DATA / "instance_b.spa")
 PUBLIC = [
     "BlockingPair", "DEFAULT_SIZE_GUARD", "EMPTY_MATCHING", "GenParams",
     "HasseDiagram", "Instance", "LecturerComparison", "Matching", "ParseError",
-    "PropertyReport", "RawInstance", "SizeGuardError", "StableSet",
-    "ValidationReport", "Violation", "build_hasse", "build_instance",
+    "PropertyReport", "RawInstance", "SizeGuardError", "ValidationReport",
+    "Violation", "build_hasse", "build_instance",
     "check_lattice_axioms", "check_lemma_pref_reversal",
     "check_lemma_rank_boundaries", "check_lemma_same_lecturer",
     "check_prop_full_project", "check_unpopular_projects", "emit_dot",

@@ -1,4 +1,4 @@
-"""Value semantics of the package's nine record classes: constructors and
+"""Value semantics of the package's eight record classes: constructors and
 defaults, equality within one class only, hashing as the tuple of fields,
 exact ``repr``, frozen fields, and round trips through ``copy``,
 ``deepcopy`` and ``pickle``."""
@@ -17,7 +17,6 @@ from spas import (
     Matching,
     PropertyReport,
     RawInstance,
-    StableSet,
     ValidationReport,
     Violation,
     enumerate_all,
@@ -49,10 +48,6 @@ FROZEN = {
         "Instance(students=5, projects=5, lecturers=2)",
     ),
     "Matching": (Matching, M, (((1, 3),),), "Matching(pairs=((1, 3),))"),
-    "StableSet": (
-        StableSet, StableSet((M,)), ((M,),),
-        "StableSet(matchings=(Matching(pairs=((1, 3),)),))",
-    ),
     "HasseDiagram": (
         HasseDiagram, HasseDiagram((M, Matching()), ((0, 1),)),
         ((M, Matching()), ((0, 1),)),
@@ -79,7 +74,6 @@ FIELD_NAMES = {
     Instance: ("student_prefs", "project_capacity", "project_owner",
                "lecturer_capacity", "lecturer_prefs"),
     Matching: ("pairs",),
-    StableSet: ("matchings",),
     HasseDiagram: ("nodes", "edges"),
     PropertyReport: ("name", "passed", "failures"),
     GenParams: ("students", "projects", "lecturers", "pref_len",
@@ -159,8 +153,8 @@ class TestConstructors:
             students=1, projects=2, lecturers=3, pref_len=(1, 4),
             project_cap=(1, 2), seed=0, density=0.5)
 
-    @pytest.mark.parametrize("cls", [Violation, Instance, StableSet,
-                                     HasseDiagram, GenParams])
+    @pytest.mark.parametrize("cls", [Violation, Instance, HasseDiagram,
+                                     GenParams])
     def test_fields_without_default_are_required(self, cls):
         with pytest.raises(TypeError):
             cls()
