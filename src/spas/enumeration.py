@@ -91,8 +91,8 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
 
     prefs = instance.student_prefs
     owner = (0,) + instance.project_owner
-    lrank = instance._lrank
-    srank = instance._srank
+    lrank = instance.lrank
+    srank = instance.srank
 
     # the bounds: M_s's load on each lecturer, and on each project of a
     # lecturer M_s leaves undersubscribed; other projects keep c_p

@@ -69,7 +69,7 @@ def _require_stable(instance: Instance, *matchings: Matching) -> None:
 def student_dominates(instance: Instance, first: Matching, second: Matching) -> bool:
     """True iff every student weakly prefers ``first`` to ``second``."""
     _require_stable(instance, first, second)
-    srank = instance._srank
+    srank = instance.srank
     for (s, p), (_, q) in zip(first.pairs, second.pairs, strict=True):
         if p != q and srank[s - 1][p] > srank[s - 1][q]:
             return False
@@ -114,7 +114,7 @@ def lecturer_compare(
     instance._check_lecturer(k)
     _require_stable(instance, first, second)
     return _compare(
-        instance._lrank[k - 1],
+        instance.lrank[k - 1],
         _students_by_lecturer(instance, first)[k - 1],
         _students_by_lecturer(instance, second)[k - 1],
     )
@@ -126,7 +126,7 @@ def lecturer_dominates(instance: Instance, first: Matching, second: Matching) ->
     weakly = (LecturerComparison.PREFERS_FIRST, LecturerComparison.INDIFFERENT)
     return all(
         _compare(rank, sa, sb) in weakly
-        for rank, sa, sb in zip(instance._lrank,
+        for rank, sa, sb in zip(instance.lrank,
                                 _students_by_lecturer(instance, first),
                                 _students_by_lecturer(instance, second))
     )
@@ -135,7 +135,7 @@ def lecturer_dominates(instance: Instance, first: Matching, second: Matching) ->
 def _combine(
     instance: Instance, first: Matching, second: Matching, better: bool
 ) -> Matching:
-    srank = instance._srank
+    srank = instance.srank
     pairs = []
     for a, b in zip(first.pairs, second.pairs, strict=True):
         if a != b:
@@ -227,7 +227,7 @@ def _dominated(instance: Instance, nodes: Sequence[Matching]) -> list[int]:
     """
     everyone = (1 << len(nodes)) - 1
     dom = [everyone ^ (1 << i) for i in range(len(nodes))]
-    srank = instance._srank
+    srank = instance.srank
     for column in zip(*(m.pairs for m in nodes), strict=True):
         if len(set(column)) < 2:
             continue

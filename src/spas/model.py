@@ -3,8 +3,8 @@
 Students rank projects, lecturers rank students, and every project is
 offered by exactly one lecturer; projects and lecturers carry capacities.
 Identifiers are dense 1-based integers per role; the ``s1``/``p2``/``l3``
-text forms appear only in file formats and messages.  Rank tables are
-precomputed at build time so preference queries are O(1).
+text forms appear only in file formats and messages.  The rank tables
+are built once, on first use, so preference queries are O(1).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from operator import itemgetter
 # start-up (README, "Start-up"), and type checkers honour this name too
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterator, Mapping
+    from collections.abc import Iterator
 
 
 def student_name(s: int) -> str:
@@ -137,10 +137,12 @@ class Instance(_Frozen):
 
     Construct through :func:`build_instance`; direct construction skips
     validation.  The problem data are immutable after construction and the
-    instance is safe to share across concurrent readers.  Besides the lazy
-    rank tables it carries one private cache that does not change any
-    answer: ``_known_stable``, the lattice layer's memo of matchings that
-    passed the stability check.
+    instance is safe to share across concurrent readers.  The derived
+    tables ``lecturer_projects``, ``srank``, ``lrank`` and ``projected``
+    are public and read-only, built on first use, indexed by id - 1; every
+    layer reads preferences through them.  Besides these it carries one
+    private cache that does not change any answer: ``_known_stable``, the
+    lattice layer's memo of matchings that passed the stability check.
     """
 
     __match_args__ = RawInstance.__match_args__
@@ -193,13 +195,19 @@ class Instance(_Frozen):
         return tuple(tuple(ps) for ps in out)
 
     @cached_property
-    def _srank(self) -> tuple[dict[int, int], ...]:
+    def srank(self) -> tuple[dict[int, int], ...]:
+        """Student rank tables, index s - 1: each maps the projects student
+        s ranks to their 0-based positions (0 = best), so membership is
+        acceptability.  Read-only: do not mutate the dicts."""
         return tuple(
             {p: r for r, p in enumerate(prefs)} for prefs in self.student_prefs
         )
 
     @cached_property
-    def _lrank(self) -> tuple[dict[int, int], ...]:
+    def lrank(self) -> tuple[dict[int, int], ...]:
+        """Lecturer rank tables, index k - 1: each maps the students
+        lecturer k ranks to their 0-based positions (0 = best).
+        Read-only: do not mutate the dicts."""
         return tuple(
             {s: r for r, s in enumerate(prefs)} for prefs in self.lecturer_prefs
         )
@@ -215,10 +223,12 @@ class Instance(_Frozen):
         return weakref.WeakSet()
 
     @cached_property
-    def _projected(self) -> tuple[tuple[int, ...], ...]:
-        """Every projected list, index p - 1, in time linear in the total
-        length of the student lists: gather who ranks each project, then
-        order them with one pass over each lecturer's list."""
+    def projected(self) -> tuple[tuple[int, ...], ...]:
+        """The projected lists, index p - 1: the list of the lecturer who
+        offers ``p`` restricted to the students who rank ``p``, best
+        first.  Built in time linear in the total length of the student
+        lists: gather who ranks each project, then order them with one
+        pass over each lecturer's list."""
         rankers: list[list[int]] = [[] for _ in self.project_capacity]
         for s, prefs in enumerate(self.student_prefs, start=1):
             for p in prefs:
@@ -240,62 +250,28 @@ class Instance(_Frozen):
         if not 1 <= s <= self.num_students:
             raise ValueError(f"unknown student {student_name(s)}")
 
-    def _check_project(self, p: int) -> None:
-        if not 1 <= p <= self.num_projects:
-            raise ValueError(f"unknown project {project_name(p)}")
-
     def _check_lecturer(self, k: int) -> None:
         if not 1 <= k <= self.num_lecturers:
             raise ValueError(f"unknown lecturer {lecturer_name(k)}")
-
-    def owner(self, p: int) -> int:
-        self._check_project(p)
-        return self.project_owner[p - 1]
-
-    def acceptable_pair(self, s: int, p: int) -> bool:
-        """True iff student ``s`` ranks project ``p``.
-
-        Validation guarantees the lecturer side: whoever offers ``p`` then
-        also ranks ``s``.
-        """
-        self._check_student(s)
-        self._check_project(p)
-        return p in self._srank[s - 1]
 
     def student_rank(self, s: int, p: int) -> int:
         """0-based position of ``p`` on the list of ``s`` (0 = best)."""
         self._check_student(s)
         try:
-            return self._srank[s - 1][p]
+            return self.srank[s - 1][p]
         except KeyError:
             raise ValueError(
                 f"{project_name(p)} is not on the list of {student_name(s)}"
             ) from None
 
-    def student_prefers(self, s: int, p: int, q: int) -> bool:
-        return self.student_rank(s, p) < self.student_rank(s, q)
-
     def lecturer_rank(self, k: int, s: int) -> int:
         self._check_lecturer(k)
         try:
-            return self._lrank[k - 1][s]
+            return self.lrank[k - 1][s]
         except KeyError:
             raise ValueError(
                 f"{student_name(s)} is not on the list of {lecturer_name(k)}"
             ) from None
-
-    def lecturer_prefers(self, k: int, s: int, t: int) -> bool:
-        return self.lecturer_rank(k, s) < self.lecturer_rank(k, t)
-
-    def projected_list(self, k: int, p: int) -> tuple[int, ...]:
-        """The list of lecturer ``k`` restricted to students ranking ``p``."""
-        self._check_lecturer(k)
-        self._check_project(p)
-        if self.project_owner[p - 1] != k:
-            raise ValueError(
-                f"{project_name(p)} is not offered by {lecturer_name(k)}"
-            )
-        return self._projected[p - 1]
 
     def __getstate__(self) -> dict:
         # the lattice memo holds weak references, which do not pickle; a
@@ -349,10 +325,6 @@ class Matching(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.pairs,))
-
-    @classmethod
-    def from_assignments(cls, assignments: Mapping[int, int | None]) -> "Matching":
-        return cls(tuple((s, p) for s, p in assignments.items() if p is not None))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)
@@ -558,7 +530,7 @@ def is_valid_matching(instance: Instance, matching: Matching) -> ValidationRepor
     """
     n1, n2 = instance.num_students, instance.num_projects
     owner = instance.project_owner
-    srank = instance._srank
+    srank = instance.srank
     pload = [0] * (n2 + 1)
     lload = [0] * (instance.num_lecturers + 1)
     faults: list[Violation] = []

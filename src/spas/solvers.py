@@ -42,8 +42,8 @@ def solve_student_optimal(instance: Instance) -> Matching:
     dcap = instance.lecturer_capacity
     prefs = instance.student_prefs
     lprefs = instance.lecturer_prefs
-    lrank = instance._lrank
-    projected = instance._projected
+    lrank = instance.lrank
+    projected = instance.projected
 
     n1, n2, n3 = instance.num_students, instance.num_projects, instance.num_lecturers
     assigned = [0] * (n1 + 1)  # project of s, or 0
@@ -129,10 +129,10 @@ def solve_lecturer_optimal(instance: Instance) -> Matching:
     cap = instance.project_capacity
     dcap = instance.lecturer_capacity
     offered = instance.lecturer_projects
-    srank = instance._srank
-    lrank = instance._lrank
+    srank = instance.srank
+    lrank = instance.lrank
     prefs = instance.student_prefs
-    projected = instance._projected
+    projected = instance.projected
 
     n1, n2, n3 = instance.num_students, instance.num_projects, instance.num_lecturers
     assigned = [0] * (n1 + 1)

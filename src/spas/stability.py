@@ -54,8 +54,8 @@ def find_blocking_pairs(
     owner = instance.project_owner
     cap = instance.project_capacity
     dcap = instance.lecturer_capacity
-    srank = instance._srank
-    lrank = instance._lrank
+    srank = instance.srank
+    lrank = instance.lrank
 
     assigned = [0] * (instance.num_students + 1)  # project of s, or 0
     lect = [0] * (instance.num_students + 1)  # lecturer of that project, or 0

@@ -1,6 +1,6 @@
 """Executable checks of the structural facts about stable sets.
 
-Every check re-derives its claim from primitive rank queries and set
+Every check re-derives its claim from the instance's rank tables and set
 algebra over the raw pair sets, on purpose never calling the lattice
 module, so a green check is independent evidence rather than an echo of
 the code it guards.  Checks do not re-verify stability of their inputs;
@@ -183,9 +183,8 @@ def _pair_failures(
     student order, visits each of them once.  Full-project, same-lecturer
     and rank-boundaries are decided per student; preference-reversal
     afterwards, over the lecturers those students leave, ascending."""
-    owner, cap, srank, lrank = (
-        instance.project_owner, instance.project_capacity, instance._srank,
-        instance._lrank)
+    owner, cap = instance.project_owner, instance.project_capacity
+    srank, lrank = instance.srank, instance.lrank
     full, same, reversal, bounds = failures = ([], [], [], [])
     movers: set[int] = set()
     losing: set[int] = set()
@@ -318,7 +317,7 @@ def _class_ids(
 
 def _lattice_axioms(instance: Instance, views: list[_View]) -> list[str]:
     failures: list[str] = []
-    srank = instance._srank
+    srank = instance.srank
     top = tuple(len(prefs) for prefs in instance.student_prefs)
     vecs = [
         tuple(srank[s - 1][a[s]] if s in a else t
@@ -332,7 +331,7 @@ def _lattice_axioms(instance: Instance, views: list[_View]) -> list[str]:
     weak = []
     for k in instance.lecturers():
         ids, sets = _class_ids([v.lect[k] for v in views])
-        rank = instance._lrank[k - 1]
+        rank = instance.lrank[k - 1]
         weak.append((ids, [
             [c == d or _prefers_first_sets(rank, c, d) for d in sets]
             for c in sets

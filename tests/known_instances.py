@@ -128,7 +128,7 @@ _B_TABLE = (
     {1: 4, 2: 3, 3: 1, 4: 1, 5: 3, 6: 5, 7: 7, 8: 8, 9: 2},
     {1: 4, 2: 3, 3: 1, 4: 1, 5: 3, 6: 7, 7: 6, 8: 8, 9: 2},
 )
-B_M = tuple(Matching.from_assignments(row) for row in _B_TABLE)
+B_M = tuple(Matching(tuple(row.items())) for row in _B_TABLE)
 
 B_HASSE_EDGES = (
     (0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 6), (5, 6),

@@ -47,6 +47,18 @@ from spas import (
 from spas.model import lecturer_name, project_name, student_name
 
 
+def owner_of(instance: Instance, p: int) -> int:
+    return instance.project_owner[p - 1]
+
+
+def student_prefers(instance: Instance, s: int, p: int, q: int) -> bool:
+    return instance.student_rank(s, p) < instance.student_rank(s, q)
+
+
+def lecturer_prefers(instance: Instance, k: int, s: int, t: int) -> bool:
+    return instance.lecturer_rank(k, s) < instance.lecturer_rank(k, t)
+
+
 def naive_blocking_pairs(instance: Instance, matching: Matching):
     """(student, project, S-condition, P-condition) tuples from the raw
     definitions, all acceptable pairs scanned, lowest P reported."""
@@ -55,18 +67,18 @@ def naive_blocking_pairs(instance: Instance, matching: Matching):
     out = []
     for s in instance.students():
         for p in instance.projects():
-            if not instance.acceptable_pair(s, p) or (s, p) in in_matching:
+            if p not in instance.student_prefs[s - 1] or (s, p) in in_matching:
                 continue
             cur = assigned.get(s)
             if cur is None:
                 s_cond = "S1"
-            elif instance.student_prefers(s, p, cur):
+            elif student_prefers(instance, s, p, cur):
                 s_cond = "S2"
             else:
                 continue
-            k = instance.owner(p)
+            k = owner_of(instance, p)
             proj = {t for t, q in matching.pairs if q == p}
-            lect = {t for t, q in matching.pairs if instance.owner(q) == k}
+            lect = {t for t, q in matching.pairs if owner_of(instance, q) == k}
             p_under = len(proj) < instance.project_capacity[p - 1]
             l_under = len(lect) < instance.lecturer_capacity[k - 1]
             worst_lect = (
@@ -81,11 +93,11 @@ def naive_blocking_pairs(instance: Instance, matching: Matching):
             p2 = p_under and not l_under and s in lect
             p3 = (
                 p_under and not l_under and worst_lect is not None
-                and instance.lecturer_prefers(k, s, worst_lect)
+                and lecturer_prefers(instance, k, s, worst_lect)
             )
             p4 = (
                 not p_under and worst_proj is not None
-                and instance.lecturer_prefers(k, s, worst_proj)
+                and lecturer_prefers(instance, k, s, worst_proj)
             )
             for name, hit in (("P1", p1), ("P2", p2), ("P3", p3), ("P4", p4)):
                 if hit:
@@ -123,15 +135,15 @@ def random_valid_matching(instance: Instance, rng: random.Random) -> Matching:
         options = [None] + [
             p for p in instance.student_prefs[s - 1]
             if pload.get(p, 0) < instance.project_capacity[p - 1]
-            and lload.get(instance.owner(p), 0)
-            < instance.lecturer_capacity[instance.owner(p) - 1]
+            and lload.get(owner_of(instance, p), 0)
+            < instance.lecturer_capacity[owner_of(instance, p) - 1]
         ]
         p = rng.choice(options)
         if p is None:
             continue
         pairs.append((s, p))
         pload[p] = pload.get(p, 0) + 1
-        k = instance.owner(p)
+        k = owner_of(instance, p)
         lload[k] = lload.get(k, 0) + 1
     return Matching(tuple(pairs))
 
@@ -150,7 +162,8 @@ def dfs_stable_set(instance: Instance) -> tuple[Matching, ...]:
     cap = (0,) + instance.project_capacity
     dcap = (0,) + instance.lecturer_capacity
     owner = (0,) + instance.project_owner
-    lrank = instance._lrank
+    lrank = [{s: r for r, s in enumerate(prefs)}
+             for prefs in instance.lecturer_prefs]
 
     assigned = [0] * (n1 + 1)
     pload = [0] * len(cap)
@@ -234,8 +247,8 @@ def dfs_stable_set(instance: Instance) -> tuple[Matching, ...]:
 
 
 def naive_is_valid_matching(instance: Instance, matching: Matching) -> ValidationReport:
-    """Matching violations by per-student grouping, sorted key walks and the
-    id-checked ``acceptable_pair``."""
+    """Matching violations by per-student grouping, sorted key walks and
+    membership tests on the raw preference lists."""
     violations: list[Violation] = []
 
     per_student: dict[int, list[int]] = {}
@@ -258,7 +271,7 @@ def naive_is_valid_matching(instance: Instance, matching: Matching) -> Validatio
             violations.append(Violation(
                 "dangling-identifier", subject, "project does not exist"))
             continue
-        if not instance.acceptable_pair(s, p):
+        if p not in instance.student_prefs[s - 1]:
             violations.append(Violation(
                 "unacceptable-pair", subject,
                 f"{project_name(p)} is not on the list of {student_name(s)}"))
@@ -313,7 +326,7 @@ def naive_list_correspondence(raw: RawInstance) -> list[Violation]:
 
 
 def _lect_set(instance: Instance, m: Matching, k: int) -> set[int]:
-    return {s for s, p in m.pairs if instance.owner(p) == k}
+    return {s for s, p in m.pairs if owner_of(instance, p) == k}
 
 
 def _prefers_first_sets(
@@ -571,7 +584,7 @@ def _check_prop_full_project(
     failures: list[str] = []
     proj_alt, lect_alt = _held(instance, m_alt)
     for s, p, _ in _better_off(instance, m, m_alt):
-        k = instance.owner(p)
+        k = owner_of(instance, p)
         alt_students = lect_alt[k]
         rank_s = instance.lecturer_rank(k, s)
         triggered = s in alt_students or any(
@@ -598,8 +611,8 @@ def _check_lemma_same_lecturer(
     failures: list[str] = []
     lect_m, lect_alt = _held(instance, m)[1], _held(instance, m_alt)[1]
     for s, p, q in _better_off(instance, m, m_alt):
-        k = instance.owner(p)
-        if instance.owner(q) != k:
+        k = owner_of(instance, p)
+        if owner_of(instance, q) != k:
             continue
         set_m, set_alt = lect_m[k], lect_alt[k]
         if set_m == set_alt:
@@ -666,7 +679,7 @@ def _check_lemma_rank_boundaries(
     failures: list[str] = []
     (proj_m, lect_m), (proj_alt, lect_alt) = _held(instance, m), _held(instance, m_alt)
     for s, _, pj in _better_off(instance, m, m_alt):
-        k = instance.owner(pj)
+        k = owner_of(instance, pj)
         rank_s = instance.lecturer_rank(k, s)
         for t in proj_m[pj] - proj_alt[pj]:
             if instance.lecturer_rank(k, t) < rank_s:

@@ -212,8 +212,8 @@ class TestBuildInstance:
 
 class TestQueries:
     def test_acceptable_pair(self):
-        assert INSTANCE_A.acceptable_pair(1, 1)
-        assert not INSTANCE_A.acceptable_pair(1, 3)
+        assert 1 in INSTANCE_A.srank[0]
+        assert 3 not in INSTANCE_A.srank[0]
 
     def test_acceptable_pair_empty_list(self):
         built = build_instance(RawInstance(
@@ -224,22 +224,24 @@ class TestQueries:
             lecturer_prefs=[[2]],
         ))
         assert isinstance(built, Instance)
-        assert not built.acceptable_pair(1, 1)
+        assert built.srank[0] == {}
 
     def test_unknown_identifiers_raise(self):
         with pytest.raises(ValueError):
-            INSTANCE_A.acceptable_pair(9, 1)
-        with pytest.raises(ValueError):
-            INSTANCE_A.acceptable_pair(1, 9)
+            INSTANCE_A.student_rank(9, 1)
         with pytest.raises(ValueError):
             INSTANCE_A.student_rank(1, 3)
+        with pytest.raises(ValueError):
+            INSTANCE_A.lecturer_rank(3, 1)
+        with pytest.raises(ValueError):
+            INSTANCE_A.lecturer_rank(2, 1)  # s1 ranks no project of l2
 
     def test_projected_list_quoted_example(self):
-        assert INSTANCE_A.projected_list(1, 1) == (3, 1)
+        assert INSTANCE_A.projected[0] == (3, 1)
 
     def test_projected_list_filtered_example(self):
         # l2's list (s2 s3 s5 s4) restricted to students ranking p4
-        assert INSTANCE_A.projected_list(2, 4) == (5, 4)
+        assert INSTANCE_A.projected[3] == (5, 4)
 
     def test_projected_list_can_be_empty(self):
         built = build_instance(RawInstance(
@@ -250,22 +252,35 @@ class TestQueries:
             lecturer_prefs=[[1]],
         ))
         assert isinstance(built, Instance)
-        assert built.projected_list(1, 2) == ()
+        assert built.projected[1] == ()
 
-    def test_projected_list_wrong_lecturer(self):
-        with pytest.raises(ValueError):
-            INSTANCE_A.projected_list(1, 3)  # p3 belongs to l2
+    @given(st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_tables_match_naive_derivation(self, seed):
+        # three corpus shapes: tiny, wide lecturer lists, many projects
+        for shape in ((6, 5, 3), (12, 4, 2), (8, 10, 5)):
+            instance = corpus_instance(seed, *shape)
+            for s in instance.students():
+                prefs = instance.student_prefs[s - 1]
+                assert instance.srank[s - 1] == {p: prefs.index(p) for p in prefs}
+            for k in instance.lecturers():
+                prefs = instance.lecturer_prefs[k - 1]
+                assert instance.lrank[k - 1] == {t: prefs.index(t) for t in prefs}
+            for p in instance.projects():
+                k = instance.project_owner[p - 1]
+                assert instance.projected[p - 1] == tuple(
+                    s for s in instance.lecturer_prefs[k - 1]
+                    if p in instance.student_prefs[s - 1])
 
-    @given(st.integers(1, 200))
-    @settings(max_examples=40, deadline=None)
-    def test_projected_list_is_subsequence(self, seed):
-        instance = corpus_instance(seed, 6, 5, 3)
-        for k in instance.lecturers():
-            full = instance.lecturer_prefs[k - 1]
-            for p in instance.lecturer_projects[k - 1]:
-                projected = instance.projected_list(k, p)
-                it = iter(full)
-                assert all(s in it for s in projected)  # subsequence
+    @pytest.mark.parametrize("table", ["srank", "lrank", "projected"])
+    def test_rank_tables_are_read_only(self, table):
+        instance = corpus_instance(1, 6, 5, 3)
+        before = getattr(instance, table)
+        with pytest.raises(AttributeError):
+            setattr(instance, table, ())
+        with pytest.raises(AttributeError):
+            delattr(instance, table)
+        assert getattr(instance, table) is before
 
 
 class TestMatching:

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from corpus import corpus_instance
 from known_instances import A_M1, A_M2, B_M, INSTANCE_A, INSTANCE_B
-from oracles import naive_blocking_pairs, random_valid_matching
+from oracles import (
+    lecturer_prefers,
+    naive_blocking_pairs,
+    random_valid_matching,
+    student_prefers,
+)
 from spas import BlockingPair, Matching, find_blocking_pairs, is_stable
 
 
@@ -106,20 +111,20 @@ class TestConditionLabels:
             assigned = matching.as_dict()
             for bp in find_blocking_pairs(instance, matching):
                 s, p = bp.student, bp.project
-                assert instance.acceptable_pair(s, p)
+                assert p in instance.srank[s - 1]
                 assert (s, p) not in set(matching.pairs)
                 if bp.student_condition == "S2":
                     assert s in assigned
-                    assert instance.student_prefers(s, p, assigned[s])
+                    assert student_prefers(instance, s, p, assigned[s])
                 else:
                     assert s not in assigned
                 if bp.project_condition == "P4":
-                    k = instance.owner(p)
+                    k = instance.project_owner[p - 1]
                     holders = {t for t, q in matching.pairs if q == p}
                     assert len(holders) == instance.project_capacity[p - 1]
                     worst = max(
                         holders, key=lambda t: instance.lecturer_rank(k, t))
-                    assert instance.lecturer_prefers(k, s, worst)
+                    assert lecturer_prefers(instance, k, s, worst)
 
 
 def labelled_tuples(instance, matching):
