@@ -14,12 +14,6 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
-# not typing.TYPE_CHECKING: importing typing would add to every command's
-# start-up (README, "Start-up"), and type checkers honour this name too
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from collections.abc import Iterator
-
 
 def student_name(s: int) -> str:
     return f"s{s}"
@@ -246,32 +240,17 @@ class Instance(_Frozen):
 
     # -- queries ---------------------------------------------------------------
 
-    def _check_student(self, s: int) -> None:
-        if not 1 <= s <= self.num_students:
-            raise ValueError(f"unknown student {student_name(s)}")
-
     def _check_lecturer(self, k: int) -> None:
         if not 1 <= k <= self.num_lecturers:
             raise ValueError(f"unknown lecturer {lecturer_name(k)}")
 
     def student_rank(self, s: int, p: int) -> int:
         """0-based position of ``p`` on the list of ``s`` (0 = best)."""
-        self._check_student(s)
-        try:
-            return self.srank[s - 1][p]
-        except KeyError:
-            raise ValueError(
-                f"{project_name(p)} is not on the list of {student_name(s)}"
-            ) from None
+        return _checked_rank(self.srank, "student", student_name, s, project_name, p)
 
     def lecturer_rank(self, k: int, s: int) -> int:
-        self._check_lecturer(k)
-        try:
-            return self.lrank[k - 1][s]
-        except KeyError:
-            raise ValueError(
-                f"{student_name(s)} is not on the list of {lecturer_name(k)}"
-            ) from None
+        """0-based position of ``s`` on the list of ``k`` (0 = best)."""
+        return _checked_rank(self.lrank, "lecturer", lecturer_name, k, student_name, s)
 
     def __getstate__(self) -> dict:
         # the lattice memo holds weak references, which do not pickle; a
@@ -283,6 +262,19 @@ class Instance(_Frozen):
             f"Instance(students={self.num_students}, "
             f"projects={self.num_projects}, lecturers={self.num_lecturers})"
         )
+
+
+def _checked_rank(ranks: tuple[dict[int, int], ...], role: str, name, i: int,
+                  other, x: int) -> int:
+    """``ranks[i - 1][x]``, the rank that ``name(i)``, of ``role``, gives
+    ``other(x)``.  Raises ``ValueError`` for an unknown ``i`` or for an
+    ``x`` that is not on its list."""
+    if not 1 <= i <= len(ranks):
+        raise ValueError(f"unknown {role} {name(i)}")
+    try:
+        return ranks[i - 1][x]
+    except KeyError:
+        raise ValueError(f"{other(x)} is not on the list of {name(i)}") from None
 
 
 class Matching(_Frozen):
@@ -331,9 +323,6 @@ class Matching(_Frozen):
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
 
 
 EMPTY_MATCHING = Matching(())
@@ -410,51 +399,13 @@ def validate_raw(raw: RawInstance) -> ValidationReport:
             f"{len(raw.lecturer_prefs)} preference lists for {n3} lecturer "
             f"capacities"))
 
-    for j, c in enumerate(raw.project_capacity, start=1):
-        if c < 1:
-            violations.append(Violation(
-                "project-capacity", project_name(j),
-                f"capacity must be positive, got {c}"))
-    for k, d in enumerate(raw.lecturer_capacity, start=1):
-        if d < 1:
-            violations.append(Violation(
-                "lecturer-capacity", lecturer_name(k),
-                f"capacity must be positive, got {d}"))
-    for j, k in enumerate(raw.project_owner, start=1):
-        if not 1 <= k <= n3:
-            violations.append(Violation(
-                "dangling-identifier", project_name(j),
-                f"owner {lecturer_name(k)} does not exist"))
-
-    for i, prefs in enumerate(raw.student_prefs, start=1):
-        seen: set[int] = set()
-        for p in prefs:
-            if not 1 <= p <= n2:
+    for name, rule, caps in (
+            (project_name, "project-capacity", raw.project_capacity),
+            (lecturer_name, "lecturer-capacity", raw.lecturer_capacity)):
+        for i, c in enumerate(caps, start=1):
+            if c < 1:
                 violations.append(Violation(
-                    "dangling-identifier", student_name(i),
-                    f"ranked project {project_name(p)} does not exist"))
-            elif p in seen:
-                violations.append(Violation(
-                    "duplicate-preference", student_name(i),
-                    f"{project_name(p)} appears twice"))
-            seen.add(p)
-        if not prefs:
-            warnings.append(Violation(
-                "empty-preference-list", student_name(i),
-                "student ranks no project and stays unassigned"))
-
-    for k, prefs in enumerate(raw.lecturer_prefs, start=1):
-        seen = set()
-        for s in prefs:
-            if not 1 <= s <= n1:
-                violations.append(Violation(
-                    "dangling-identifier", lecturer_name(k),
-                    f"ranked student {student_name(s)} does not exist"))
-            elif s in seen:
-                violations.append(Violation(
-                    "duplicate-preference", lecturer_name(k),
-                    f"{student_name(s)} appears twice"))
-            seen.add(s)
+                    rule, name(i), f"capacity must be positive, got {c}"))
 
     # offered sets, capacity bounds, and the list correspondence need clean
     # identifiers, so guard each piece on the entities it touches
@@ -462,6 +413,30 @@ def validate_raw(raw: RawInstance) -> ValidationReport:
     for j, k in enumerate(raw.project_owner, start=1):
         if 1 <= k <= n3:
             offered[k - 1].append(j)
+        else:
+            violations.append(Violation(
+                "dangling-identifier", project_name(j),
+                f"owner {lecturer_name(k)} does not exist"))
+
+    for name, ranked, other, n, rows in (
+            (student_name, "ranked project", project_name, n2, raw.student_prefs),
+            (lecturer_name, "ranked student", student_name, n1, raw.lecturer_prefs)):
+        for i, prefs in enumerate(rows, start=1):
+            seen: set[int] = set()
+            for x in prefs:
+                if not 1 <= x <= n:
+                    violations.append(Violation(
+                        "dangling-identifier", name(i),
+                        f"{ranked} {other(x)} does not exist"))
+                elif x in seen:
+                    violations.append(Violation(
+                        "duplicate-preference", name(i), f"{other(x)} appears twice"))
+                seen.add(x)
+    for i, prefs in enumerate(raw.student_prefs, start=1):
+        if not prefs:
+            warnings.append(Violation(
+                "empty-preference-list", student_name(i),
+                "student ranks no project and stays unassigned"))
 
     for k in range(1, n3 + 1):
         if not offered[k - 1]:
@@ -568,16 +543,13 @@ def is_valid_matching(instance: Instance, matching: Matching) -> ValidationRepor
                     "multiple-assignment", student_name(s),
                     f"assigned to more than one project: {names}"))
     violations += faults
-    for p, (load, c) in enumerate(zip(pload[1:], instance.project_capacity), start=1):
-        if load > c:
-            violations.append(Violation(
-                "project-capacity", project_name(p),
-                f"{load} students assigned, capacity is {c}"))
-    for k, (load, c) in enumerate(zip(lload[1:], instance.lecturer_capacity), start=1):
-        if load > c:
-            violations.append(Violation(
-                "lecturer-capacity", lecturer_name(k),
-                f"{load} students assigned, capacity is {c}"))
+    for name, rule, loads, caps in (
+            (project_name, "project-capacity", pload, instance.project_capacity),
+            (lecturer_name, "lecturer-capacity", lload, instance.lecturer_capacity)):
+        for i, (load, c) in enumerate(zip(loads[1:], caps), start=1):
+            if load > c:
+                violations.append(Violation(
+                    rule, name(i), f"{load} students assigned, capacity is {c}"))
 
     return ValidationReport(tuple(violations))
 

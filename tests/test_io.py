@@ -119,6 +119,7 @@ class TestInstanceFiles:
          "l1 : capacity 1 :\np1 : capacity 1 lecturer l1\n", "duplicate"),
         ("students 1\nprojects 0\nlecturers 0\n", "missing line for s1"),
         ("students 1\nstudents 1\n", "duplicate"),
+        ("students 1\n", "missing 'projects' header"),
     ])
     def test_syntax_errors(self, text, fragment):
         with pytest.raises(ParseError) as err:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -122,6 +123,11 @@ class TestBuildInstance:
             "length-mismatch", "no-offered-projects"]
         assert report.violations[0].subject == "project_owner"
 
+    def test_no_capacity_bound_over_a_non_positive_project(self):
+        report = validate_raw(RawInstance([[1]], [0, 1], [1, 1], [1], [[1]]))
+        assert [v.render() for v in report.violations] == [
+            "project-capacity [p1]: capacity must be positive, got 0"]
+
     def test_ragged_lecturer_lists_are_reported(self):
         raw = RawInstance([[1]], [1], [1], [1, 1], [[1]])
         report = validate_raw(raw)
@@ -210,6 +216,72 @@ class TestBuildInstance:
         assert mismatches == naive_list_correspondence(raw)
 
 
+def hostile_raw(seed: int) -> RawInstance:
+    """A small instance description that breaks the rules at random: ids
+    in [-1, n + 1], repeated entries, empty lists, capacities below 1 and
+    parallel lists one entry too long or too short."""
+    rng = random.Random(seed)
+    n1, n2, n3 = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 4)
+
+    def length(n: int) -> int:
+        return max(0, n + rng.choice((-1, 0, 0, 0, 0, 1)))
+
+    def some_id(n: int, stray: float) -> int:
+        if rng.random() < stray:
+            return rng.randint(-1, n + 1)
+        return rng.randint(1, max(n, 1))
+
+    def ids(n: int) -> list[int]:
+        out = [some_id(n, 0.15) for _ in range(rng.randint(0, 4))]
+        if out and rng.random() < 0.2:
+            out.append(rng.choice(out))
+        return out
+
+    def capacity() -> int:
+        return rng.randint(-1, 0) if rng.random() < 0.1 else rng.randint(1, 3)
+
+    return RawInstance(
+        [ids(n2) for _ in range(n1)],
+        [capacity() for _ in range(n2)],
+        [some_id(n3, 0.1) for _ in range(length(n2))],
+        [capacity() for _ in range(n3)],
+        [ids(n1) for _ in range(length(n3))],
+    )
+
+
+def report_lines() -> list[str]:
+    """Every violation, then every warning, of ``validate_raw`` on
+    ``hostile_raw(seed)`` for seeds 0-2999, rendered and prefixed by the
+    seed."""
+    lines = []
+    for seed in range(3000):
+        report = validate_raw(hostile_raw(seed))
+        for v in report.violations + report.warnings:
+            lines.append(f"{seed} {v.render()}")
+    return lines
+
+
+class TestPinnedOutput:
+    """The full reports of ``validate_raw`` on 3000 hostile inputs, pinned
+    before each rule was written once for the roles it applies to.  To
+    recompute the digest:
+
+        PYTHONPATH=src:tests python -c "import hashlib; from test_model import *; print(hashlib.sha256('\\n'.join(report_lines()).encode()).hexdigest())"
+    """
+
+    def test_reports_on_hostile_inputs(self):
+        lines = report_lines()
+        assert {line.split()[1] for line in lines} == {
+            "length-mismatch", "project-capacity", "lecturer-capacity",
+            "dangling-identifier", "duplicate-preference",
+            "no-offered-projects", "capacity-bound",
+            "lecturer-list-mismatch", "empty-preference-list",
+        }
+        text = "\n".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6ef579816fab978a360f151e4a23be83095d56382e41d848aac70d20c70e9ce0")
+
+
 class TestQueries:
     def test_acceptable_pair(self):
         assert 1 in INSTANCE_A.srank[0]
@@ -227,13 +299,13 @@ class TestQueries:
         assert built.srank[0] == {}
 
     def test_unknown_identifiers_raise(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown student s9$"):
             INSTANCE_A.student_rank(9, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^p3 is not on the list of s1$"):
             INSTANCE_A.student_rank(1, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown lecturer l3$"):
             INSTANCE_A.lecturer_rank(3, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^s1 is not on the list of l2$"):
             INSTANCE_A.lecturer_rank(2, 1)  # s1 ranks no project of l2
 
     def test_projected_list_quoted_example(self):

@@ -242,6 +242,12 @@ class TestRunAllChecks:
                      "rank-boundaries"):
             assert reports[name].passed, reports[name].failures
 
+    def test_empty_set_passes(self):
+        reports = run_all_checks(INSTANCE_A, ())
+        assert len(reports) == 6
+        assert all(r.passed for r in reports)
+        assert check_unpopular_projects(INSTANCE_A, []).passed
+
     def test_pairs_only_subset(self):
         reports = run_all_checks(
             INSTANCE_A, enumerate_all(INSTANCE_A), pairs_only=True)
