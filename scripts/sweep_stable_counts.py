@@ -11,7 +11,7 @@ import argparse
 import random
 from collections import Counter
 
-from spas import GenParams, build_hasse, enumerate_all, generate
+from spas import DEFAULT_SIZE_GUARD, GenParams, build_hasse, enumerate_all, generate
 
 
 def params_for(seed: int, args: argparse.Namespace) -> GenParams:
@@ -35,6 +35,9 @@ def main() -> None:
     parser.add_argument("--projects", type=int, default=6)
     parser.add_argument("--lecturers", type=int, default=3)
     args = parser.parse_args()
+    if not 1 <= args.students <= DEFAULT_SIZE_GUARD:
+        parser.error(f"--students must be from 1 to the enumeration size "
+                     f"guard, DEFAULT_SIZE_GUARD = {DEFAULT_SIZE_GUARD}")
 
     sizes = Counter()
     branching = 0

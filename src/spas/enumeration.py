@@ -17,10 +17,12 @@ lecturer k takes at most |M_s(k)| students, a project p of a lecturer
 with |M_s(k)| < d_k at most |M_s(p)|, and every other project at most its
 capacity c_p.
 
-Depth-first search assigns students in index order, on an explicit stack
-so that the depth is not bounded by the interpreter's recursion limit.  A
-branch dies as soon as a blocking pair is already decided by the frozen
-prefix:
+Depth-first search assigns students in index order.  Each student's level
+is a generator: it applies one choice, yields the level below it, and
+undoes the choice in the lines after the ``yield``.  The open levels sit on
+an explicit stack of generators, so the depth is not bounded by the
+interpreter's recursion limit.  A branch dies as soon as a blocking pair
+is already decided by the frozen prefix:
 
 * once a project is at its bound its assignee set can no longer change,
   so a skipped project at its bound whose lecturer prefers the skipping
@@ -56,6 +58,10 @@ from __future__ import annotations
 
 from .model import Instance, Matching
 from .solvers import solve_lecturer_optimal, solve_student_optimal
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 DEFAULT_SIZE_GUARD = 20
 
@@ -126,75 +132,62 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
         if pload[p] == pmax[p]:
             return lrank[k - 1][s] < pworst[p]
         if lload[k] == lmax[k]:
-            a = assigned[s]
-            if a and owner[a] == k:
-                return True
-            return lrank[k - 1][s] < lworst[k]
+            return owner[assigned[s]] == k or lrank[k - 1][s] < lworst[k]
         return False
 
-    def retract(
-        i: int, choice: int, old: tuple[int, int], skipped: tuple[int, ...]
-    ) -> None:
-        for p in reversed(skipped):
-            envy[owner[p]].pop()
-        if choice:
-            k0 = owner[choice]
-            pload[choice] -= 1
-            lload[k0] -= 1
-            pworst[choice], lworst[k0] = old
-        assigned[i] = 0
-
-    # the path from student 1 down, on explicit stacks: per student the
-    # list positions still to try, and what undoes the one being explored
-    todo = [iter(span[1])]
-    undo: list[tuple[int, int, tuple[int, int], tuple[int, ...]]] = []
-    while todo:
-        i = len(todo)
-        idx = next(todo[-1], None)
-        if idx is None:
-            todo.pop()
-            if undo:
-                retract(*undo.pop())
-            continue
+    def level(i: int) -> Iterator[Iterator]:
+        # student i's choices in list order: apply one, yield the level
+        # below it unless a cut kills it, then undo it
         plist = prefs[i - 1]
-        choice = plist[idx] if idx < len(plist) else 0
-        skipped = plist[:idx]
-        old = (0, 0)
-        if choice:
-            k0 = owner[choice]
-            if pload[choice] == pmax[choice] or lload[k0] == lmax[k0]:
-                continue
-            assigned[i] = choice
-            pload[choice] += 1
-            lload[k0] += 1
-            old = pworst[choice], lworst[k0]
-            r = lrank[k0 - 1][i]
-            if r > pworst[choice]:
-                pworst[choice] = r
-            if r > lworst[k0]:
-                lworst[k0] = r
+        for idx in span[i]:
+            choice = plist[idx] if idx < len(plist) else 0
+            skipped = plist[:idx]
+            if choice:
+                k0 = owner[choice]
+                if pload[choice] == pmax[choice] or lload[k0] == lmax[k0]:
+                    continue
+                assigned[i] = choice
+                pload[choice] += 1
+                lload[k0] += 1
+                old = pworst[choice], lworst[k0]
+                r = lrank[k0 - 1][i]
+                if r > pworst[choice]:
+                    pworst[choice] = r
+                if r > lworst[k0]:
+                    lworst[k0] = r
 
-        dead = any(blocked(i, p) for p in skipped)
-        if not dead and choice:
-            if pload[choice] == pmax[choice]:
-                dead = any(
-                    p == choice and blocked(s, p) for s, p in envy[k0]
-                )
-            if not dead and lload[k0] == lmax[k0]:
-                dead = any(blocked(s, p) for s, p in envy[k0])
-        if dead:
-            retract(i, choice, old, ())
-            continue
+            dead = any(blocked(i, p) for p in skipped)
+            if not dead and choice:
+                if pload[choice] == pmax[choice]:
+                    dead = any(
+                        p == choice and blocked(s, p) for s, p in envy[k0]
+                    )
+                if not dead and lload[k0] == lmax[k0]:
+                    dead = any(blocked(s, p) for s, p in envy[k0])
+            if not dead and i == n1:
+                found.append(Matching._canonical(tuple(
+                    (s, assigned[s]) for s in range(1, n1 + 1) if assigned[s])))
+            elif not dead:
+                for p in skipped:
+                    envy[owner[p]].append((i, p))
+                yield level(i + 1)
+                for p in skipped:
+                    envy[owner[p]].pop()
 
-        if i == n1:
-            found.append(Matching._canonical(tuple(
-                (s, assigned[s]) for s in range(1, n1 + 1) if assigned[s])))
-            retract(i, choice, old, ())
-            continue
-        for p in skipped:
-            envy[owner[p]].append((i, p))
-        undo.append((i, choice, old, skipped))
-        todo.append(iter(span[i + 1]))
+            if choice:
+                assigned[i] = 0
+                pload[choice] -= 1
+                lload[k0] -= 1
+                pworst[choice], lworst[k0] = old
+
+    # the open levels from student 1 down, on an explicit stack
+    stack = [level(1)]
+    while stack:
+        below = next(stack[-1], None)
+        if below is None:
+            stack.pop()
+        else:
+            stack.append(below)
 
     found.sort(key=lambda m: m.pairs)
     return tuple(found)

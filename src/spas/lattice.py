@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import Instance, Matching, _Frozen
+from .model import Instance, Matching, _Frozen, lecturer_name
 from .stability import find_blocking_pairs
 
 TYPE_CHECKING = False
@@ -111,7 +111,8 @@ def lecturer_compare(
     and compared position by position; a mixed outcome is surfaced as
     ``INCOMPARABLE`` rather than collapsed.
     """
-    instance._check_lecturer(k)
+    if not 1 <= k <= instance.num_lecturers:
+        raise ValueError(f"unknown lecturer {lecturer_name(k)}")
     _require_stable(instance, first, second)
     return _compare(
         instance.lrank[k - 1],

@@ -240,10 +240,6 @@ class Instance(_Frozen):
 
     # -- queries ---------------------------------------------------------------
 
-    def _check_lecturer(self, k: int) -> None:
-        if not 1 <= k <= self.num_lecturers:
-            raise ValueError(f"unknown lecturer {lecturer_name(k)}")
-
     def student_rank(self, s: int, p: int) -> int:
         """0-based position of ``p`` on the list of ``s`` (0 = best)."""
         return _checked_rank(self.srank, "student", student_name, s, project_name, p)

@@ -56,18 +56,14 @@ def solve_student_optimal(instance: Instance) -> Matching:
     pworst = [0] + [len(ranked) - 1 for ranked in projected]
     lworst = [0] + [len(ranked) - 1 for ranked in lprefs]
 
-    def worst_of_project(p: int) -> int:
-        ranked, i = projected[p - 1], pworst[p]
-        while assigned[ranked[i]] != p:
+    def worst_of(x: int, lists: tuple[tuple[int, ...], ...],
+                 ptr: list[int], held: list[int]) -> int:
+        # the worst assignee of project or lecturer x: x's pointer moves
+        # back over x's ranked list past every student x does not hold
+        ranked, i = lists[x - 1], ptr[x]
+        while held[ranked[i]] != x:
             i -= 1
-        pworst[p] = i
-        return ranked[i]
-
-    def worst_of_lecturer(k: int) -> int:
-        ranked, i = lprefs[k - 1], lworst[k]
-        while lect[ranked[i]] != k:
-            i -= 1
-        lworst[k] = i
+        ptr[x] = i
         return ranked[i]
 
     def reject(s: int) -> None:
@@ -95,14 +91,14 @@ def solve_student_optimal(instance: Instance) -> Matching:
         pload[p] += 1
         lload[k] += 1
         if pload[p] > cap[p - 1]:
-            reject(worst_of_project(p))
+            reject(worst_of(p, projected, pworst, assigned))
         elif lload[k] > dcap[k - 1]:
-            reject(worst_of_lecturer(k))
+            reject(worst_of(k, lprefs, lworst, lect))
 
         if pload[p] == cap[p - 1]:
-            pthr[p] = lrank[k - 1][worst_of_project(p)]
+            pthr[p] = lrank[k - 1][worst_of(p, projected, pworst, assigned)]
         if lload[k] == dcap[k - 1]:
-            lthr[k] = lrank[k - 1][worst_of_lecturer(k)]
+            lthr[k] = lrank[k - 1][worst_of(k, lprefs, lworst, lect)]
 
     return Matching._canonical(tuple((s, p) for s, p in enumerate(assigned) if p))
 

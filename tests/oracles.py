@@ -3,8 +3,9 @@
 Blocking pairs come from a full double loop re-deriving every condition,
 and the stable set comes from filtering every assignment function; neither
 reuses the library's stability or enumeration logic.  ``dfs_stable_set`` is
-the pruned search without the deferred-acceptance seed: every student
-branches over their whole list plus unassigned.  It is pinned to the
+the pruned search without the deferred-acceptance seed: a first pass
+branches every student over their whole list plus unassigned and stops at
+the first stable matching, whose loads bound the second.  It is pinned to the
 brute-force set at small sizes and reaches sizes the brute force cannot;
 meet and join over that set give the optimal matchings without calling
 the two proposal algorithms.  The list-correspondence
@@ -149,13 +150,60 @@ def random_valid_matching(instance: Instance, rng: random.Random) -> Matching:
 
 
 def dfs_stable_set(instance: Instance) -> tuple[Matching, ...]:
-    """The stable set by depth-first search over every student's whole list
-    plus unassigned, with no size guard and no deferred-acceptance seed.
+    """The stable set by depth-first search, with no size guard and no
+    deferred-acceptance seed.
 
-    Students are assigned in index order.  A branch dies once a blocking
-    pair is decided by state that can no longer change: a full project
-    (P4) or a full lecturer (P2, P3); P1 is checked at the leaves against
-    the recorded skipped pairs.
+    A first pass branches every student over their whole list plus
+    unassigned, bounded by the capacities, and stops at the first stable
+    matching M0 it reaches.  Every stable matching assigns the same
+    students as M0, gives each lecturer the same load, and gives each
+    project of an undersubscribed lecturer the same load (Abraham, Irving &
+    Manlove, 2007).  So the second pass, which collects the set, assigns
+    exactly M0's students, each over their whole list, and bounds each
+    lecturer, and each project of a lecturer M0 leaves undersubscribed, by
+    its load in M0.
+    """
+    prefs = instance.student_prefs
+    cap = (0,) + instance.project_capacity
+    dcap = (0,) + instance.lecturer_capacity
+    owner = (0,) + instance.project_owner
+    whole = [range(len(plist) + 1) for plist in prefs]
+    first = next(_dfs_stable(instance, whole, cap, dcap))
+
+    pmax = [0] * len(cap)
+    lmax = [0] * len(dcap)
+    for _, p in first.pairs:
+        pmax[p] += 1
+        lmax[owner[p]] += 1
+    for p in range(1, len(cap)):
+        if lmax[owner[p]] == dcap[owner[p]]:
+            pmax[p] = cap[p]
+    held = first.as_dict()
+    spans = [range(len(plist)) if s in held else range(len(plist), len(plist) + 1)
+             for s, plist in enumerate(prefs, start=1)]
+    found = list(_dfs_stable(instance, spans, pmax, lmax))
+    found.sort(key=lambda m: m.pairs)
+    return tuple(found)
+
+
+def _dfs_stable(
+    instance: Instance,
+    spans: list[range],
+    pmax: Sequence[int],
+    lmax: Sequence[int],
+) -> Iterator[Matching]:
+    """The stable matchings in which each student s takes a list position
+    in ``spans[s - 1]`` (position len(list) meaning unassigned), project p
+    at most ``pmax[p]`` students and lecturer k at most ``lmax[k]``.
+
+    A project's bound may be below its capacity only if its lecturer's is.
+
+    Students are assigned in index order.  A branch dies once a skipped
+    pair is decided by state that can no longer change: a project at its
+    bound, or a lecturer at theirs.  At a bound equal to the capacity that
+    decides P4, or P2 and P3; below it the lecturer stays undersubscribed,
+    so the pair blocks by P1 in every completion.  P1 is checked at the
+    leaves, against the capacities and the recorded skipped pairs.
     """
     n1 = instance.num_students
     prefs = instance.student_prefs
@@ -171,38 +219,37 @@ def dfs_stable_set(instance: Instance) -> tuple[Matching, ...]:
     pworst = [-1] * len(cap)  # worst (largest) lecturer rank assigned to p
     lworst = [-1] * len(dcap)
     envy: list[list[tuple[int, int]]] = [[] for _ in range(len(dcap))]
-    found: list[Matching] = []
 
     def blocked(s: int, p: int) -> bool:
         # (s, p) skipped earlier; decide P-conditions that are already final
         k = owner[p]
-        if pload[p] == cap[p]:
+        if pload[p] == pmax[p]:
             return lrank[k - 1][s] < pworst[p]
-        if lload[k] == dcap[k]:
+        if lload[k] == lmax[k]:
             a = assigned[s]
             if a and owner[a] == k:
                 return True
             return lrank[k - 1][s] < lworst[k]
         return False
 
-    def extend(i: int) -> None:
+    def extend(i: int) -> Iterator[Matching]:
         if i > n1:
             for k in range(1, len(dcap)):
                 if lload[k] < dcap[k]:
                     for _, p in envy[k]:
                         if pload[p] < cap[p]:
                             return  # P1 blocks; everything else was settled
-            found.append(
-                Matching(tuple((s, assigned[s]) for s in range(1, n1 + 1) if assigned[s]))
+            yield Matching(
+                tuple((s, assigned[s]) for s in range(1, n1 + 1) if assigned[s])
             )
             return
         plist = prefs[i - 1]
-        for idx in range(len(plist) + 1):
+        for idx in spans[i - 1]:
             choice = plist[idx] if idx < len(plist) else 0
             skipped = plist[:idx]
             if choice:
                 k0 = owner[choice]
-                if pload[choice] == cap[choice] or lload[k0] == dcap[k0]:
+                if pload[choice] == pmax[choice] or lload[k0] == lmax[k0]:
                     continue
                 assigned[i] = choice
                 pload[choice] += 1
@@ -219,11 +266,11 @@ def dfs_stable_set(instance: Instance) -> tuple[Matching, ...]:
 
             dead = any(blocked(i, p) for p in skipped)
             if not dead and choice:
-                if pload[choice] == cap[choice]:
+                if pload[choice] == pmax[choice]:
                     dead = any(
                         p == choice and blocked(s, p) for s, p in envy[k0]
                     )
-                if not dead and lload[k0] == dcap[k0]:
+                if not dead and lload[k0] == lmax[k0]:
                     dead = any(blocked(s, p) for s, p in envy[k0])
 
             if not dead:
@@ -231,7 +278,7 @@ def dfs_stable_set(instance: Instance) -> tuple[Matching, ...]:
                 for p in skipped:
                     envy[owner[p]].append((i, p))
                     pushed.append(owner[p])
-                extend(i + 1)
+                yield from extend(i + 1)
                 for kp in reversed(pushed):
                     envy[kp].pop()
 
@@ -241,9 +288,7 @@ def dfs_stable_set(instance: Instance) -> tuple[Matching, ...]:
                 pworst[choice], lworst[k0] = old_pw, old_lw
             assigned[i] = 0
 
-    extend(1)
-    found.sort(key=lambda m: m.pairs)
-    return tuple(found)
+    return extend(1)
 
 
 def naive_is_valid_matching(instance: Instance, matching: Matching) -> ValidationReport:

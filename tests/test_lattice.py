@@ -106,6 +106,14 @@ class TestLecturerComparison:
         assert lecturer_compare(
             INSTANCE_B, 1, B_M[2], B_M[1]) is LecturerComparison.PREFERS_FIRST
 
+    @pytest.mark.parametrize("k", [0, INSTANCE_A.num_lecturers + 1])
+    def test_unknown_lecturer_raises(self, k):
+        # the id is checked before the stability gate, so an unstable
+        # member does not change the error
+        for second in (A_M2, Matching(((1, 2),))):
+            with pytest.raises(ValueError, match=f"^unknown lecturer l{k}$"):
+                lecturer_compare(INSTANCE_A, k, A_M1, second)
+
     def test_size_mismatch_signals_unstable(self):
         with pytest.raises(ValueError):
             lecturer_compare(INSTANCE_A, 1, Matching(((1, 1),)), A_M2)
