@@ -237,9 +237,9 @@ TABLE_ROWS = ("b_m2", "b_m3", "b_m4", "b_m5")
 
 def lattice_cases(tmp: Path) -> dict[str, tuple[str, ...]]:
     """Case name -> argv of every pinned ``lattice``, ``lattice --dot``,
-    ``meet`` and ``join`` run.  The union instances and their member
-    matchings are written to ``tmp``; a ``--dot`` run writes
-    ``tmp/<case>.dot``."""
+    ``meet``, ``join``, ``verify`` and ``verify --pairs`` run.  The union
+    instances and their member matchings are written to ``tmp``; a
+    ``--dot`` run writes ``tmp/<case>.dot``."""
     cases: dict[str, tuple[str, ...]] = {}
     for name, (parts, sets) in UNIONS.items():
         i, j = UNION_PAIRS[name]
@@ -259,6 +259,8 @@ def lattice_cases(tmp: Path) -> dict[str, tuple[str, ...]]:
             "lattice", "--dot", str(tmp / f"lattice_dot_{name}.dot"), str(path))
         for op in ("meet", "join"):
             cases[f"{op}_{name}"] = (op, str(path), *map(str, files))
+        cases[f"verify_{name}"] = ("verify", str(path))
+        cases[f"verify_pairs_{name}"] = ("verify", "--pairs", str(path))
     for k, first in enumerate(TABLE_ROWS):
         for second in TABLE_ROWS[k + 1:]:
             for op in ("meet", "join"):
@@ -269,11 +271,13 @@ def lattice_cases(tmp: Path) -> dict[str, tuple[str, ...]]:
 
 
 def lattice_output(tmp: Path, case: str, argv: tuple[str, ...]) -> str:
-    """Stdout of one case, or the DOT file it wrote; the exit code must be 0."""
+    """Stdout of one case, or the DOT file it wrote.  The exit code must be
+    0, except for ``verify``: every union refutes preference reversal, so
+    it must be 1."""
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(list(argv))
-    assert code == 0, case
+    assert code == (argv[0] == "verify"), case
     dot = tmp / f"{case}.dot"
     return dot.read_text() if dot.exists() else out.getvalue()
 
@@ -296,7 +300,8 @@ def write_lattice_golden(tmp: str) -> None:
 class TestLatticeGolden:
     """Byte-stable ``lattice``, ``lattice --dot``, ``meet`` and ``join``
     output: each case equals its golden file, written before the lattice
-    layer moved onto rank tables."""
+    layer moved onto rank tables.  The ``verify`` files were written before
+    verification split its checks by component."""
 
     def test_every_case_has_a_golden_file(self, tmp_path):
         cases = set(lattice_cases(tmp_path))
