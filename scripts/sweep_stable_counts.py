@@ -14,6 +14,14 @@ from collections import Counter
 from spas import DEFAULT_SIZE_GUARD, GenParams, build_hasse, enumerate_all, generate
 
 
+def positive(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def params_for(seed: int, args: argparse.Namespace) -> GenParams:
     rng = random.Random(seed)
     projects = rng.randint(1, args.projects)
@@ -30,10 +38,10 @@ def params_for(seed: int, args: argparse.Namespace) -> GenParams:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=1000)
+    parser.add_argument("--seeds", type=positive, default=1000)
     parser.add_argument("--students", type=int, default=7)
-    parser.add_argument("--projects", type=int, default=6)
-    parser.add_argument("--lecturers", type=int, default=3)
+    parser.add_argument("--projects", type=positive, default=6)
+    parser.add_argument("--lecturers", type=positive, default=3)
     args = parser.parse_args()
     if not 1 <= args.students <= DEFAULT_SIZE_GUARD:
         parser.error(f"--students must be from 1 to the enumeration size "

@@ -20,11 +20,28 @@ on an ordered pair in one walk over the first member's assignments;
 ``run_all_checks`` and each public pairwise check call it, the latter
 keeping only its own lemma's failures.
 
+Both the pairwise lemmas and the lattice check run per component.  Two
+lecturers share a component when some student holds a project of each
+across the members, and a component's students are those it assigns, so
+every assignee of its projects and lecturers is one of its students.  A
+member's restriction to a component is what it assigns those students.
+Every pairwise failure names a student who is better off, or a lecturer
+such a student leaves, and reads only the assignee sets of that
+student's component; so the failures of a pair of members are the union,
+over the components where their restrictions differ, of the failures of
+those two restrictions.  ``_pair_failures`` therefore runs once per
+ordered pair of distinct restrictions of each component, and each pair
+of members merges its components' failures by student (by lecturer for
+preference-reversal).  Components own disjoint students and lecturers,
+so the merge gives the order of one walk over the whole pair.  This
+holds for any set of members, not only for products of their
+restrictions.
+
 The lattice-axioms check reads each member as a rank vector: entry s - 1
-is the position of s's project on their list, or the list's length when
-s is unassigned.  That marker ranks below every real position, so the
-per-student better choice of two matchings is the elementwise min and
-the worse choice the elementwise max, with a student assigned on one
+is the position of s's project on their list, or the number of projects
+when s is unassigned.  That marker ranks below every real position, so
+the per-student better choice of two matchings is the elementwise min
+and the worse choice the elementwise max, with a student assigned on one
 side only counting as better off there and unassigned in the worse one.
 A matching is below another when each entry equals the other's or is
 smaller than an entry other than the marker (``a == b or a < b < top``),
@@ -32,27 +49,35 @@ so a student assigned on exactly one side breaks dominance.  Equivalently,
 it is entrywise at most the other and both assign the same students, and
 that is how the check tests it.  The meet and join are entrywise at most
 and at least both arguments and assign their union and intersection, so
-they bound both exactly when the two assign the same students.  Lecturer
-dominance is decided once per pair of distinct assignee sets of each
-lecturer, not once per pair of members.
+they bound both exactly when the two assign the same students.
 
-The check is quadratic in the number of members and tests only what can
-fail on rank vectors: closure, the meet and join bounding their
-arguments, and dominance reversal.  The paper's other lattice clauses
-hold for any rank vectors, so they are not re-tested.  Per entry, min
-and max over integers distribute over each other, so both distributive
-laws hold.  A vector z below x and y has, at each entry, z = x or
-z < x < top, and likewise against y; then z equals min(x, y) there, or
-z < min(x, y) < top, so z is below the meet.  Dually, anything above x
-and y is above the join.  ``tests/oracles.py::naive_lattice_axioms``
-still evaluates every clause on ``Matching`` objects, and the test suite
-requires its report to equal this one on 1000 sets.
+Every one of these is decided per component, on the restrictions' rank
+vectors, once per pair of distinct restrictions.  A student outside every
+component is unassigned in every member, so the whole meet (join) of two
+members is a member exactly when, in each component, the min (max) of
+their restrictions is a restriction and the tuple of those restrictions
+is some member's.  Two members assign the same students, are ordered for
+the students, or are ordered (reversed) for the lecturers exactly when
+that holds in every component.  Only the lookups run once per pair of
+members.
+
+The check tests only what can fail on rank vectors: closure, the meet
+and join bounding their arguments, and dominance reversal.  The paper's
+other lattice clauses hold for any rank vectors, so they are not
+re-tested.  Per entry, min and max over integers distribute over each
+other, so both distributive laws hold.  A vector z below x and y has, at
+each entry, z = x or z < x < top, and likewise against y; then z equals
+min(x, y) there, or z < min(x, y) < top, so z is below the meet.
+Dually, anything above x and y is above the join.
+``tests/oracles.py::naive_lattice_axioms`` still evaluates every clause
+on ``Matching`` objects, and the test suite requires its report to equal
+this one on 1000 sets.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import le, lt
+from operator import getitem, itemgetter, le, lt
 
 from .model import (
     Instance,
@@ -66,7 +91,7 @@ from .model import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Sequence, Set as AbstractSet
+    from collections.abc import Sequence, Set as AbstractSet
 
 
 class PropertyReport(_Frozen):
@@ -99,6 +124,59 @@ def _view(instance: Instance, m: Matching) -> _View:
         proj[p].add(s)
         lect[owner[p - 1]].add(s)
     return _View(m.as_dict(), proj, lect)
+
+
+# One component of a set of members, by restriction id: ``ids`` maps the
+# restriction's rank vector over the component's students (see the module
+# docstring) to its id, and ``views`` holds its view, whose ``assigned``
+# has only those students.
+_Component = namedtuple("_Component", "ids views")
+
+
+def _components(
+    instance: Instance, views: list[_View]
+) -> tuple[list[tuple[int, ...]], list[_Component]]:
+    """Each member's restriction id in every component, and the components.
+
+    Two lecturers share a component when some student holds a project of
+    each across the members; a component's students are those it assigns.
+    A restricted view shares ``proj`` and ``lect`` with the first member
+    that has the restriction: every assignee of the component's projects
+    and lecturers is a student of the component, so those sets are the
+    same in every member with the restriction."""
+    owner, srank, top = instance.project_owner, instance.srank, instance.num_projects
+    root = list(range(instance.num_lecturers + 1))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    held: dict[int, int] = {}  # a lecturer each student holds somewhere
+    for v in views:
+        for s, p in v.assigned.items():
+            k = owner[p - 1]
+            if held.setdefault(s, k) != k:
+                root[find(k)] = find(held[s])
+    students: dict[int, list[int]] = {}
+    for s in sorted(held):
+        students.setdefault(find(held[s]), []).append(s)
+
+    keys: list[list[int]] = [[] for _ in views]
+    comps = []
+    for comp in students.values():
+        part = _Component({}, [])
+        for key, v in zip(keys, views):
+            a = v.assigned
+            vec = tuple(srank[s - 1][a[s]] if s in a else top for s in comp)
+            if vec not in part.ids:
+                part.ids[vec] = len(part.views)
+                part.views.append(
+                    _View({s: a[s] for s in comp if s in a}, v.proj, v.lect))
+            key.append(part.ids[vec])
+        comps.append(part)
+    return list(map(tuple, keys)), comps
 
 
 def _prefers_first_sets(
@@ -175,14 +253,16 @@ _PAIR_NAMES = (
 
 def _pair_failures(
     instance: Instance, a: _View, b: _View
-) -> tuple[list[str], list[str], list[str], list[str]]:
+) -> tuple[list[tuple[int, str]], ...]:
     """The four pairwise lemmas' failures on (a, b), in report order.
 
     Every lemma quantifies over the students assigned in both matchings
     who strictly prefer a, so one walk over a's assignments, in ascending
     student order, visits each of them once.  Full-project, same-lecturer
     and rank-boundaries are decided per student; preference-reversal
-    afterwards, over the lecturers those students leave, ascending."""
+    afterwards, over the lecturers those students leave, ascending.  Each
+    failure comes keyed by its student, or its lecturer for
+    preference-reversal, so keys ascend in each list."""
     owner, cap = instance.project_owner, instance.project_capacity
     srank, lrank = instance.srank, instance.lrank
     full, same, reversal, bounds = failures = ([], [], [], [])
@@ -200,61 +280,72 @@ def _pair_failures(
         if len(b.proj[p]) != cap[p - 1] and (
             s in alt or any(rank_s < rank[t] for t in alt)
         ):
-            full.append(
+            full.append((s,
                 f"{student_name(s)} holds {project_name(p)} and prefers it, "
                 f"yet {project_name(p)} is not full in the other matching"
-            )
+            ))
         if kq != k:
             # s leaves exactly the lecturer they hold in a
             losing.add(k)
         elif held == alt:
-            same.append(
+            same.append((s,
                 f"{student_name(s)} moved within {lecturer_name(k)} but the "
                 f"assigned sets are identical"
-            )
+            ))
         else:
             if not any(rank[t] < rank_s for t in alt - held):
-                same.append(
+                same.append((s,
                     f"no student above {student_name(s)} entered "
                     f"{lecturer_name(k)} in the other matching"
-                )
+                ))
             if not any(rank[t] > rank_s for t in held - alt):
-                same.append(
+                same.append((s,
                     f"no student below {student_name(s)} left "
                     f"{lecturer_name(k)} in the other matching"
-                )
+                ))
         rank = lrank[kq - 1]
         rank_s = rank[s]
         for t in a.proj[q] - b.proj[q]:
             if rank[t] < rank_s:
-                bounds.append(
+                bounds.append((s,
                     f"{student_name(t)} in the project set difference of "
                     f"{project_name(q)} outranks {student_name(s)}"
-                )
+                ))
         if len(a.proj[q]) < cap[q - 1]:
             for t in a.lect[kq] - b.lect[kq]:
                 if rank[t] < rank_s:
-                    bounds.append(
+                    bounds.append((s,
                         f"{student_name(t)} in the lecturer set difference of "
                         f"{lecturer_name(kq)} outranks {student_name(s)}"
-                    )
+                    ))
     for k in sorted(losing):
         set_m, set_alt = a.lect[k], b.lect[k]
         mover = next(s for s in set_m - set_alt if s in movers)
         if not _prefers_first_sets(lrank[k - 1], set_alt, set_m):
-            reversal.append(
+            reversal.append((k,
                 f"{student_name(mover)} left {lecturer_name(k)} while "
                 f"preferring this side, but {lecturer_name(k)} does not "
                 f"prefer the other matching"
-            )
+            ))
     return failures
+
+
+def _pair_table(instance: Instance, views: list[_View]) -> list[list]:
+    """The failures of each ordered pair of distinct restrictions of one
+    component, None where there are none.  Every such pair is the
+    restriction of some ordered pair of members, so none is decided in
+    vain."""
+    table = [[_pair_failures(instance, a, b) if a is not b else ()
+              for b in views] for a in views]
+    return [[found if any(found) else None for found in row] for row in table]
 
 
 def _check_pair(
     lemma: int, instance: Instance, m: Matching, m_alt: Matching
 ) -> PropertyReport:
     a, b = _view(instance, m), _view(instance, m_alt)
-    return _report(_PAIR_NAMES[lemma], _pair_failures(instance, a, b)[lemma])
+    found = _pair_failures(instance, a, b)[lemma]
+    return _report(_PAIR_NAMES[lemma], [text for _, text in found])
 
 
 def check_prop_full_project(
@@ -306,52 +397,49 @@ def check_lemma_rank_boundaries(
     return _check_pair(3, instance, m, m_alt)
 
 
-def _class_ids(
-    sets: Sequence[Iterable[int]],
-) -> tuple[list[int], list[frozenset[int]]]:
-    """One id per distinct set, in order of first appearance, and the
-    distinct sets by id."""
-    ids: dict[frozenset[int], int] = {}
-    return [ids.setdefault(frozenset(x), len(ids)) for x in sets], list(ids)
+def _restriction_tables(instance: Instance, comp: _Component) -> tuple[list, ...]:
+    """Over each ordered pair (x, y) of the component's restrictions: the
+    ids of their meet and join, None when no restriction is one, whether
+    they assign the same students, whether x is below y for the students,
+    and whether each of the component's lecturers weakly prefers y's
+    assignee set to x's, which is y below x for the lecturers."""
+    ids, vecs, views = comp.ids, list(comp.ids), comp.views
+    meet = [[ids.get(tuple(map(min, x, y))) for y in vecs] for x in vecs]
+    join = [[ids.get(tuple(map(max, x, y))) for y in vecs] for x in vecs]
+    keys = [v.assigned.keys() for v in views]
+    same = [[x == y for y in keys] for x in keys]
+    student_dom = [[eq and all(map(le, x, y)) for eq, y in zip(row, vecs)]
+                   for row, x in zip(same, vecs)]
+    owner, lrank = instance.project_owner, instance.lrank
+    lecturers = {owner[p - 1] for v in views for p in v.assigned.values()}
+    lecturer_dom = [[all(
+        x.lect[k] == y.lect[k]
+        or _prefers_first_sets(lrank[k - 1], y.lect[k], x.lect[k])
+        for k in lecturers) for y in views] for x in views]
+    return meet, join, same, student_dom, lecturer_dom
 
 
-def _lattice_axioms(instance: Instance, views: list[_View]) -> list[str]:
+def _lattice_axioms(
+    instance: Instance, keys: list[tuple[int, ...]], comps: list[_Component]
+) -> list[str]:
     failures: list[str] = []
-    srank = instance.srank
-    top = tuple(len(prefs) for prefs in instance.student_prefs)
-    vecs = [
-        tuple(srank[s - 1][a[s]] if s in a else t
-              for s, t in enumerate(top, start=1))
-        for a in (v.assigned for v in views)
-    ]
-    present = set(vecs)
-    assigned, _ = _class_ids([v.assigned.keys() for v in views])
-    # per lecturer: each member's assignee set id, and whether the lecturer
-    # weakly prefers one set to another
-    weak = []
-    for k in instance.lecturers():
-        ids, sets = _class_ids([v.lect[k] for v in views])
-        rank = instance.lrank[k - 1]
-        weak.append((ids, [
-            [c == d or _prefers_first_sets(rank, c, d) for d in sets]
-            for c in sets
-        ]))
-
-    for i, x in enumerate(vecs):
-        for j, y in enumerate(vecs):
-            if tuple(map(min, x, y)) not in present:
+    present = set(keys)
+    tables = [_restriction_tables(instance, comp) for comp in comps]
+    for i, x in enumerate(keys):
+        meet, join, same, student_dom, lecturer_dom = (
+            [t[field][c] for t, c in zip(tables, x)] for field in range(5))
+        for j, y in enumerate(keys):
+            if tuple(map(getitem, meet, y)) not in present:
                 failures.append(f"meet of members {i} and {j} left the stable set")
                 continue
-            if tuple(map(max, x, y)) not in present:
+            if tuple(map(getitem, join, y)) not in present:
                 failures.append(f"join of members {i} and {j} left the stable set")
                 continue
-            same = assigned[i] == assigned[j]
-            if not same:
+            if not all(map(getitem, same, y)):
                 failures.append(f"meet of {i} and {j} is not a lower bound")
                 failures.append(f"join of {i} and {j} is not an upper bound")
-            student_dom = same and all(map(le, x, y))
-            lect_dom = all(table[ids[j]][ids[i]] for ids, table in weak)
-            if student_dom != lect_dom:
+            if (all(map(getitem, student_dom, y))
+                    != all(map(getitem, lecturer_dom, y))):
                 failures.append(
                     f"dominance reversal fails between members {i} and {j}"
                 )
@@ -371,7 +459,8 @@ def check_lattice_axioms(
     docstring), so they are not re-tested here.
     """
     views = [_view(instance, m) for m in stable]
-    return _report("lattice-axioms", _lattice_axioms(instance, views))
+    return _report(
+        "lattice-axioms", _lattice_axioms(instance, *_components(instance, views)))
 
 
 def run_all_checks(
@@ -385,16 +474,26 @@ def run_all_checks(
     if not pairs_only:
         reports.append(
             _report("unpopular-projects", _unpopular_projects(instance, views)))
+    keys, comps = _components(instance, views)
+    tables = [_pair_table(instance, comp.views) for comp in comps]
     pair_failures: list[list[str]] = [[] for _ in _PAIR_NAMES]
-    for i, x in enumerate(views, start=1):
-        for j, y in enumerate(views, start=1):
-            if i == j:
+    for i, x in enumerate(keys, start=1):
+        rows = [t[c] for t, c in zip(tables, x)]
+        for j, y in enumerate(keys, start=1):
+            parts = [p for p in map(getitem, rows, y) if p]
+            if not parts:
                 continue
-            for failures, found in zip(
-                    pair_failures, _pair_failures(instance, x, y)):
-                failures.extend(f"(M{i}, M{j}) {f}" for f in found)
+            prefix = f"(M{i}, M{j}) "
+            for lemma, failures in enumerate(pair_failures):
+                # components own disjoint students and lecturers, so a
+                # stable sort by key restores the order of one walk over the
+                # whole pair
+                runs = [p[lemma] for p in parts]
+                found = runs[0] if len(runs) == 1 else sorted(
+                    [f for run in runs for f in run], key=itemgetter(0))
+                failures.extend(prefix + text for _, text in found)
     reports += map(_report, _PAIR_NAMES, pair_failures)
     if not pairs_only:
         reports.append(
-            _report("lattice-axioms", _lattice_axioms(instance, views)))
+            _report("lattice-axioms", _lattice_axioms(instance, keys, comps)))
     return tuple(reports)

@@ -39,3 +39,16 @@ def test_sweep_runs_at_the_guard():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("instances: 5\n")
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seeds", "-1"), ("--projects", "0"), ("--lecturers", "0"),
+])
+def test_sweep_rejects_counts_below_one(flag, value):
+    # --projects 0 and --lecturers 0 used to die in randrange, and
+    # --seeds -1 used to report "instances: -1"
+    proc = run_sweep("--seeds", "3", flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument {flag}: must be at least 1, got {value}" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,10 @@ from oracles import (
     random_valid_matching,
 )
 from spas import (
+    Instance,
     Matching,
+    RawInstance,
+    build_instance,
     check_lattice_axioms,
     check_lemma_pref_reversal,
     check_lemma_rank_boundaries,
@@ -389,6 +393,110 @@ def test_run_all_checks_reads_each_member_once(monkeypatch):
     monkeypatch.setattr(verification, "_view", counting_view)
     run_all_checks(instance, stable)
     assert built == list(stable)
+
+
+def test_run_all_checks_decides_each_pair_of_restrictions_once(monkeypatch):
+    # a+a+a splits into three components of four restrictions each, so the
+    # pairwise lemmas run on 3 * 4 * 3 pairs of restrictions, not on the
+    # 64 * 63 ordered pairs of members
+    instance = disjoint_union(INSTANCE_A, INSTANCE_A, INSTANCE_A)
+    stable = enumerate_all(instance)
+    assert len(stable) == 64
+    calls = []
+    pair_failures = verification._pair_failures
+
+    def counting_pair_failures(instance, a, b):
+        calls.append((a, b))
+        return pair_failures(instance, a, b)
+
+    monkeypatch.setattr(verification, "_pair_failures", counting_pair_failures)
+    run_all_checks(instance, stable)
+    assert len(calls) == 36
+
+
+def interleaved(instance, seed):
+    """``instance`` with its students and its lecturers renumbered by a
+    seeded shuffle, so that the parts of a union interleave."""
+    rng = random.Random(seed)
+    snew = list(instance.students())
+    lnew = list(instance.lecturers())
+    rng.shuffle(snew)
+    rng.shuffle(lnew)
+    sprefs = [[] for _ in snew]
+    for s, prefs in zip(snew, instance.student_prefs):
+        sprefs[s - 1] = list(prefs)
+    lcap, lprefs = [0] * len(lnew), [[] for _ in lnew]
+    for k, cap, prefs in zip(lnew, instance.lecturer_capacity,
+                             instance.lecturer_prefs):
+        lcap[k - 1] = cap
+        lprefs[k - 1] = [snew[s - 1] for s in prefs]
+    built = build_instance(RawInstance(
+        student_prefs=sprefs,
+        project_capacity=list(instance.project_capacity),
+        project_owner=[lnew[k - 1] for k in instance.project_owner],
+        lecturer_capacity=lcap,
+        lecturer_prefs=lprefs,
+    ))
+    assert isinstance(built, Instance), built
+    return built
+
+
+class TestAgainstNaiveOnComponents:
+    """The per-component split against the oracles, as full lists, on sets
+    that are not products of their projections and on failures that span
+    components."""
+
+    PARTS = {
+        "a+b": (INSTANCE_A, INSTANCE_B),
+        "a+a+a": (INSTANCE_A, INSTANCE_A, INSTANCE_A),
+    }
+
+    @staticmethod
+    def projections(parts, members):
+        """The number of distinct restrictions of ``members`` to each part."""
+        counts, s0 = [], 0
+        for part in parts:
+            students = range(s0 + 1, s0 + part.num_students + 1)
+            counts.append(len({
+                tuple(p for s, p in m.pairs if s in students) for m in members}))
+            s0 += part.num_students
+        return counts
+
+    @staticmethod
+    def assert_equal_to_oracles(instance, members):
+        # the last report is the lattice check's, against naive_lattice_axioms
+        assert run_all_checks(instance, members) == naive_run_all_checks(
+            instance, members)
+
+    @pytest.mark.parametrize("name", PARTS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_non_product_subsets(self, name, seed):
+        parts = self.PARTS[name]
+        instance = disjoint_union(*parts)
+        rng = random.Random(seed)
+        members = rng.sample(enumerate_all(instance), 8)
+        assert len(members) != prod(self.projections(parts, members))
+        self.assert_equal_to_oracles(instance, members)
+        # padded with valid matchings, so that failures of every lemma span
+        # several components in one pair
+        members += [random_valid_matching(instance, rng) for _ in range(2)]
+        rng.shuffle(members)
+        self.assert_equal_to_oracles(instance, members)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_interleaved_components(self, seed):
+        # students and lecturers of the parts interleave, so a pair whose
+        # failures span components must merge them by key
+        instance = interleaved(disjoint_union(INSTANCE_A, INSTANCE_B), seed)
+        stable = enumerate_all(instance)
+        assert len(stable) == 28
+        assert run_all_checks(instance, stable, pairs_only=True) == (
+            naive_run_all_checks(instance, stable, pairs_only=True))
+        rng = random.Random(seed)
+        members = rng.sample(stable, 8) + [
+            random_valid_matching(instance, rng) for _ in range(2)]
+        rng.shuffle(members)
+        self.assert_equal_to_oracles(instance, members)
 
 
 class TestPinnedOutput:
