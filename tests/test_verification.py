@@ -477,8 +477,8 @@ class TestAgainstNaiveOnComponents:
         members = rng.sample(enumerate_all(instance), 8)
         assert len(members) != prod(self.projections(parts, members))
         self.assert_equal_to_oracles(instance, members)
-        # padded with valid matchings, so that failures of every lemma span
-        # several components in one pair
+        # padded with valid matchings, so that every lemma fails somewhere,
+        # and some pairs fail in several components
         members += [random_valid_matching(instance, rng) for _ in range(2)]
         rng.shuffle(members)
         self.assert_equal_to_oracles(instance, members)
