@@ -126,11 +126,11 @@ def _view(instance: Instance, m: Matching) -> _View:
     return _View(m.as_dict(), proj, lect)
 
 
-# One component of a set of members, by restriction id: ``ids`` maps the
-# restriction's rank vector over the component's students (see the module
-# docstring) to its id, and ``views`` holds its view, whose ``assigned``
-# has only those students.
-_Component = namedtuple("_Component", "ids views")
+# One component of a set of members: its students in ascending order, and
+# by restriction id, ``ids`` maps each restriction (the tuple of the
+# students' projects, None where unassigned) to its id and ``views`` holds
+# its view, whose ``assigned`` has only those students.
+_Component = namedtuple("_Component", "students ids views")
 
 
 def _components(
@@ -144,7 +144,7 @@ def _components(
     that has the restriction: every assignee of the component's projects
     and lecturers is a student of the component, so those sets are the
     same in every member with the restriction."""
-    owner, srank, top = instance.project_owner, instance.srank, instance.num_projects
+    owner = instance.project_owner
     root = list(range(instance.num_lecturers + 1))
 
     def find(k: int) -> int:
@@ -166,15 +166,15 @@ def _components(
     keys: list[list[int]] = [[] for _ in views]
     comps = []
     for comp in students.values():
-        part = _Component({}, [])
+        part = _Component(comp, {}, [])
         for key, v in zip(keys, views):
-            a = v.assigned
-            vec = tuple(srank[s - 1][a[s]] if s in a else top for s in comp)
-            if vec not in part.ids:
-                part.ids[vec] = len(part.views)
-                part.views.append(
-                    _View({s: a[s] for s in comp if s in a}, v.proj, v.lect))
-            key.append(part.ids[vec])
+            projects = tuple(map(v.assigned.get, comp))
+            if projects not in part.ids:
+                part.ids[projects] = len(part.views)
+                part.views.append(_View(
+                    {s: p for s, p in zip(comp, projects) if p is not None},
+                    v.proj, v.lect))
+            key.append(part.ids[projects])
         comps.append(part)
     return list(map(tuple, keys)), comps
 
@@ -403,7 +403,11 @@ def _restriction_tables(instance: Instance, comp: _Component) -> tuple[list, ...
     they assign the same students, whether x is below y for the students,
     and whether each of the component's lecturers weakly prefers y's
     assignee set to x's, which is y below x for the lecturers."""
-    ids, vecs, views = comp.ids, list(comp.ids), comp.views
+    srank, top, views = instance.srank, instance.num_projects, comp.views
+    vecs = [tuple(srank[s - 1][p] if p is not None else top
+                  for s, p in zip(comp.students, projects))
+            for projects in comp.ids]
+    ids = {vec: c for c, vec in enumerate(vecs)}
     meet = [[ids.get(tuple(map(min, x, y))) for y in vecs] for x in vecs]
     join = [[ids.get(tuple(map(max, x, y))) for y in vecs] for x in vecs]
     keys = [v.assigned.keys() for v in views]
