@@ -50,6 +50,8 @@ every stable matching, and every leaf it reaches is stable:
   weakly to M_l(s), or s is unassigned in both.  So (s, p) blocks M_l by
   P1, but M_l is stable.
 
+So every member returned is certified stable for the instance
+(``Instance._certify``), and the lattice layer never re-checks it.
 Equality with a brute-force oracle and with the unseeded search is pinned
 in the test suite.  The worst case stays exponential.
 """
@@ -93,6 +95,7 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
     best = solve_student_optimal(instance)
     worst = solve_lecturer_optimal(instance)
     if best == worst:
+        instance._certify(best)
         return (best,)
 
     prefs = instance.student_prefs
@@ -190,6 +193,7 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
             stack.append(below)
 
     found.sort(key=lambda m: m.pairs)
+    instance._certify(*found)
     return tuple(found)
 
 

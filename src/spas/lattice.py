@@ -19,12 +19,16 @@ projects, both on the student's list.  Each lecturer, too, holds the
 same number of students in every stable matching, so the lecturer side
 pairs off the students two members do not share, best with best.
 
-Each instance keeps a weak memo of the matchings that passed the stability
-check, and only passes are recorded: a member is checked once however many
-operations take it, while an unstable argument is checked, and rejected,
-on every call.  The memo lives on the instance (``_known_stable``, left
-out of pickles) but belongs to this module: nothing else reads or fills
-it.
+Only matchings proved stable are recorded, through
+``Instance._certify``: those that pass the stability check here and every
+member :func:`~spas.enumeration.enumerate_all` returns, whose search
+proves each leaf stable.  A certified matching names its instance, so the
+gate recognises it with one dict read, and an equal matching falls back
+to the instance's weak memo (``_known_stable``, left out of pickles).  So
+a member is checked at most once however many operations take it, and an
+enumerated one never; an unstable argument is checked, and rejected, on
+every call.  Meets and joins are not certified on the strength of the
+lattice theorem: the gate checks them like any other argument.
 
 Dominance of x over y is: each student's rank in x is at most their rank
 in y (the argument is in the ``verification`` module's docstring).
@@ -52,18 +56,18 @@ class LecturerComparison(Enum):
 
 
 def _require_stable(instance: Instance, *matchings: Matching) -> None:
-    known = instance._known_stable
     for m in matchings:
-        if m in known:
+        if instance._certifies(m):
             continue
-        blocking = find_blocking_pairs(instance, m)
-        if blocking:
-            bp = blocking[0]
-            raise ValueError(
-                "matching is not stable, e.g. blocking pair "
-                f"(s{bp.student}, p{bp.project})"
-            )
-        known.add(m)
+        if m not in instance._known_stable:
+            blocking = find_blocking_pairs(instance, m)
+            if blocking:
+                bp = blocking[0]
+                raise ValueError(
+                    "matching is not stable, e.g. blocking pair "
+                    f"(s{bp.student}, p{bp.project})"
+                )
+        instance._certify(m)
 
 
 def student_dominates(instance: Instance, first: Matching, second: Matching) -> bool:

@@ -136,7 +136,8 @@ class Instance(_Frozen):
     are public and read-only, built on first use, indexed by id - 1; every
     layer reads preferences through them.  Besides these it carries one
     private cache that does not change any answer: ``_known_stable``, the
-    lattice layer's memo of matchings that passed the stability check.
+    memo of matchings proved stable for it, filled only through
+    :meth:`_certify`.
     """
 
     __match_args__ = RawInstance.__match_args__
@@ -208,13 +209,29 @@ class Instance(_Frozen):
 
     @cached_property
     def _known_stable(self) -> weakref.WeakSet[Matching]:
-        """Storage for :mod:`spas.lattice`'s stability memo, which owns it:
-        only ``lattice._require_stable`` reads or fills it, with the
-        matchings that passed :func:`~spas.stability.find_blocking_pairs`
-        for this instance.  Held weakly, so it keeps no matching alive.
-        Concurrent callers that miss at the same time both check and both
-        add: harmless."""
+        """The matchings proved stable for this instance: those that passed
+        :func:`~spas.stability.find_blocking_pairs` in the lattice layer's
+        gate and those :func:`~spas.enumeration.enumerate_all` returned.
+        Held weakly, so it keeps no matching alive.  Concurrent callers
+        that miss at the same time both check and both add: harmless."""
         return weakref.WeakSet()
+
+    def _certify(self, *matchings: Matching) -> None:
+        """Record ``matchings`` as proved stable for this instance: each
+        joins :attr:`_known_stable` and carries a certificate, a weak
+        reference to the instance under ``"_stable_in"`` in its
+        ``__dict__``, so the lattice gate recognises it with one dict read
+        and the certificate keeps no instance alive.  A matching certifies
+        one instance at a time; the memo still answers for the others."""
+        known, cert = self._known_stable, weakref.ref(self)
+        for m in matchings:
+            known.add(m)
+            m.__dict__["_stable_in"] = cert
+
+    def _certifies(self, m: Matching) -> bool:
+        """Whether ``m`` carries a certificate naming this instance."""
+        cert = m.__dict__.get("_stable_in")
+        return cert is not None and cert() is self
 
     @cached_property
     def projected(self) -> tuple[tuple[int, ...], ...]:
@@ -278,7 +295,8 @@ class Matching(_Frozen):
 
     Two matchings with equal pair sets compare and hash equal regardless of
     construction order.  Whether the pairs are legal for some instance is
-    the business of :func:`is_valid_matching`.
+    the business of :func:`is_valid_matching`; a matching proved stable
+    carries a certificate naming the instance (:meth:`Instance._certify`).
     """
 
     __match_args__ = ("pairs",)
@@ -312,7 +330,15 @@ class Matching(_Frozen):
         return self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return hash((self.pairs,))
+        # frozen, so the hash is cached; the memo hashes on every lookup
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.pairs,))
+        return h
+
+    def __getstate__(self) -> dict:
+        # copies and pickles carry neither the cached hash nor a certificate
+        return {"pairs": self.pairs}
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)

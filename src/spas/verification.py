@@ -11,14 +11,17 @@ Each member is validated and read once, into a view: its assignments
 (``as_dict``) and the assignee sets of every project and every lecturer.
 A member that is not a valid matching of the instance raises
 ``ValueError`` when its view is built, so the checks then read the rank
-tables without bounds checks.  ``run_all_checks`` builds one view per
-member and shares it across every check and every pair; the public
-``check_*`` functions build views of their own arguments.  Each pairwise
-lemma quantifies over the students assigned in both matchings who are
-strictly better off in the first, so ``_pair_failures`` decides all four
-on an ordered pair in one walk over the first member's assignments;
-``run_all_checks`` and each public pairwise check call it, the latter
-keeping only its own lemma's failures.
+tables without bounds checks.  A member certified stable for the
+instance (``Instance._certify``, as every member ``enumerate_all``
+returns is) is not validated again: stable implies valid.
+``run_all_checks`` builds one view per member and shares it across every
+check and every pair; the public ``check_*`` functions build views of
+their own arguments.  Each pairwise lemma quantifies over the students
+assigned in both matchings who are strictly better off in the first, so
+``_pair_failures`` decides all four on an ordered pair in one walk over
+the first member's assignments; ``run_all_checks`` and each public
+pairwise check call it, the latter keeping only its own lemma's
+failures.
 
 Both the pairwise lemmas and the lattice check run per component.  Two
 lecturers share a component when some student holds a project of each
@@ -77,6 +80,7 @@ this one on 1000 sets.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 from operator import getitem, itemgetter, le, lt
 
 from .model import (
@@ -114,9 +118,10 @@ _View = namedtuple("_View", "assigned proj lect")
 
 
 def _view(instance: Instance, m: Matching) -> _View:
-    """Validate ``m`` and read it in one pass over the pairs in canonical
-    order."""
-    require_valid_matching(instance, m)
+    """Validate ``m``, unless it is certified stable for the instance, and
+    read it in one pass over the pairs in canonical order."""
+    if not instance._certifies(m):
+        require_valid_matching(instance, m)
     proj: list[set[int]] = [set() for _ in range(instance.num_projects + 1)]
     lect: list[set[int]] = [set() for _ in range(instance.num_lecturers + 1)]
     owner = instance.project_owner
@@ -179,17 +184,19 @@ def _components(
     return list(map(tuple, keys)), comps
 
 
-def _prefers_first_sets(
+def _lecturer_prefers(
     rank: dict[int, int], first: AbstractSet[int], second: AbstractSet[int]
-) -> bool:
-    """Definitional lecturer comparison, ``rank`` the lecturer's rank
-    table: strictly better position by position."""
+) -> tuple[bool, bool]:
+    """Definitional lecturer comparison both ways, ``rank`` the lecturer's
+    rank table: whether the lecturer prefers ``first``, and whether
+    ``second``, each strictly better position by position.  Both read the
+    same two sorted differences."""
     # the two differences have equal sizes exactly when the sets do
     if first == second or len(first) != len(second):
-        return False
+        return False, False
     only_f = sorted(map(rank.__getitem__, first - second))
     only_s = sorted(map(rank.__getitem__, second - first))
-    return all(map(lt, only_f, only_s))
+    return all(map(lt, only_f, only_s)), all(map(lt, only_s, only_f))
 
 
 def _unpopular_projects(instance: Instance, views: list[_View]) -> list[str]:
@@ -321,7 +328,7 @@ def _pair_failures(
     for k in sorted(losing):
         set_m, set_alt = a.lect[k], b.lect[k]
         mover = next(s for s in set_m - set_alt if s in movers)
-        if not _prefers_first_sets(lrank[k - 1], set_alt, set_m):
+        if not _lecturer_prefers(lrank[k - 1], set_alt, set_m)[0]:
             reversal.append((k,
                 f"{student_name(mover)} left {lecturer_name(k)} while "
                 f"preferring this side, but {lecturer_name(k)} does not "
@@ -416,10 +423,17 @@ def _restriction_tables(instance: Instance, comp: _Component) -> tuple[list, ...
                    for row, x in zip(same, vecs)]
     owner, lrank = instance.project_owner, instance.lrank
     lecturers = {owner[p - 1] for v in views for p in v.assigned.values()}
-    lecturer_dom = [[all(
-        x.lect[k] == y.lect[k]
-        or _prefers_first_sets(lrank[k - 1], y.lect[k], x.lect[k])
-        for k in lecturers) for y in views] for x in views]
+    # one comparison per lecturer and unordered pair decides both orders
+    lecturer_dom = [[True] * len(views) for _ in views]
+    for i, j in combinations(range(len(views)), 2):
+        x, y = views[i], views[j]
+        for k in lecturers:
+            if x.lect[k] != y.lect[k]:
+                to_x, to_y = _lecturer_prefers(lrank[k - 1], x.lect[k], y.lect[k])
+                lecturer_dom[i][j] &= to_y
+                lecturer_dom[j][i] &= to_x
+                if not (lecturer_dom[i][j] or lecturer_dom[j][i]):
+                    break
     return meet, join, same, student_dom, lecturer_dom
 
 

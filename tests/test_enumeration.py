@@ -24,10 +24,13 @@ from spas import (
     Matching,
     RawInstance,
     SizeGuardError,
+    build_hasse,
     build_instance,
     enumerate_all,
+    find_blocking_pairs,
     generate,
     is_stable,
+    lattice,
     parse_matching_file,
     serialize_matching,
     solve_lecturer_optimal,
@@ -261,3 +264,67 @@ class TestSeededSearch:
         stable = enumerate_all(disjoint_union(*parts), force=True)
         assert stable == union_stable_set(parts, [A_STABLE, [trivial]])
         assert len(stable) == 4
+
+
+class TestCertificates:
+    """``enumerate_all`` certifies every member it returns as stable for
+    the instance, and the lattice layer never checks a certified member
+    again, so each certificate must be sound."""
+
+    @staticmethod
+    def assert_certificates_sound(monkeypatch, instances):
+        certified = []
+        certify = Instance._certify
+
+        def recording(instance, *matchings):
+            certified.extend((instance, m) for m in matchings)
+            certify(instance, *matchings)
+
+        monkeypatch.setattr(Instance, "_certify", recording)
+        for instance in instances:
+            del certified[:]
+            stable = enumerate_all(instance)
+            assert certified == [(instance, m) for m in stable]
+            for m in stable:
+                assert instance._certifies(m)
+                assert find_blocking_pairs(instance, m) == ()
+
+    @pytest.mark.parametrize("shape", [(5, 5, 3), (6, 5, 3), (7, 6, 3)])
+    def test_sound_on_corpus_shapes(self, monkeypatch, shape):
+        self.assert_certificates_sound(
+            monkeypatch, (corpus_instance(seed, *shape) for seed in range(1, 80)))
+
+    def test_sound_on_unions(self, monkeypatch):
+        self.assert_certificates_sound(monkeypatch, (
+            disjoint_union(*parts) for parts in (
+                (INSTANCE_A, INSTANCE_B), (INSTANCE_A, INSTANCE_A, INSTANCE_A),
+                (INSTANCE_B, INSTANCE_B))))
+
+    def test_sound_where_the_das_differ(self, monkeypatch):
+        # the 51 draws of TestSeededSearch that reach the search
+        draws = [generate(GenParams(
+            8, 6, 3, pref_len=(2, 5), project_cap=(1, 2), seed=seed,
+            density=0.8)) for seed in range(300)]
+        split = [i for i in draws
+                 if solve_student_optimal(i) != solve_lecturer_optimal(i)]
+        assert len(split) == 51
+        self.assert_certificates_sound(monkeypatch, split)
+
+    def test_hasse_checks_no_enumerated_member(self, monkeypatch):
+        checked = []
+        find = lattice.find_blocking_pairs
+
+        def counting(instance, m):
+            checked.append(m)
+            return find(instance, m)
+
+        monkeypatch.setattr(lattice, "find_blocking_pairs", counting)
+        instance = disjoint_union(INSTANCE_A, INSTANCE_B)
+        stable = enumerate_all(instance)
+        build_hasse(instance, stable)
+        assert checked == []
+        unstable = Matching(((1, 2),))
+        for n in range(1, 4):
+            with pytest.raises(ValueError, match="not stable"):
+                build_hasse(instance, stable + (unstable,))
+            assert checked == [unstable] * n

@@ -3,6 +3,7 @@ import gc
 import pickle
 import sys
 import threading
+import weakref
 from itertools import combinations
 from typing import Sequence
 
@@ -446,6 +447,70 @@ class TestStabilityMemo:
             assert twin == instance
             assert len(twin._known_stable) == 0
             assert meet_all(twin, B_M) == B_M[0]
+
+
+class TestCertificate:
+    """A matching proved stable carries a certificate naming its instance;
+    it leaves copies and pickles and keeps no instance alive."""
+
+    @staticmethod
+    def count_checks(monkeypatch) -> list[Matching]:
+        checked = []
+        find = lattice.find_blocking_pairs
+
+        def counting(instance, m):
+            checked.append(m)
+            return find(instance, m)
+
+        monkeypatch.setattr(lattice, "find_blocking_pairs", counting)
+        return checked
+
+    def test_pickle_bytes_match_an_uncertified_twin(self):
+        instance = fresh(INSTANCE_B)
+        stable = enumerate_all(instance)
+        meet_all(instance, stable)
+        for m in stable:
+            hash(m)
+            assert instance._certifies(m)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.dumps(m, protocol) == pickle.dumps(
+                    Matching(m.pairs), protocol)
+            back = pickle.loads(pickle.dumps(m))
+            assert back == m and vars(back) == {"pairs": m.pairs}
+
+    def test_deep_copy_is_rechecked_exactly_once(self, monkeypatch):
+        instance = fresh(INSTANCE_B)
+        twin, copies = copy.deepcopy((instance, enumerate_all(instance)))
+        assert not any(twin._certifies(m) for m in copies)
+        checked = self.count_checks(monkeypatch)
+        for _ in range(3):
+            build_hasse(twin, copies)
+            for x, y in combinations(copies, 2):
+                meet(twin, x, y)
+                join(twin, y, x)
+        assert sorted(checked, key=copies.index) == list(copies)
+        assert all(twin._certifies(m) for m in copies)
+
+    def test_meet_and_join_results_are_not_certified(self, monkeypatch):
+        instance = fresh(INSTANCE_B)
+        stable = enumerate_all(instance)
+        checked = self.count_checks(monkeypatch)
+        made = [op(instance, x, y) for x, y in combinations(stable, 2)
+                for op in (meet, join)]
+        assert checked == []
+        assert not any(instance._certifies(m) for m in made)
+
+    def test_certificate_keeps_no_instance_alive(self):
+        instance = fresh(INSTANCE_B)
+        stable = enumerate_all(instance)
+        meet_all(instance, stable)
+        alive = weakref.ref(instance)
+        del instance
+        gc.collect()
+        assert alive() is None
+        assert len(stable) == len(B_M)
+        # a dead certificate names no instance, so the gate checks again
+        assert meet_all(fresh(INSTANCE_B), stable) == B_M[0]
 
 
 def assert_student_side_is_definitional(

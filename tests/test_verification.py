@@ -395,6 +395,44 @@ def test_run_all_checks_reads_each_member_once(monkeypatch):
     assert built == list(stable)
 
 
+def test_run_all_checks_validates_only_uncertified_members(monkeypatch):
+    # enumerate_all certifies its members stable, and stable implies valid;
+    # equal but uncertified matchings are validated as before
+    instance = disjoint_union(INSTANCE_A, INSTANCE_A)
+    stable = enumerate_all(instance)
+    assert len(stable) == 16
+    validated = []
+    require = verification.require_valid_matching
+
+    def counting_require(instance, m):
+        validated.append(m)
+        return require(instance, m)
+
+    monkeypatch.setattr(verification, "require_valid_matching", counting_require)
+    reports = run_all_checks(instance, stable)
+    assert validated == []
+    twins = [Matching(m.pairs) for m in stable]
+    assert run_all_checks(instance, twins) == reports
+    assert validated == twins
+
+
+def test_lattice_axioms_compare_each_unordered_pair_once(monkeypatch):
+    # instance_b has 7 restrictions and 2 lecturers: 41 lecturer comparisons
+    # decide both orders of every pair, where deciding each order on its
+    # own made 62 calls
+    compared = []
+    prefers = verification._lecturer_prefers
+
+    def counting_prefers(rank, first, second):
+        compared.append((id(rank), frozenset((frozenset(first), frozenset(second)))))
+        return prefers(rank, first, second)
+
+    monkeypatch.setattr(verification, "_lecturer_prefers", counting_prefers)
+    assert check_lattice_axioms(INSTANCE_B, B_M) == naive_lattice_axioms(
+        INSTANCE_B, B_M)
+    assert len(compared) == len(set(compared)) == 41
+
+
 def test_run_all_checks_decides_each_pair_of_restrictions_once(monkeypatch):
     # a+a+a splits into three components of four restrictions each, so the
     # pairwise lemmas run on 3 * 4 * 3 pairs of restrictions, not on the
