@@ -229,14 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="Hasse diagram of the stable set")
     p.add_argument("--dot", metavar="PATH", help="also write a DOT file")
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--force", action="store_true",
+                   help="ignore the size guard")
     p.add_argument("instance")
     p.set_defaults(fn=_cmd_lattice)
 
     p = sub.add_parser("verify", help="run the structural property checks")
     p.add_argument("--pairs", action="store_true",
                    help="pairwise checks only")
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--force", action="store_true",
+                   help="ignore the size guard")
     p.add_argument("instance")
     p.set_defaults(fn=_cmd_verify)
 

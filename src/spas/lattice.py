@@ -19,14 +19,16 @@ projects, both on the student's list.  Each lecturer, too, holds the
 same number of students in every stable matching, so the lecturer side
 pairs off the students two members do not share, best with best.
 
-Only matchings proved stable are recorded, through
+Only matchings proved stable are certified, through
 ``Instance._certify``: those that pass the stability check here and every
 member :func:`~spas.enumeration.enumerate_all` returns, whose search
-proves each leaf stable.  A certified matching names its instance, so the
-gate recognises it with one dict read, and an equal matching falls back
-to the instance's weak memo (``_known_stable``, left out of pickles).  So
-a member is checked at most once however many operations take it, and an
-enumerated one never; an unstable argument is checked, and rejected, on
+proves each leaf stable.  The certificate sits on the matching object and
+names its instance, so the gate recognises it with one dict read.  So a
+matching object is checked at most once while it serves one instance,
+however many operations take it, and an enumerated one never.  It carries
+one certificate at a time: an equal matching that is a distinct object is
+checked once itself, and a matching last certified for another instance
+is checked again.  An unstable argument is checked, and rejected, on
 every call.  Meets and joins are not certified on the strength of the
 lattice theorem: the gate checks them like any other argument.
 
@@ -59,14 +61,13 @@ def _require_stable(instance: Instance, *matchings: Matching) -> None:
     for m in matchings:
         if instance._certifies(m):
             continue
-        if m not in instance._known_stable:
-            blocking = find_blocking_pairs(instance, m)
-            if blocking:
-                bp = blocking[0]
-                raise ValueError(
-                    "matching is not stable, e.g. blocking pair "
-                    f"(s{bp.student}, p{bp.project})"
-                )
+        blocking = find_blocking_pairs(instance, m)
+        if blocking:
+            bp = blocking[0]
+            raise ValueError(
+                "matching is not stable, e.g. blocking pair "
+                f"(s{bp.student}, p{bp.project})"
+            )
         instance._certify(m)
 
 

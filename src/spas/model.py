@@ -134,10 +134,9 @@ class Instance(_Frozen):
     instance is safe to share across concurrent readers.  The derived
     tables ``lecturer_projects``, ``srank``, ``lrank`` and ``projected``
     are public and read-only, built on first use, indexed by id - 1; every
-    layer reads preferences through them.  Besides these it carries one
-    private cache that does not change any answer: ``_known_stable``, the
-    memo of matchings proved stable for it, filled only through
-    :meth:`_certify`.
+    layer reads preferences through them.  It keeps no record of the
+    matchings proved stable for it: each such matching carries a
+    certificate naming the instance (:meth:`_certify`).
     """
 
     __match_args__ = RawInstance.__match_args__
@@ -207,25 +206,16 @@ class Instance(_Frozen):
             {s: r for r, s in enumerate(prefs)} for prefs in self.lecturer_prefs
         )
 
-    @cached_property
-    def _known_stable(self) -> weakref.WeakSet[Matching]:
-        """The matchings proved stable for this instance: those that passed
-        :func:`~spas.stability.find_blocking_pairs` in the lattice layer's
-        gate and those :func:`~spas.enumeration.enumerate_all` returned.
-        Held weakly, so it keeps no matching alive.  Concurrent callers
-        that miss at the same time both check and both add: harmless."""
-        return weakref.WeakSet()
-
     def _certify(self, *matchings: Matching) -> None:
         """Record ``matchings`` as proved stable for this instance: each
-        joins :attr:`_known_stable` and carries a certificate, a weak
-        reference to the instance under ``"_stable_in"`` in its
-        ``__dict__``, so the lattice gate recognises it with one dict read
-        and the certificate keeps no instance alive.  A matching certifies
-        one instance at a time; the memo still answers for the others."""
-        known, cert = self._known_stable, weakref.ref(self)
+        carries a certificate, a weak reference to the instance under
+        ``"_stable_in"`` in its ``__dict__``, so the lattice gate recognises
+        it with one dict read and the certificate keeps no instance alive.
+        A matching certifies one instance at a time, and the certificate is
+        the only record: an equal matching that is a distinct object, or
+        one last certified for another instance, is checked again."""
+        cert = weakref.ref(self)
         for m in matchings:
-            known.add(m)
             m.__dict__["_stable_in"] = cert
 
     def _certifies(self, m: Matching) -> bool:
@@ -265,11 +255,6 @@ class Instance(_Frozen):
         """0-based position of ``s`` on the list of ``k`` (0 = best)."""
         return _checked_rank(self.lrank, "lecturer", lecturer_name, k, student_name, s)
 
-    def __getstate__(self) -> dict:
-        # the lattice memo holds weak references, which do not pickle; a
-        # copy starts with an empty memo and re-checks each member once
-        return {k: v for k, v in self.__dict__.items() if k != "_known_stable"}
-
     def __repr__(self) -> str:  # the field dump is unusable for big instances
         return (
             f"Instance(students={self.num_students}, "
@@ -296,7 +281,8 @@ class Matching(_Frozen):
     Two matchings with equal pair sets compare and hash equal regardless of
     construction order.  Whether the pairs are legal for some instance is
     the business of :func:`is_valid_matching`; a matching proved stable
-    carries a certificate naming the instance (:meth:`Instance._certify`).
+    carries a certificate naming the instance (:meth:`Instance._certify`),
+    which an equal matching does not share.
     """
 
     __match_args__ = ("pairs",)
@@ -322,22 +308,20 @@ class Matching(_Frozen):
         m.__dict__["pairs"] = pairs
         return m
 
-    # written out for the one field: matchings are hashed and compared on
-    # the lattice layer's hot paths
+    # written out for the one field: enumerate_all compares its two
+    # deferred-acceptance matchings on every call; a class that defines
+    # __eq__ must define __hash__ too, or it is unhashable
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        # frozen, so the hash is cached; the memo hashes on every lookup
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.pairs,))
-        return h
+        return hash((self.pairs,))
 
     def __getstate__(self) -> dict:
-        # copies and pickles carry neither the cached hash nor a certificate
+        # a certificate holds a weak reference, which does not pickle;
+        # copies and pickles carry only the pairs, and start unproved
         return {"pairs": self.pairs}
 
     def as_dict(self) -> dict[int, int]:

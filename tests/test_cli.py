@@ -165,19 +165,27 @@ class TestEnumerate:
             body = "\n".join(block.splitlines()[1:]) + "\n"
             assert parse_matching_file(body, instance) == B_M[i]
 
-    def test_size_guard_exit_code(self, capsys, tmp_path):
+    # every command that enumerates honours the guard and --force
+    @pytest.mark.parametrize("command", ["enumerate", "lattice", "verify"])
+    def test_size_guard_exit_code(self, capsys, tmp_path, command):
         big = generate(GenParams(
             students=21, projects=3, lecturers=1, pref_len=(1, 1), seed=5))
         path = tmp_path / "big.spa"
         path.write_text(serialize_instance(big))
-        code, _, err = run(capsys, "enumerate", str(path))
+        code, _, err = run(capsys, command, str(path))
         assert code == 3
         assert "guard" in err
 
-    def test_force_flag_accepted(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--count-only", "--force", A)
-        assert code == 0
-        assert out == "4\n"
+    @pytest.mark.parametrize("args, code, out", [
+        (["enumerate", "--count-only"], 0, "4\n"),
+        (["lattice"], 0, None),
+        (["verify"], 1, VERIFY_A),
+    ], ids=["enumerate", "lattice", "verify"])
+    def test_force_flag_accepted(self, capsys, args, code, out):
+        forced = run(capsys, *args, "--force", A)
+        assert forced == run(capsys, *args, A)
+        assert forced[0] == code
+        assert out is None or forced[1] == out
 
     def test_search_deeper_than_the_recursion_limit(self, capsys, tmp_path):
         deep = disjoint_union(INSTANCE_A, one_student_markets(1000))

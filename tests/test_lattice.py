@@ -309,7 +309,7 @@ class TestHasse:
 
 
 def fresh(instance: Instance) -> Instance:
-    """An equal instance whose stability memo starts empty."""
+    """An equal instance that no matching is certified for yet."""
     return copy.copy(instance)
 
 
@@ -346,7 +346,7 @@ class TestStabilityMemo:
             with pytest.raises(ValueError) as exc:
                 call(instance, self.UNSTABLE)
             assert str(exc.value) == self.MESSAGE
-        assert self.UNSTABLE not in instance._known_stable
+        assert not instance._certifies(self.UNSTABLE)
 
     def test_each_member_checked_once(self, monkeypatch):
         checked = []
@@ -382,13 +382,26 @@ class TestStabilityMemo:
             join(instance, x, y)
         assert sorted(checked, key=stable.index) == list(stable)
 
-    def test_equal_distinct_object_is_a_hit(self, monkeypatch):
+    def test_equal_twin_checked_once_then_recognised(self, monkeypatch):
+        # the certificate sits on the object, so an equal twin of a proved
+        # member is checked once itself, and recognised from then on
         instance = fresh(INSTANCE_A)
         assert meet(instance, A_M1, A_M2) == A_M1
-        monkeypatch.setattr(lattice, "find_blocking_pairs", None)
+        checked = []
+
+        def counting(instance, m):
+            checked.append(m)
+            return find(instance, m)
+
+        find = lattice.find_blocking_pairs
+        monkeypatch.setattr(lattice, "find_blocking_pairs", counting)
         twins = Matching(A_M1.pairs), Matching(tuple(reversed(A_M2.pairs)))
         assert twins[0] is not A_M1 and twins[1] is not A_M2
-        assert join(instance, *twins) == A_M2
+        for _ in range(3):
+            assert join(instance, *twins) == A_M2
+            assert meet(instance, A_M2, twins[0]) == A_M1
+        assert [id(m) for m in checked] == [id(m) for m in twins]
+        assert all(instance._certifies(m) for m in (A_M1, A_M2, *twins))
 
     def test_verdict_is_per_instance(self):
         other = a_with_s1_above_s3()
@@ -397,17 +410,18 @@ class TestStabilityMemo:
         assert meet(instance, A_M2, A_M2) == A_M2
         with pytest.raises(ValueError, match=r"blocking pair \(s1, p1\)"):
             meet(other, A_M2, A_M2)
-        assert A_M2 in instance._known_stable
-        assert A_M2 not in other._known_stable
+        assert instance._certifies(A_M2)
+        assert not other._certifies(A_M2)
 
     def test_memo_keeps_no_matching_alive(self):
         instance = fresh(INSTANCE_B)
         members = [Matching(m.pairs) for m in B_M]
         meet_all(instance, members)
-        assert len(instance._known_stable) == len(B_M)
+        assert all(instance._certifies(m) for m in members)
+        alive = [weakref.ref(m) for m in members]
         del members
         gc.collect()
-        assert len(instance._known_stable) == 0
+        assert not any(ref() for ref in alive)
 
     def test_concurrent_callers_share_the_memo(self):
         # check-then-add races only repeat a check; every call still gets
@@ -437,7 +451,7 @@ class TestStabilityMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        assert set(instance._known_stable) == set(B_M)
+        assert all(instance._certifies(m) for m in B_M)
 
     def test_copies_and_pickles_start_empty(self):
         instance = fresh(INSTANCE_B)
@@ -445,7 +459,7 @@ class TestStabilityMemo:
         for twin in (copy.deepcopy(instance),
                      pickle.loads(pickle.dumps(instance))):
             assert twin == instance
-            assert len(twin._known_stable) == 0
+            assert not any(twin._certifies(m) for m in B_M)
             assert meet_all(twin, B_M) == B_M[0]
 
 
