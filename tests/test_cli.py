@@ -245,9 +245,9 @@ TABLE_ROWS = ("b_m2", "b_m3", "b_m4", "b_m5")
 
 def lattice_cases(tmp: Path) -> dict[str, tuple[str, ...]]:
     """Case name -> argv of every pinned ``lattice``, ``lattice --dot``,
-    ``meet``, ``join``, ``verify`` and ``verify --pairs`` run.  The union
-    instances and their member matchings are written to ``tmp``; a
-    ``--dot`` run writes ``tmp/<case>.dot``."""
+    ``meet``, ``join``, ``verify``, ``verify --pairs`` and ``verify
+    --force`` run.  The union instances and their member matchings are
+    written to ``tmp``; a ``--dot`` run writes ``tmp/<case>.dot``."""
     cases: dict[str, tuple[str, ...]] = {}
     for name, (parts, sets) in UNIONS.items():
         i, j = UNION_PAIRS[name]
@@ -275,6 +275,10 @@ def lattice_cases(tmp: Path) -> dict[str, tuple[str, ...]]:
                 cases[f"{op}_{first}_{second}"] = (
                     op, B, str(DATA / f"{first}.match"),
                     str(DATA / f"{second}.match"))
+    # five copies of instance_a: 1024 members, past the size guard
+    path = tmp / "a^5.spa"
+    path.write_text(serialize_instance(disjoint_union(*(INSTANCE_A,) * 5)))
+    cases["verify_force_a^5"] = ("verify", "--force", str(path))
     return cases
 
 
@@ -309,7 +313,9 @@ class TestLatticeGolden:
     """Byte-stable ``lattice``, ``lattice --dot``, ``meet`` and ``join``
     output: each case equals its golden file, written before the lattice
     layer moved onto rank tables.  The ``verify`` files were written before
-    verification split its checks by component."""
+    verification split its checks by component, and ``verify_force_a^5``
+    (1,310,720 failures, of which it prints five) before verification sized
+    its reports from the component tables."""
 
     def test_every_case_has_a_golden_file(self, tmp_path):
         cases = set(lattice_cases(tmp_path))

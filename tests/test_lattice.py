@@ -326,6 +326,10 @@ def a_with_s1_above_s3() -> Instance:
 
 
 class TestStabilityMemo:
+    """The lattice operations remember a proved member on the matching
+    itself, as its certificate for the instance, and never remember a
+    rejection."""
+
     UNSTABLE = Matching(((1, 2),))
     MESSAGE = "matching is not stable, e.g. blocking pair (s1, p1)"
 
@@ -413,7 +417,7 @@ class TestStabilityMemo:
         assert instance._certifies(A_M2)
         assert not other._certifies(A_M2)
 
-    def test_memo_keeps_no_matching_alive(self):
+    def test_certificates_keep_no_matching_alive(self):
         instance = fresh(INSTANCE_B)
         members = [Matching(m.pairs) for m in B_M]
         meet_all(instance, members)
@@ -423,7 +427,7 @@ class TestStabilityMemo:
         gc.collect()
         assert not any(ref() for ref in alive)
 
-    def test_concurrent_callers_share_the_memo(self):
+    def test_concurrent_callers_share_certificates(self):
         # check-then-add races only repeat a check; every call still gets
         # the right answer and an unstable argument is always rejected
         instance = fresh(INSTANCE_B)
@@ -453,7 +457,7 @@ class TestStabilityMemo:
         assert wrong == []
         assert all(instance._certifies(m) for m in B_M)
 
-    def test_copies_and_pickles_start_empty(self):
+    def test_copies_and_pickles_start_uncertified(self):
         instance = fresh(INSTANCE_B)
         meet_all(instance, B_M)
         for twin in (copy.deepcopy(instance),

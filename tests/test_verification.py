@@ -1,6 +1,8 @@
+import copy
 import hashlib
+import pickle
 import random
-from itertools import permutations
+from itertools import islice, permutations
 from math import prod
 
 import pytest
@@ -15,6 +17,7 @@ from known_instances import (
     B_M,
     INSTANCE_A,
     INSTANCE_B,
+    UNIONS,
     disjoint_union,
 )
 from oracles import (
@@ -384,13 +387,13 @@ def test_run_all_checks_reads_each_member_once(monkeypatch):
     stable = enumerate_all(instance)
     assert len(stable) == 64
     built = []
-    view = verification._view
+    validated = verification._validated
 
-    def counting_view(instance, m):
+    def counting_validated(instance, m):
         built.append(m)
-        return view(instance, m)
+        return validated(instance, m)
 
-    monkeypatch.setattr(verification, "_view", counting_view)
+    monkeypatch.setattr(verification, "_validated", counting_validated)
     run_all_checks(instance, stable)
     assert built == list(stable)
 
@@ -479,6 +482,94 @@ def interleaved(instance, seed):
     return built
 
 
+def assert_counts_are_lengths(reports):
+    for r in reports:
+        assert len(r.failures) == len(tuple(r.failures)), r.name
+        assert r.passed == (len(r.failures) == 0), r.name
+
+
+class TestFailureCounts:
+    """Each report's count, taken from the component tables, is the length
+    of the failure list its walk formats."""
+
+    @pytest.mark.parametrize("name", UNIONS)
+    def test_unions(self, name):
+        instance = disjoint_union(*UNIONS[name][0])
+        stable = enumerate_all(instance)
+        assert_counts_are_lengths(run_all_checks(instance, stable))
+        assert_counts_are_lengths(run_all_checks(instance, stable, pairs_only=True))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sets_that_repeat_a_member(self, seed):
+        # a repeated member is not a new tuple of restrictions, so such a
+        # set is never taken for the product of its restrictions
+        rng = random.Random(seed)
+        members = list(B_M) + rng.choices(B_M, k=3) + [
+            random_valid_matching(INSTANCE_B, rng)] * 2
+        rng.shuffle(members)
+        reports = run_all_checks(INSTANCE_B, members)
+        assert_counts_are_lengths(reports)
+        assert reports == naive_run_all_checks(INSTANCE_B, members)
+        instance = disjoint_union(INSTANCE_A, INSTANCE_A, INSTANCE_A)
+        stable = enumerate_all(instance)
+        members = list(stable) + rng.sample(stable, 5)
+        rng.shuffle(members)
+        assert_counts_are_lengths(run_all_checks(instance, members))
+
+
+def test_counts_walk_no_pair_and_a_slice_stops_at_its_end(monkeypatch):
+    # a^4 has 256 members; preference reversal fails on 4 pairs of
+    # restrictions of each of its 4 components, 64 * 64 times each
+    instance = disjoint_union(*(INSTANCE_A,) * 4)
+    stable = enumerate_all(instance)
+    assert len(stable) == 256
+    walked = []
+
+    def counting(walk):
+        def counted(*args):
+            for item in walk(*args):
+                walked.append(item)
+                yield item
+        return counted
+
+    for name in ("_pair_entries", "_axiom_walk"):
+        monkeypatch.setattr(verification, name, counting(getattr(verification, name)))
+    reports = run_all_checks(instance, stable)
+    assert [len(r.failures) for r in reports] == [0, 0, 0, 4 * 4 * 64 * 64, 0, 0]
+    assert [r.passed for r in reports] == [True, True, True, False, True, True]
+    assert walked == []
+    first = reports[3].failures[:5]
+    assert walked == list(first) and len(first) == 5
+    assert first == tuple(islice(reports[3].failures, 5))
+
+
+def test_lazy_failures_behave_as_their_tuple():
+    instance = disjoint_union(INSTANCE_B, INSTANCE_B)
+    reports = run_all_checks(instance, enumerate_all(instance))
+    for r in reports[3], reports[5]:
+        lazy, text = r.failures, tuple(r.failures)
+        assert len(text) in (784, 104)
+        assert lazy == text and text == lazy and not lazy != text
+        assert lazy != text[:-1] and lazy != text + ("x",) and lazy != list(text)
+        assert hash(lazy) == hash(text) and repr(lazy) == repr(text)
+        n = len(text)
+        for i in (0, 1, n // 2, n - 1, -1, -n):
+            assert lazy[i] == text[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                lazy[i]
+        for cut in (slice(5), slice(3, 9), slice(-4, None), slice(None, None, 7),
+                    slice(10, 2), slice(None, None, -3), slice(n - 2, n + 5)):
+            assert lazy[cut] == text[cut]
+        assert text[1] in lazy and list(lazy) == list(text)
+        for back in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert back == r and back.failures == text and hash(back) == hash(r)
+    assert reports[0].failures == () and not reports[0].failures
+    # a walk shorter than its count is not equal to a tuple of that count
+    short = verification._Failures(3, lambda: iter(("a", "b")))
+    assert short != ("a", "b", "c") and short != ("a", "b")
+
+
 class TestAgainstNaiveOnComponents:
     """The per-component split against the oracles, as full lists, on sets
     that are not products of their projections and on failures that span
@@ -503,8 +594,9 @@ class TestAgainstNaiveOnComponents:
     @staticmethod
     def assert_equal_to_oracles(instance, members):
         # the last report is the lattice check's, against naive_lattice_axioms
-        assert run_all_checks(instance, members) == naive_run_all_checks(
-            instance, members)
+        reports = run_all_checks(instance, members)
+        assert_counts_are_lengths(reports)
+        assert reports == naive_run_all_checks(instance, members)
 
     @pytest.mark.parametrize("name", PARTS)
     @pytest.mark.parametrize("seed", range(3))
@@ -528,8 +620,9 @@ class TestAgainstNaiveOnComponents:
         instance = interleaved(disjoint_union(INSTANCE_A, INSTANCE_B), seed)
         stable = enumerate_all(instance)
         assert len(stable) == 28
-        assert run_all_checks(instance, stable, pairs_only=True) == (
-            naive_run_all_checks(instance, stable, pairs_only=True))
+        reports = run_all_checks(instance, stable, pairs_only=True)
+        assert_counts_are_lengths(reports)
+        assert reports == naive_run_all_checks(instance, stable, pairs_only=True)
         rng = random.Random(seed)
         members = rng.sample(stable, 8) + [
             random_valid_matching(instance, rng) for _ in range(2)]
