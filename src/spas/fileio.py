@@ -238,7 +238,8 @@ def parse_matching_file(text: str, instance: Instance) -> Matching:
         if not 1 <= p <= instance.num_projects:
             raise _error(f"unknown project p{p}", line_no, raw_line, 1)
         pairs.append((s, p))
-    return Matching(tuple(pairs))
+    # positive int ids, one line per student: canonical once sorted
+    return Matching._canonical(tuple(sorted(pairs)))
 
 
 def serialize_matching(matching: Matching) -> str:

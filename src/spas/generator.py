@@ -83,10 +83,12 @@ def generate(params: GenParams) -> Instance:
     lo = min(params.pref_len[0], n2)
     hi = min(params.pref_len[1], n2)
     student_prefs: list[list[int]] = []
+    draw, density, ids = rng.random, params.density, range(1, n2 + 1)
     for _ in range(n1):
-        cands = [p for p in range(1, n2 + 1) if rng.random() < params.density]
+        cands = [p for p in ids if draw() < density]
         if len(cands) < lo:
-            missing = [p for p in range(1, n2 + 1) if p not in cands]
+            drawn = set(cands)
+            missing = [p for p in ids if p not in drawn]
             cands.extend(rng.sample(missing, lo - len(cands)))
         if len(cands) > hi:
             cands = rng.sample(cands, hi)

@@ -3,15 +3,16 @@
 Students rank projects, lecturers rank students, and every project is
 offered by exactly one lecturer; projects and lecturers carry capacities.
 Identifiers are dense 1-based integers per role; the ``s1``/``p2``/``l3``
-text forms appear only in file formats and messages.  The rank tables
-are built once, on first use, so preference queries are O(1).
+text forms appear only in file formats and messages.  The walk that
+validates an instance also builds its rank tables, its offered sets and
+its projected lists, and :func:`build_instance` hands them to the
+instance, so preference queries are O(1) from the start.
 """
 
 from __future__ import annotations
 
 import weakref
-from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 
 
@@ -126,6 +127,30 @@ class RawInstance(_Record):
         self.lecturer_prefs = [] if lecturer_prefs is _FRESH else lecturer_prefs
 
 
+class _Table:
+    """One derived table of an :class:`Instance`, a non-data descriptor:
+    :func:`build_instance` puts all four tables in the instance's
+    ``__dict__``, which takes precedence, so reading one is a dict hit.  An
+    instance constructed directly has none until the first read, which
+    runs the validating walk on its fields and stores the four tables it
+    builds, or raises ``ValueError`` naming the first violation."""
+
+    def __init__(self, doc: str) -> None:
+        self.__doc__ = doc
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: Instance | None, owner: type | None = None):
+        if instance is None:
+            return self
+        report, tables = _walk(instance)
+        if tables is None:
+            raise ValueError(f"invalid instance: {report.violations[0].render()}")
+        instance.__dict__.update(tables)
+        return tables[self.name]
+
+
 class Instance(_Frozen):
     """A validated, immutable problem instance.
 
@@ -133,10 +158,12 @@ class Instance(_Frozen):
     validation.  The problem data are immutable after construction and the
     instance is safe to share across concurrent readers.  The derived
     tables ``lecturer_projects``, ``srank``, ``lrank`` and ``projected``
-    are public and read-only, built on first use, indexed by id - 1; every
-    layer reads preferences through them.  It keeps no record of the
-    matchings proved stable for it: each such matching carries a
-    certificate naming the instance (:meth:`_certify`).
+    are public and read-only, indexed by id - 1; every layer reads
+    preferences through them.  The walk that validates the instance builds
+    them and :func:`build_instance` hands them over; a directly constructed
+    instance builds them on first read, by the same walk.  It keeps no
+    record of the matchings proved stable for it: each such matching
+    carries a certificate naming the instance (:meth:`_certify`).
     """
 
     __match_args__ = RawInstance.__match_args__
@@ -180,31 +207,26 @@ class Instance(_Frozen):
 
     # -- derived tables ------------------------------------------------------
 
-    @cached_property
-    def lecturer_projects(self) -> tuple[tuple[int, ...], ...]:
-        """Offered project sets, ascending, one tuple per lecturer."""
-        out: list[list[int]] = [[] for _ in range(self.num_lecturers)]
-        for p, k in enumerate(self.project_owner, start=1):
-            out[k - 1].append(p)
-        return tuple(tuple(ps) for ps in out)
+    lecturer_projects = _Table(
+        """Offered project sets, ascending, one tuple per lecturer.""")
 
-    @cached_property
-    def srank(self) -> tuple[dict[int, int], ...]:
+    srank = _Table(
         """Student rank tables, index s - 1: each maps the projects student
         s ranks to their 0-based positions (0 = best), so membership is
-        acceptability.  Read-only: do not mutate the dicts."""
-        return tuple(
-            {p: r for r, p in enumerate(prefs)} for prefs in self.student_prefs
-        )
+        acceptability.  Read-only: do not mutate the dicts.""")
 
-    @cached_property
-    def lrank(self) -> tuple[dict[int, int], ...]:
+    lrank = _Table(
         """Lecturer rank tables, index k - 1: each maps the students
         lecturer k ranks to their 0-based positions (0 = best).
-        Read-only: do not mutate the dicts."""
-        return tuple(
-            {s: r for r, s in enumerate(prefs)} for prefs in self.lecturer_prefs
-        )
+        Read-only: do not mutate the dicts.""")
+
+    projected = _Table(
+        """The projected lists, index p - 1: the list of the lecturer who
+        offers ``p`` restricted to the students who rank ``p``, best
+        first.  The validating walk gathers who ranks each project, then
+        sorts each project's rankers by their lecturer ranks: O(λ log r),
+        λ the total length of the student lists and r the most students
+        ranking one project.""")
 
     def _certify(self, *matchings: Matching) -> None:
         """Record ``matchings`` as proved stable for this instance: each
@@ -222,28 +244,6 @@ class Instance(_Frozen):
         """Whether ``m`` carries a certificate naming this instance."""
         cert = m.__dict__.get("_stable_in")
         return cert is not None and cert() is self
-
-    @cached_property
-    def projected(self) -> tuple[tuple[int, ...], ...]:
-        """The projected lists, index p - 1: the list of the lecturer who
-        offers ``p`` restricted to the students who rank ``p``, best
-        first.  Built in time linear in the total length of the student
-        lists: gather who ranks each project, then order them with one
-        pass over each lecturer's list."""
-        rankers: list[list[int]] = [[] for _ in self.project_capacity]
-        for s, prefs in enumerate(self.student_prefs, start=1):
-            for p in prefs:
-                rankers[p - 1].append(s)
-        lists: list[list[int]] = [[] for _ in self.project_capacity]
-        for ranked, offered in zip(self.lecturer_prefs, self.lecturer_projects):
-            wants: dict[int, list[int]] = {}
-            for p in offered:
-                for s in rankers[p - 1]:
-                    wants.setdefault(s, []).append(p)
-            for s in ranked:
-                for p in wants.get(s, ()):
-                    lists[p - 1].append(s)
-        return tuple(tuple(ranked) for ranked in lists)
 
     # -- queries ---------------------------------------------------------------
 
@@ -357,6 +357,11 @@ def _non_lists(raw: RawInstance) -> list[Violation]:
 def _non_integers(raw: RawInstance) -> list[Violation]:
     """Every entry of the five lists that is not a plain ``int`` (a
     ``bool`` is not), naming its entity, in field order."""
+    if {int}.issuperset(map(type, chain(
+            chain.from_iterable(raw.student_prefs), raw.project_capacity,
+            raw.project_owner, raw.lecturer_capacity,
+            chain.from_iterable(raw.lecturer_prefs)))):
+        return []
     entries = (
         (student_name, "ranked project",
          ((i, x) for i, prefs in enumerate(raw.student_prefs, start=1)
@@ -383,9 +388,22 @@ def validate_raw(raw: RawInstance) -> ValidationReport:
     entries, are reported alone: the other rules iterate the rows and
     compare and index with the entries.
     """
+    return _walk(raw)[0]
+
+
+def _walk(raw: RawInstance | Instance) -> tuple[ValidationReport, dict | None]:
+    """The report of :func:`validate_raw`, and the four derived tables of
+    :class:`Instance` by name, or ``None`` when there are violations.
+    ``raw`` may be the fields of an instance, tuples in place of lists.
+
+    Each preference row's position dict is its rank table, and a row of
+    known ids repeats none exactly when its dict is as long as the row.
+    The rankers of each project, gathered in one pass over the student
+    lists, give each lecturer's expected list and then the projected lists.
+    """
     typed = _non_lists(raw) or _non_integers(raw)
     if typed:
-        return ValidationReport(tuple(typed))
+        return ValidationReport(tuple(typed)), None
     n1 = len(raw.student_prefs)
     n2 = len(raw.project_capacity)
     n3 = len(raw.lecturer_capacity)
@@ -424,9 +442,18 @@ def validate_raw(raw: RawInstance) -> ValidationReport:
                 "dangling-identifier", project_name(j),
                 f"owner {lecturer_name(k)} does not exist"))
 
+    # each row's position dict is its rank table; the entries are walked
+    # one by one only when the dicts show a repeat or an unknown id
+    ranks = []
     for name, ranked, other, n, rows in (
             (student_name, "ranked project", project_name, n2, raw.student_prefs),
             (lecturer_name, "ranked student", student_name, n1, raw.lecturer_prefs)):
+        table = tuple({x: r for r, x in enumerate(prefs)} for prefs in rows)
+        ranks.append(table)
+        if (sum(map(len, table)) == sum(map(len, rows))
+                and min(chain.from_iterable(table), default=1) >= 1
+                and max(chain.from_iterable(table), default=n) <= n):
+            continue
         for i, prefs in enumerate(rows, start=1):
             seen: set[int] = set()
             for x in prefs:
@@ -438,6 +465,7 @@ def validate_raw(raw: RawInstance) -> ValidationReport:
                     violations.append(Violation(
                         "duplicate-preference", name(i), f"{other(x)} appears twice"))
                 seen.add(x)
+    srank, lrank = ranks
     for i, prefs in enumerate(raw.student_prefs, start=1):
         if not prefs:
             warnings.append(Violation(
@@ -463,41 +491,59 @@ def validate_raw(raw: RawInstance) -> ValidationReport:
                 f"capacity {max(caps)} and the capacity sum {sum(caps)}"))
 
     if not (projects_aligned and lecturers_aligned):
-        return ValidationReport(tuple(violations), tuple(warnings))
+        return ValidationReport(tuple(violations), tuple(warnings)), None
 
-    # one pass over the student lists: who ranks a project of each lecturer
-    expected: list[set[int]] = [set() for _ in range(n3)]
+    # one pass over the student lists: who ranks each project, ascending;
+    # a lecturer's list holds exactly the rankers of their projects
+    rankers: list[list[int]] = [[] for _ in range(n2 + 1)]  # index p
     for i, prefs in enumerate(raw.student_prefs, start=1):
         for p in prefs:
-            if 1 <= p <= n2 and 1 <= raw.project_owner[p - 1] <= n3:
-                expected[raw.project_owner[p - 1] - 1].add(i)
+            if 1 <= p <= n2:
+                rankers[p].append(i)
     for k in range(1, n3 + 1):
+        expected = set().union(*[rankers[p] for p in offered[k - 1]])
+        if lrank[k - 1].keys() == expected:
+            continue
         listed = {s for s in raw.lecturer_prefs[k - 1] if 1 <= s <= n1}
-        for s in sorted(expected[k - 1] - listed):
+        for s in sorted(expected - listed):
             violations.append(Violation(
                 "lecturer-list-mismatch", lecturer_name(k),
                 f"{student_name(s)} ranks an offered project but is missing "
                 f"from the list"))
-        for s in sorted(listed - expected[k - 1]):
+        for s in sorted(listed - expected):
             violations.append(Violation(
                 "lecturer-list-mismatch", lecturer_name(k),
                 f"{student_name(s)} is listed but ranks no offered project"))
 
-    return ValidationReport(tuple(violations), tuple(warnings))
+    report = ValidationReport(tuple(violations), tuple(warnings))
+    if violations:
+        return report, None
+    # each project's rankers in its lecturer's order, as that lecturer's
+    # own id objects
+    projected: list[tuple[int, ...]] = [()] * n2
+    for rank, ranked, mine in zip(lrank, raw.lecturer_prefs, offered):
+        for p in mine:
+            projected[p - 1] = tuple(map(
+                ranked.__getitem__, sorted(map(rank.__getitem__, rankers[p]))))
+    return report, {"lecturer_projects": tuple(map(tuple, offered)),
+                    "srank": srank, "lrank": lrank, "projected": tuple(projected)}
 
 
 def build_instance(raw: RawInstance) -> Instance | ValidationReport:
-    """Validate ``raw`` and return an :class:`Instance`, or the full report."""
-    report = validate_raw(raw)
-    if not report.ok:
+    """Validate ``raw`` and return an :class:`Instance` holding the tables
+    the validating walk built, or the full report."""
+    report, tables = _walk(raw)
+    if tables is None:
         return report
-    return Instance(
-        student_prefs=tuple(tuple(p) for p in raw.student_prefs),
+    instance = Instance(
+        student_prefs=tuple(map(tuple, raw.student_prefs)),
         project_capacity=tuple(raw.project_capacity),
         project_owner=tuple(raw.project_owner),
         lecturer_capacity=tuple(raw.lecturer_capacity),
-        lecturer_prefs=tuple(tuple(p) for p in raw.lecturer_prefs),
+        lecturer_prefs=tuple(map(tuple, raw.lecturer_prefs)),
     )
+    instance.__dict__.update(tables)
+    return instance
 
 
 def is_valid_matching(instance: Instance, matching: Matching) -> ValidationReport:

@@ -9,8 +9,8 @@ free students or lecturers are served never changes the output.
 
 Write λ for the total length of the students' preference lists.  Both
 solvers walk the projected lists L_k^p (lecturer k's list restricted to the
-students who rank p), which the instance builds once in O(λ), with
-pointers that never move back.
+students who rank p), which come built with the instance, with pointers
+that never move back.
 """
 
 from __future__ import annotations

@@ -47,8 +47,9 @@ def find_blocking_pairs(
     lecturer's order, so ranks on the full list decide a project's worst
     too.  Each student's list is then scanned only down to (and excluding)
     their current assignment: S2 needs strict preference, so nothing below
-    the assignment can block.  After validation this is O(λ + |M|), λ the
-    total length of the student lists, plus ordering the output.
+    the assignment can block.  The rank tables come built with the
+    instance, so after validation this is O(λ + |M|), λ the total length
+    of the student lists, plus ordering the output.
     """
     require_valid_matching(instance, matching)
     owner = instance.project_owner
@@ -73,6 +74,8 @@ def find_blocking_pairs(
         lworst[k] = max(lworst[k], r)
 
     found: list[BlockingPair] = []
+    # what BlockingPair's generated __new__ does, without a Python call
+    new = tuple.__new__
     for s, prefs in enumerate(instance.student_prefs, start=1):
         mine = assigned[s]
         if mine:
@@ -96,7 +99,7 @@ def find_blocking_pairs(
                 p_cond = "P3"
             else:
                 continue
-            found.append(BlockingPair(s, p, s_cond, p_cond))
+            found.append(new(BlockingPair, (s, p, s_cond, p_cond)))
     found.sort()  # (student, project) is unique, so this orders by it
     return tuple(found)
 

@@ -8,8 +8,10 @@ branches every student over their whole list plus unassigned and stops at
 the first stable matching, whose loads bound the second.  It is pinned to the
 brute-force set at small sizes and reaches sizes the brute force cannot;
 meet and join over that set give the optimal matchings without calling
-the two proposal algorithms.  The list-correspondence
-check is the quadratic loop that one pass in ``validate_raw`` replaced, and
+the two proposal algorithms.  The list-correspondence check is the
+quadratic loop that one pass in ``validate_raw`` replaced,
+``reference_tables`` the four derived tables each built on its own, as
+they were before the validating walk built them, and
 ``naive_is_valid_matching`` the per-student grouping that the one-pass
 ``is_valid_matching`` replaced.  ``naive_lattice_axioms`` is the
 lattice-axioms check as first written, combining ``Matching`` objects
@@ -368,6 +370,36 @@ def naive_list_correspondence(raw: RawInstance) -> list[Violation]:
                 "lecturer-list-mismatch", f"l{k}",
                 f"s{s} is listed but ranks no offered project"))
     return out
+
+
+def reference_tables(instance: Instance) -> dict[str, tuple]:
+    """The four derived tables of ``instance`` by name, each from its own
+    pass over the instance's fields, as the instance once built them on
+    first use; the validating walk that builds them now must agree."""
+    offered: list[list[int]] = [[] for _ in range(instance.num_lecturers)]
+    for p, k in enumerate(instance.project_owner, start=1):
+        offered[k - 1].append(p)
+    rankers: list[list[int]] = [[] for _ in instance.project_capacity]
+    for s, prefs in enumerate(instance.student_prefs, start=1):
+        for p in prefs:
+            rankers[p - 1].append(s)
+    lists: list[list[int]] = [[] for _ in instance.project_capacity]
+    for ranked, mine in zip(instance.lecturer_prefs, offered):
+        wants: dict[int, list[int]] = {}
+        for p in mine:
+            for s in rankers[p - 1]:
+                wants.setdefault(s, []).append(p)
+        for s in ranked:
+            for p in wants.get(s, ()):
+                lists[p - 1].append(s)
+    return {
+        "lecturer_projects": tuple(tuple(ps) for ps in offered),
+        "srank": tuple({p: r for r, p in enumerate(prefs)}
+                       for prefs in instance.student_prefs),
+        "lrank": tuple({s: r for r, s in enumerate(prefs)}
+                       for prefs in instance.lecturer_prefs),
+        "projected": tuple(tuple(ranked) for ranked in lists),
+    }
 
 
 def _lect_set(instance: Instance, m: Matching, k: int) -> set[int]:

@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from pathlib import Path
@@ -16,7 +17,11 @@ from known_instances import (
     INSTANCE_A,
     INSTANCE_B,
 )
-from oracles import token_parse_matching_file, token_parse_raw_instance
+from oracles import (
+    random_valid_matching,
+    token_parse_matching_file,
+    token_parse_raw_instance,
+)
 from spas import (
     GenParams,
     HasseDiagram,
@@ -205,6 +210,26 @@ class TestMatchingFiles:
             parse_matching_file("s9 p1\n", INSTANCE_A)
         with pytest.raises(ParseError):
             parse_matching_file("s1 p9\n", INSTANCE_A)
+
+    def test_parsed_matching_is_canonical(self):
+        # lines in any order, with comments, blank lines and s<i> - lines,
+        # give the matching the constructor makes of the same pairs
+        rng = random.Random(23)
+        for seed in range(1, 41):
+            instance = corpus_instance(seed, 12, 8, 4)
+            pairs = list(random_valid_matching(instance, rng).pairs)
+            held = dict(pairs)
+            lines = [f"s{s} p{held[s]}" if s in held else f"s{s} -"
+                     for s in instance.students()]
+            lines += ["# a comment", "", "   ", "#s1 p1"]
+            rng.shuffle(lines)
+            rng.shuffle(pairs)
+            got = parse_matching_file("\n".join(lines) + "\n", instance)
+            want = Matching(tuple(pairs))
+            assert got == want
+            assert got.pairs == want.pairs
+            assert hash(got) == hash(want)
+            assert pickle.dumps(got) == pickle.dumps(want)
 
     def test_duplicate_student_rejected(self):
         with pytest.raises(ParseError):

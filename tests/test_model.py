@@ -5,20 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from known_instances import A_M1, A_M2, INSTANCE_A, INSTANCE_B
+from known_instances import A_M1, A_M2, INSTANCE_A, INSTANCE_B, disjoint_union
 from oracles import (
     naive_is_valid_matching,
     naive_list_correspondence,
     random_valid_matching,
+    reference_tables,
 )
 from corpus import corpus_instance
 from spas import (
+    GenParams,
     Instance,
     Matching,
     RawInstance,
     ValidationReport,
     Violation,
     build_instance,
+    generate,
     is_valid_matching,
     validate_raw,
 )
@@ -353,6 +356,78 @@ class TestQueries:
         with pytest.raises(AttributeError):
             delattr(instance, table)
         assert getattr(instance, table) is before
+
+
+TABLES = ("lecturer_projects", "srank", "lrank", "projected")
+FIELDS = ("student_prefs", "project_capacity", "project_owner",
+          "lecturer_capacity", "lecturer_prefs")
+
+
+def assert_reference_tables(instance: Instance) -> None:
+    """Each table of ``instance`` equals the reference builder's, down to
+    the container types: a tuple holding dicts or tuples."""
+    for name, table in reference_tables(instance).items():
+        got = getattr(instance, name)
+        assert type(got) is tuple
+        assert all(type(x) is type(y) for x, y in zip(got, table))
+        assert got == table, name
+
+
+def ladder_instance(n: int, seed: int) -> Instance:
+    """The benchmark's department shape at ``n`` students."""
+    projects = max(2, n // 4)
+    return generate(GenParams(
+        students=n, projects=projects, lecturers=max(1, n // 20),
+        pref_len=(3, 6), project_cap=(1, 4), seed=seed * 10_007 + n,
+        density=min(1.0, 4.5 / projects)))
+
+
+class TestTablesFromTheWalk:
+    """The validating walk builds the derived tables that the reference
+    builders of ``oracles`` make one at a time, and ``build_instance``
+    hands them to the instance."""
+
+    @pytest.mark.parametrize("shape", [(6, 5, 3), (12, 4, 2), (8, 10, 5),
+                                       (12, 8, 4)])
+    def test_corpus_shapes(self, shape):
+        for seed in range(1, 61):
+            instance = corpus_instance(seed, *shape)
+            assert set(TABLES) <= instance.__dict__.keys()
+            assert_reference_tables(instance)
+
+    def test_department_shape(self):
+        for seed in range(3):
+            assert_reference_tables(ladder_instance(250, seed))
+
+    @pytest.mark.parametrize("parts", [
+        (INSTANCE_A, INSTANCE_A, INSTANCE_A), (INSTANCE_A, INSTANCE_B),
+        (INSTANCE_B, INSTANCE_B)], ids=["a+a+a", "a+b", "b+b"])
+    def test_unions(self, parts):
+        assert_reference_tables(disjoint_union(*parts))
+
+    def test_empty_student_lists(self):
+        for raw in (
+                RawInstance([[], [2], []], [1, 1], [1, 1], [1], [[2]]),
+                RawInstance([[], []], [1], [1], [1], [[]]),
+                RawInstance([[1], []], [2, 1], [1, 2], [2, 1], [[1], []])):
+            built = build_instance(raw)
+            assert isinstance(built, Instance), built
+            assert_reference_tables(built)
+
+    def test_direct_construction_builds_them_on_first_read(self):
+        for instance in (INSTANCE_A, INSTANCE_B, ladder_instance(250, 1)):
+            direct = Instance(*(getattr(instance, f) for f in FIELDS))
+            assert not set(TABLES) & direct.__dict__.keys()
+            assert direct.projected == instance.projected
+            assert set(TABLES) <= direct.__dict__.keys()
+            assert_reference_tables(direct)
+
+    def test_invalid_direct_construction_raises_on_read(self):
+        direct = Instance(((1,),), (1,), (1,), (1,), ((),))
+        with pytest.raises(ValueError, match=(
+                r"^invalid instance: lecturer-list-mismatch \[l1\]: s1 ranks "
+                r"an offered project but is missing from the list$")):
+            direct.srank
 
 
 class TestMatching:

@@ -127,10 +127,22 @@ class TestConditionLabels:
                     assert lecturer_prefers(instance, k, s, worst)
 
 
+FIELDS = ("student", "project", "student_condition", "project_condition")
+
+
 def labelled_tuples(instance, matching):
+    """The blocking pairs as plain tuples, after checking that each one is
+    a ``BlockingPair`` itself, with its fields and its repr."""
+    found = find_blocking_pairs(instance, matching)
+    for bp in found:
+        assert type(bp) is BlockingPair
+        assert bp._fields == FIELDS
+        assert repr(bp) == (
+            f"BlockingPair(student={bp[0]!r}, project={bp[1]!r}, "
+            f"student_condition={bp[2]!r}, project_condition={bp[3]!r})")
     return [
         (bp.student, bp.project, bp.student_condition, bp.project_condition)
-        for bp in find_blocking_pairs(instance, matching)
+        for bp in found
     ]
 
 
