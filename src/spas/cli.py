@@ -14,7 +14,6 @@ import argparse
 import sys
 
 from .fileio import (
-    ParseError,
     emit_dot,
     parse_instance_file,
     parse_matching_file,
@@ -264,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except _Exit as exc:
         return exc.code
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return EXIT_FALSE
 

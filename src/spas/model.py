@@ -3,10 +3,11 @@
 Students rank projects, lecturers rank students, and every project is
 offered by exactly one lecturer; projects and lecturers carry capacities.
 Identifiers are dense 1-based integers per role; the ``s1``/``p2``/``l3``
-text forms appear only in file formats and messages.  The walk that
-validates an instance also builds its rank tables, its offered sets and
-its projected lists, and :func:`build_instance` hands them to the
-instance, so preference queries are O(1) from the start.
+text forms appear only in file formats and messages.  Every
+:class:`Instance` is valid: its constructor, like :func:`build_instance`,
+runs the validating walk, which also builds the rank tables, the offered
+sets and the projected lists that the instance holds, so preference
+queries are O(1) from the start.
 """
 
 from __future__ import annotations
@@ -127,41 +128,28 @@ class RawInstance(_Record):
         self.lecturer_prefs = [] if lecturer_prefs is _FRESH else lecturer_prefs
 
 
-class _Table:
-    """One derived table of an :class:`Instance`, a non-data descriptor:
-    :func:`build_instance` puts all four tables in the instance's
-    ``__dict__``, which takes precedence, so reading one is a dict hit.  An
-    instance constructed directly has none until the first read, which
-    runs the validating walk on its fields and stores the four tables it
-    builds, or raises ``ValueError`` naming the first violation."""
-
-    def __init__(self, doc: str) -> None:
-        self.__doc__ = doc
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance: Instance | None, owner: type | None = None):
-        if instance is None:
-            return self
-        report, tables = _walk(instance)
-        if tables is None:
-            raise ValueError(f"invalid instance: {report.violations[0].render()}")
-        instance.__dict__.update(tables)
-        return tables[self.name]
-
-
 class Instance(_Frozen):
     """A validated, immutable problem instance.
 
-    Construct through :func:`build_instance`; direct construction skips
-    validation.  The problem data are immutable after construction and the
-    instance is safe to share across concurrent readers.  The derived
-    tables ``lecturer_projects``, ``srank``, ``lrank`` and ``projected``
-    are public and read-only, indexed by id - 1; every layer reads
-    preferences through them.  The walk that validates the instance builds
-    them and :func:`build_instance` hands them over; a directly constructed
-    instance builds them on first read, by the same walk.  It keeps no
+    The constructor checks the fields by the walk of :func:`validate_raw`
+    and raises ``ValueError("invalid instance: ...")`` naming the first
+    violation; :func:`build_instance` checks a :class:`RawInstance` and
+    returns the full report instead.  Either way the walk also builds the
+    four derived tables that every layer reads preferences through.  They
+    are public and read-only, indexed by id - 1; do not mutate their dicts:
+
+    * ``lecturer_projects``: the projects each lecturer offers, ascending;
+    * ``srank``: for each student, a dict from the projects they rank to
+      their 0-based positions (0 = best), so membership is acceptability;
+    * ``lrank``: for each lecturer, a dict from the students they rank to
+      their 0-based positions (0 = best);
+    * ``projected``: for each project ``p``, the list of the lecturer who
+      offers ``p`` restricted to the students who rank ``p``, best first.
+      The walk gathers who ranks each project, then sorts each project's
+      rankers by their lecturer ranks: O(λ log r), λ the total length of
+      the student lists and r the most students ranking one project.
+
+    The instance is safe to share across concurrent readers.  It keeps no
     record of the matchings proved stable for it: each such matching
     carries a certificate naming the instance (:meth:`_certify`).
     """
@@ -181,6 +169,20 @@ class Instance(_Frozen):
             project_owner=project_owner, lecturer_capacity=lecturer_capacity,
             lecturer_prefs=lecturer_prefs,
         )
+        report, tables = _walk(self)
+        if tables is None:
+            raise ValueError(f"invalid instance: {report.violations[0].render()}")
+        self.__dict__.update(tables)
+
+    @classmethod
+    def _trusted(cls, fields: tuple, tables: dict) -> Instance:
+        """An instance on ``fields``, in constructor order, holding
+        ``tables``, without the walk: for :func:`build_instance`, whose
+        walk over the raw lists has just checked the one and built the
+        other."""
+        instance = object.__new__(cls)
+        instance.__dict__.update(zip(cls.__match_args__, fields), **tables)
+        return instance
 
     # -- sizes and id ranges -------------------------------------------------
 
@@ -204,29 +206,6 @@ class Instance(_Frozen):
 
     def lecturers(self) -> range:
         return range(1, self.num_lecturers + 1)
-
-    # -- derived tables ------------------------------------------------------
-
-    lecturer_projects = _Table(
-        """Offered project sets, ascending, one tuple per lecturer.""")
-
-    srank = _Table(
-        """Student rank tables, index s - 1: each maps the projects student
-        s ranks to their 0-based positions (0 = best), so membership is
-        acceptability.  Read-only: do not mutate the dicts.""")
-
-    lrank = _Table(
-        """Lecturer rank tables, index k - 1: each maps the students
-        lecturer k ranks to their 0-based positions (0 = best).
-        Read-only: do not mutate the dicts.""")
-
-    projected = _Table(
-        """The projected lists, index p - 1: the list of the lecturer who
-        offers ``p`` restricted to the students who rank ``p``, best
-        first.  The validating walk gathers who ranks each project, then
-        sorts each project's rankers by their lecturer ranks: O(λ log r),
-        λ the total length of the student lists and r the most students
-        ranking one project.""")
 
     def _certify(self, *matchings: Matching) -> None:
         """Record ``matchings`` as proved stable for this instance: each
@@ -278,11 +257,12 @@ def _checked_rank(ranks: tuple[dict[int, int], ...], role: str, name, i: int,
 class Matching(_Frozen):
     """A set of (student, project) pairs in canonical ascending order.
 
-    Two matchings with equal pair sets compare and hash equal regardless of
-    construction order.  Whether the pairs are legal for some instance is
-    the business of :func:`is_valid_matching`; a matching proved stable
-    carries a certificate naming the instance (:meth:`Instance._certify`),
-    which an equal matching does not share.
+    The constructor checks and sorts the pairs, and :meth:`_canonical`
+    trusts pairs that are canonical already; two matchings with equal pair
+    sets compare and hash equal.  Whether the pairs are legal for some
+    instance is the business of :func:`is_valid_matching`; a matching
+    proved stable carries a certificate naming the instance
+    (:meth:`Instance._certify`), which an equal matching does not share.
     """
 
     __match_args__ = ("pairs",)
@@ -307,17 +287,6 @@ class Matching(_Frozen):
         m = object.__new__(cls)
         m.__dict__["pairs"] = pairs
         return m
-
-    # written out for the one field: enumerate_all compares its two
-    # deferred-acceptance matchings on every call; a class that defines
-    # __eq__ must define __hash__ too, or it is unhashable
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash((self.pairs,))
 
     def __getstate__(self) -> dict:
         # a certificate holds a weak reference, which does not pickle;
@@ -394,7 +363,8 @@ def validate_raw(raw: RawInstance) -> ValidationReport:
 def _walk(raw: RawInstance | Instance) -> tuple[ValidationReport, dict | None]:
     """The report of :func:`validate_raw`, and the four derived tables of
     :class:`Instance` by name, or ``None`` when there are violations.
-    ``raw`` may be the fields of an instance, tuples in place of lists.
+    ``raw`` may be an instance that is being constructed, whose fields are
+    tuples in place of lists.
 
     Each preference row's position dict is its rank table, and a row of
     known ids repeats none exactly when its dict is as long as the row.
@@ -535,15 +505,10 @@ def build_instance(raw: RawInstance) -> Instance | ValidationReport:
     report, tables = _walk(raw)
     if tables is None:
         return report
-    instance = Instance(
-        student_prefs=tuple(map(tuple, raw.student_prefs)),
-        project_capacity=tuple(raw.project_capacity),
-        project_owner=tuple(raw.project_owner),
-        lecturer_capacity=tuple(raw.lecturer_capacity),
-        lecturer_prefs=tuple(map(tuple, raw.lecturer_prefs)),
-    )
-    instance.__dict__.update(tables)
-    return instance
+    return Instance._trusted((
+        tuple(map(tuple, raw.student_prefs)), tuple(raw.project_capacity),
+        tuple(raw.project_owner), tuple(raw.lecturer_capacity),
+        tuple(map(tuple, raw.lecturer_prefs))), tables)
 
 
 def is_valid_matching(instance: Instance, matching: Matching) -> ValidationReport:

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -264,6 +265,45 @@ class TestSeededSearch:
         stable = enumerate_all(disjoint_union(*parts), force=True)
         assert stable == union_stable_set(parts, [A_STABLE, [trivial]])
         assert len(stable) == 4
+
+
+def search_work(instance: Instance) -> tuple[int, int]:
+    """How often ``enumerate_all`` enters its nested ``level`` and
+    ``blocked`` on ``instance``: the profiler's ``call`` events on their
+    code objects, which a generator fires each time it starts or resumes.
+    The profiler in place before is restored afterwards."""
+    nested = {c: c.co_name for c in enumerate_all.__code__.co_consts
+              if hasattr(c, "co_name")}
+    counts: Counter[str] = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in nested:
+            counts[nested[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        enumerate_all(instance)
+    finally:
+        sys.setprofile(previous)
+    return counts["level"], counts["blocked"]
+
+
+class TestSearchWork:
+    """The search's work on unions of the bundled instances, pinned as
+    (level, blocked) entries: a cut that stops pruning still finds the
+    same stable set, so only the work shows it.  Without the project-fill
+    cut, for example, ``b`` reads (449, 478) and ``b+b`` (3599, 3824)."""
+
+    @pytest.mark.parametrize("parts, work", [
+        ((INSTANCE_A, INSTANCE_A), (119, 95)),
+        ((INSTANCE_B,), (253, 294)),
+        ((INSTANCE_A, INSTANCE_B), (1039, 1195)),
+        ((INSTANCE_B, INSTANCE_B), (2031, 2352)),
+        ((INSTANCE_A, INSTANCE_A, INSTANCE_A), (503, 399)),
+    ], ids=["a+a", "b", "a+b", "b+b", "a^3"])
+    def test_pinned_entries(self, parts, work):
+        assert search_work(disjoint_union(*parts)) == work
 
 
 class TestCertificates:

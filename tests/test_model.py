@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -414,20 +416,26 @@ class TestTablesFromTheWalk:
             assert isinstance(built, Instance), built
             assert_reference_tables(built)
 
-    def test_direct_construction_builds_them_on_first_read(self):
+    def test_direct_construction_builds_them(self):
         for instance in (INSTANCE_A, INSTANCE_B, ladder_instance(250, 1)):
             direct = Instance(*(getattr(instance, f) for f in FIELDS))
-            assert not set(TABLES) & direct.__dict__.keys()
-            assert direct.projected == instance.projected
             assert set(TABLES) <= direct.__dict__.keys()
             assert_reference_tables(direct)
 
-    def test_invalid_direct_construction_raises_on_read(self):
-        direct = Instance(((1,),), (1,), (1,), (1,), ((),))
+    def test_invalid_direct_construction_raises(self):
         with pytest.raises(ValueError, match=(
                 r"^invalid instance: lecturer-list-mismatch \[l1\]: s1 ranks "
                 r"an offered project but is missing from the list$")):
-            direct.srank
+            Instance(((1,),), (1,), (1,), (1,), ((),))
+
+    @pytest.mark.parametrize("roundtrip", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_and_pickles_carry_them(self, roundtrip):
+        for instance in (INSTANCE_B, ladder_instance(250, 2)):
+            back = roundtrip(instance)
+            assert set(TABLES) <= back.__dict__.keys()
+            assert_reference_tables(back)
 
 
 class TestMatching:
