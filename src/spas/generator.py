@@ -6,20 +6,25 @@ give identical instances on every platform and run.  Lecturer lists are
 derived from the student lists rather than sampled, which satisfies the
 acceptability correspondence by construction, and lecturer capacities are
 drawn inside the feasible band, so every generated instance validates.
+The drawn lists go straight to the :class:`Instance` constructor, which
+checks them and stores them as tuples; an invalid draw would raise its
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import random
 
-from .model import Instance, RawInstance, _Frozen, build_instance
+from .model import Instance, _Frozen
 
 
 class GenParams(_Frozen):
     """Generation recipe; the seed is part of the identity of the output.
 
     ``density`` is the probability that any given project enters a
-    student's candidate list before the length range is applied.
+    student's candidate list before the length range is applied.  The two
+    ranges are stored as tuples, so a recipe given lists hashes, and equals
+    the same recipe given tuples.
     """
 
     __match_args__ = ("students", "projects", "lecturers", "pref_len",
@@ -37,7 +42,7 @@ class GenParams(_Frozen):
     ) -> None:
         self.__dict__.update(
             students=students, projects=projects, lecturers=lecturers,
-            pref_len=pref_len, project_cap=project_cap, seed=seed,
+            pref_len=tuple(pref_len), project_cap=tuple(project_cap), seed=seed,
             density=density,
         )
 
@@ -111,15 +116,5 @@ def generate(params: GenParams) -> Instance:
         rng.shuffle(ranked)
         lecturer_capacity.append(rng.randint(max(caps), sum(caps)))
 
-    built = build_instance(RawInstance(
-        student_prefs=student_prefs,
-        project_capacity=capacity,
-        project_owner=owner,
-        lecturer_capacity=lecturer_capacity,
-        lecturer_prefs=lecturer_prefs,
-    ))
-    if not isinstance(built, Instance):
-        raise AssertionError(
-            f"generator produced an invalid instance: {built.violations}"
-        )
-    return built
+    return Instance(student_prefs, capacity, owner, lecturer_capacity,
+                    lecturer_prefs)

@@ -114,9 +114,10 @@ def lecturer_compare(
 
     The symmetric differences are listed in the lecturer's preference order
     and compared position by position; a mixed outcome is surfaced as
-    ``INCOMPARABLE`` rather than collapsed.
+    ``INCOMPARABLE`` rather than collapsed.  A ``k`` that is not a plain
+    ``int`` (a ``bool`` or a float is not) is an unknown lecturer.
     """
-    if not 1 <= k <= instance.num_lecturers:
+    if type(k) is not int or not 1 <= k <= instance.num_lecturers:
         raise ValueError(f"unknown lecturer {lecturer_name(k)}")
     _require_stable(instance, first, second)
     return _compare(

@@ -4,10 +4,11 @@ Students rank projects, lecturers rank students, and every project is
 offered by exactly one lecturer; projects and lecturers carry capacities.
 Identifiers are dense 1-based integers per role; the ``s1``/``p2``/``l3``
 text forms appear only in file formats and messages.  Every
-:class:`Instance` is valid: its constructor, like :func:`build_instance`,
-runs the validating walk, which also builds the rank tables, the offered
-sets and the projected lists that the instance holds, so preference
-queries are O(1) from the start.
+:class:`Instance` is valid and immutable.  Its constructor, which
+:func:`build_instance` calls, runs the validating walk over the given lists
+or tuples and then stores them as tuples.  The walk also builds the rank
+tables, the offered sets and the projected lists that the instance holds,
+so preference queries are O(1) from the start.
 """
 
 from __future__ import annotations
@@ -131,12 +132,15 @@ class RawInstance(_Record):
 class Instance(_Frozen):
     """A validated, immutable problem instance.
 
-    The constructor checks the fields by the walk of :func:`validate_raw`
-    and raises ``ValueError("invalid instance: ...")`` naming the first
-    violation; :func:`build_instance` checks a :class:`RawInstance` and
-    returns the full report instead.  Either way the walk also builds the
-    four derived tables that every layer reads preferences through.  They
-    are public and read-only, indexed by id - 1; do not mutate their dicts:
+    The constructor takes the five fields as lists or tuples and checks
+    them by the walk of :func:`validate_raw`, raising
+    ``ValueError("invalid instance: ...")`` naming the first violation.
+    Otherwise it stores them as tuples, so the caller's lists may change
+    afterwards without reaching the instance.  :func:`build_instance` is
+    this constructor on a :class:`RawInstance`, returning the full report
+    in place of raising.  The walk also builds the four derived tables that
+    every layer reads preferences through.  They are public and read-only,
+    indexed by id - 1; do not mutate their dicts:
 
     * ``lecturer_projects``: the projects each lecturer offers, ascending;
     * ``srank``: for each student, a dict from the projects they rank to
@@ -158,31 +162,25 @@ class Instance(_Frozen):
 
     def __init__(
         self,
-        student_prefs: tuple[tuple[int, ...], ...],
-        project_capacity: tuple[int, ...],
-        project_owner: tuple[int, ...],
-        lecturer_capacity: tuple[int, ...],
-        lecturer_prefs: tuple[tuple[int, ...], ...],
+        student_prefs: list[list[int]],
+        project_capacity: list[int],
+        project_owner: list[int],
+        lecturer_capacity: list[int],
+        lecturer_prefs: list[list[int]],
     ) -> None:
-        self.__dict__.update(
-            student_prefs=student_prefs, project_capacity=project_capacity,
-            project_owner=project_owner, lecturer_capacity=lecturer_capacity,
-            lecturer_prefs=lecturer_prefs,
-        )
-        report, tables = _walk(self)
+        report, tables = _walk(RawInstance(
+            student_prefs, project_capacity, project_owner, lecturer_capacity,
+            lecturer_prefs))
         if tables is None:
             raise ValueError(f"invalid instance: {report.violations[0].render()}")
-        self.__dict__.update(tables)
-
-    @classmethod
-    def _trusted(cls, fields: tuple, tables: dict) -> Instance:
-        """An instance on ``fields``, in constructor order, holding
-        ``tables``, without the walk: for :func:`build_instance`, whose
-        walk over the raw lists has just checked the one and built the
-        other."""
-        instance = object.__new__(cls)
-        instance.__dict__.update(zip(cls.__match_args__, fields), **tables)
-        return instance
+        self.__dict__.update(
+            student_prefs=tuple(map(tuple, student_prefs)),
+            project_capacity=tuple(project_capacity),
+            project_owner=tuple(project_owner),
+            lecturer_capacity=tuple(lecturer_capacity),
+            lecturer_prefs=tuple(map(tuple, lecturer_prefs)),
+            **tables,
+        )
 
     # -- sizes and id ranges -------------------------------------------------
 
@@ -245,13 +243,14 @@ def _checked_rank(ranks: tuple[dict[int, int], ...], role: str, name, i: int,
                   other, x: int) -> int:
     """``ranks[i - 1][x]``, the rank that ``name(i)``, of ``role``, gives
     ``other(x)``.  Raises ``ValueError`` for an unknown ``i`` or for an
-    ``x`` that is not on its list."""
-    if not 1 <= i <= len(ranks):
+    ``x`` that is not on its list; an id that is not a plain ``int`` (a
+    ``bool`` or a float is not) is unknown."""
+    if type(i) is not int or not 1 <= i <= len(ranks):
         raise ValueError(f"unknown {role} {name(i)}")
-    try:
-        return ranks[i - 1][x]
-    except KeyError:
-        raise ValueError(f"{other(x)} is not on the list of {name(i)}") from None
+    rank = ranks[i - 1].get(x) if type(x) is int else None
+    if rank is None:
+        raise ValueError(f"{other(x)} is not on the list of {name(i)}")
+    return rank
 
 
 class Matching(_Frozen):
@@ -360,11 +359,9 @@ def validate_raw(raw: RawInstance) -> ValidationReport:
     return _walk(raw)[0]
 
 
-def _walk(raw: RawInstance | Instance) -> tuple[ValidationReport, dict | None]:
+def _walk(raw: RawInstance) -> tuple[ValidationReport, dict | None]:
     """The report of :func:`validate_raw`, and the four derived tables of
     :class:`Instance` by name, or ``None`` when there are violations.
-    ``raw`` may be an instance that is being constructed, whose fields are
-    tuples in place of lists.
 
     Each preference row's position dict is its rank table, and a row of
     known ids repeats none exactly when its dict is as long as the row.
@@ -500,15 +497,13 @@ def _walk(raw: RawInstance | Instance) -> tuple[ValidationReport, dict | None]:
 
 
 def build_instance(raw: RawInstance) -> Instance | ValidationReport:
-    """Validate ``raw`` and return an :class:`Instance` holding the tables
-    the validating walk built, or the full report."""
-    report, tables = _walk(raw)
-    if tables is None:
-        return report
-    return Instance._trusted((
-        tuple(map(tuple, raw.student_prefs)), tuple(raw.project_capacity),
-        tuple(raw.project_owner), tuple(raw.lecturer_capacity),
-        tuple(map(tuple, raw.lecturer_prefs))), tables)
+    """The :class:`Instance` on the fields of ``raw``, or, where its
+    constructor raises, the full report of :func:`validate_raw`: valid
+    input is walked once, invalid input twice."""
+    try:
+        return Instance(*raw._astuple())
+    except ValueError:
+        return validate_raw(raw)
 
 
 def is_valid_matching(instance: Instance, matching: Matching) -> ValidationReport:

@@ -115,6 +115,12 @@ class TestLecturerComparison:
             with pytest.raises(ValueError, match=f"^unknown lecturer l{k}$"):
                 lecturer_compare(INSTANCE_A, k, A_M1, second)
 
+    @pytest.mark.parametrize("k", [True, 1.0, "1"])
+    def test_non_int_lecturer_is_unknown(self, k):
+        # True and 1.0 used to answer for l1, and "1" raised a TypeError
+        with pytest.raises(ValueError, match=f"^unknown lecturer l{k}$"):
+            lecturer_compare(INSTANCE_B, k, B_M[0], B_M[1])
+
     def test_size_mismatch_signals_unstable(self):
         with pytest.raises(ValueError):
             lecturer_compare(INSTANCE_A, 1, Matching(((1, 1),)), A_M2)

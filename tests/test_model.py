@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -313,6 +314,19 @@ class TestQueries:
         with pytest.raises(ValueError, match="^s1 is not on the list of l2$"):
             INSTANCE_A.lecturer_rank(2, 1)  # s1 ranks no project of l2
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"])
+    def test_non_int_identifiers_are_unknown(self, bad):
+        # True and 1.0 used to read the rank of id 1, and a float or a
+        # string in the first place raised a stray TypeError
+        with pytest.raises(ValueError, match=f"^unknown lecturer l{bad}$"):
+            INSTANCE_B.lecturer_rank(bad, 1)
+        with pytest.raises(ValueError, match=f"^s{bad} is not on the list of l1$"):
+            INSTANCE_B.lecturer_rank(1, bad)
+        with pytest.raises(ValueError, match=f"^unknown student s{bad}$"):
+            INSTANCE_B.student_rank(bad, 1)
+        with pytest.raises(ValueError, match=f"^p{bad} is not on the list of s1$"):
+            INSTANCE_B.student_rank(1, bad)
+
     def test_projected_list_quoted_example(self):
         assert INSTANCE_A.projected[0] == (3, 1)
 
@@ -436,6 +450,64 @@ class TestTablesFromTheWalk:
             back = roundtrip(instance)
             assert set(TABLES) <= back.__dict__.keys()
             assert_reference_tables(back)
+
+
+class TestConstructor:
+    """``Instance(...)`` walks the fields it is given, as lists or tuples,
+    raises on the first violation, and otherwise stores them as tuples;
+    ``build_instance`` is that constructor, returning the report in place
+    of raising."""
+
+    def test_stores_tuples_the_caller_cannot_change(self):
+        raw = raw_a()
+        built = Instance(*(getattr(raw, f) for f in FIELDS))
+        for f in FIELDS:
+            assert type(getattr(built, f)) is tuple
+        for row in built.student_prefs + built.lecturer_prefs:
+            assert type(row) is tuple
+        assert built == build_instance(raw_a()) == INSTANCE_A
+        assert hash(built) == hash(build_instance(raw_a())) == hash(INSTANCE_A)
+        raw.student_prefs[0].append(1)  # s1 now ranks p1 twice
+        raw.student_prefs.append([2])
+        raw.project_capacity[0] = 0
+        raw.lecturer_prefs[1].reverse()
+        assert built == INSTANCE_A
+        assert hash(built) == hash(INSTANCE_A)
+        assert_reference_tables(built)
+
+    def test_hostile_inputs(self):
+        invalid = 0
+        for seed in range(3000):
+            raw = hostile_raw(seed)
+            report = validate_raw(raw)
+            built = build_instance(raw)
+            if report.ok:
+                assert built == Instance(*(getattr(raw, f) for f in FIELDS))
+                continue
+            invalid += 1
+            assert built == report
+            with pytest.raises(ValueError) as raised:
+                Instance(*(getattr(raw, f) for f in FIELDS))
+            assert str(raised.value) == (
+                f"invalid instance: {report.violations[0].render()}")
+        assert invalid == 2985
+
+    @pytest.mark.parametrize("raw, first", [
+        (RawInstance([1], [1], [1], [1], [[1]]),
+         "non-list [s1]: preference list is int, not a list"),
+        (RawInstance([[1]], [1], [1], [1], [None]),
+         "non-list [l1]: preference list is NoneType, not a list"),
+        (RawInstance(None, [1], [1], [1], [[1]]),
+         "non-list [student_prefs]: got NoneType, not a list"),
+        (RawInstance([[1]], [1], [1], "1", [[1]]),
+         "non-list [lecturer_capacity]: got str, not a list"),
+    ], ids=["student-row", "lecturer-row", "student_prefs", "lecturer_capacity"])
+    def test_walks_before_it_freezes(self, raw, first):
+        # freezing first would raise TypeError on the first three, and
+        # would turn the string into a tuple of one non-integer
+        message = f"invalid instance: {first}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Instance(*(getattr(raw, f) for f in FIELDS))
 
 
 class TestMatching:

@@ -20,6 +20,7 @@ from spas import (
     ValidationReport,
     Violation,
     enumerate_all,
+    generate,
     join,
     meet,
     solve_lecturer_optimal,
@@ -152,6 +153,14 @@ class TestConstructors:
         assert GenParams(1, 2, 3) == GenParams(
             students=1, projects=2, lecturers=3, pref_len=(1, 4),
             project_cap=(1, 2), seed=0, density=0.5)
+
+    def test_gen_params_store_tuple_ranges(self):
+        listed = GenParams(6, 5, 2, pref_len=[1, 4], seed=42)
+        tupled = GenParams(6, 5, 2, pref_len=(1, 4), seed=42)
+        assert listed.pref_len == (1, 4) and type(listed.pref_len) is tuple
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert GenParams(2, 1, 1, project_cap=[2, 3]).project_cap == (2, 3)
+        assert generate(listed) == generate(tupled)
 
     @pytest.mark.parametrize("cls", [Violation, Instance, HasseDiagram,
                                      GenParams])
