@@ -69,7 +69,9 @@ DEFAULT_SIZE_GUARD = 20
 
 
 class SizeGuardError(RuntimeError):
-    """Instance exceeds the enumeration size guard."""
+    """The search an instance needs exceeds the enumeration size guard:
+    its two optimal matchings differ and it has more students than the
+    guard allows."""
 
     def __init__(self, students: int, guard: int) -> None:
         super().__init__(
@@ -85,18 +87,19 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
     ordered lexicographically on their canonical pair lists, so repeated
     runs and golden files agree byte for byte.
 
-    Raises :class:`SizeGuardError` beyond :data:`DEFAULT_SIZE_GUARD`
-    students unless ``force`` is set; the search is exponential in the
-    worst case.
+    When the two optimal matchings agree, that one member is returned at
+    any size.  Otherwise the search runs, and it is exponential in the
+    worst case, so it raises :class:`SizeGuardError` beyond
+    :data:`DEFAULT_SIZE_GUARD` students unless ``force`` is set.
     """
-    n1 = instance.num_students
-    if not force and n1 > DEFAULT_SIZE_GUARD:
-        raise SizeGuardError(n1, DEFAULT_SIZE_GUARD)
     best = solve_student_optimal(instance)
     worst = solve_lecturer_optimal(instance)
     if best == worst:
         instance._certify(best)
         return (best,)
+    n1 = instance.num_students
+    if not force and n1 > DEFAULT_SIZE_GUARD:
+        raise SizeGuardError(n1, DEFAULT_SIZE_GUARD)
 
     prefs = instance.student_prefs
     owner = (0,) + instance.project_owner

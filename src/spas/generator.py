@@ -23,8 +23,9 @@ class GenParams(_Frozen):
 
     ``density`` is the probability that any given project enters a
     student's candidate list before the length range is applied.  The two
-    ranges are stored as tuples, so a recipe given lists hashes, and equals
-    the same recipe given tuples.
+    ranges, when given as lists, are stored as tuples, so such a recipe
+    hashes, and equals the same recipe given tuples.  :func:`generate`
+    checks the recipe.
     """
 
     __match_args__ = ("students", "projects", "lecturers", "pref_len",
@@ -42,12 +43,30 @@ class GenParams(_Frozen):
     ) -> None:
         self.__dict__.update(
             students=students, projects=projects, lecturers=lecturers,
-            pref_len=tuple(pref_len), project_cap=tuple(project_cap), seed=seed,
+            pref_len=_pair(pref_len), project_cap=_pair(project_cap), seed=seed,
             density=density,
         )
 
 
+def _pair(value: object) -> object:
+    """``value`` as a tuple when it is a list or a tuple, else as given."""
+    return tuple(value) if isinstance(value, (list, tuple)) else value
+
+
 def _validate_params(params: GenParams) -> None:
+    """Raise ``ValueError`` naming the first field of ``params`` that is
+    malformed or out of range; counts and range ends are plain ``int``s
+    (a ``bool`` or a float is not), as model ids are."""
+    for field in ("students", "projects", "lecturers"):
+        if type(value := getattr(params, field)) is not int:
+            raise ValueError(f"{field} must be an integer, got {value!r}")
+    for field in ("pref_len", "project_cap"):
+        value = getattr(params, field)
+        if not (type(value) is tuple and len(value) == 2
+                and {int}.issuperset(map(type, value))):
+            raise ValueError(f"{field} must be a pair of integers, got {value!r}")
+    if type(params.density) not in (int, float):
+        raise ValueError(f"density must be a number, got {params.density!r}")
     if min(params.students, params.projects, params.lecturers) < 0:
         raise ValueError("entity counts must be non-negative")
     lo, hi = params.pref_len

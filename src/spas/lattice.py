@@ -17,7 +17,9 @@ students in the same order; the student side reads them in step, and
 looks a rank up only where two members give a student different
 projects, both on the student's list.  Each lecturer, too, holds the
 same number of students in every stable matching, so the lecturer side
-pairs off the students two members do not share, best with best.
+pairs off the students two members do not share, best with best.  That
+comparison is ``model._lecturer_prefers``, the same definition that the
+``verification`` module uses.
 
 Only matchings proved stable are certified, through
 ``Instance._certify``: those that pass the stability check here and every
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .model import Instance, Matching, _Frozen, lecturer_name
+from .model import Instance, Matching, _Frozen, _lecturer_prefers, lecturer_name
 from .stability import find_blocking_pairs
 
 TYPE_CHECKING = False
@@ -90,52 +92,39 @@ def _students_by_lecturer(instance: Instance, matching: Matching) -> list[set[in
     return held
 
 
-def _compare(
-    rank: dict[int, int], first: set[int], second: set[int]
-) -> LecturerComparison:
-    if first == second:
-        return LecturerComparison.INDIFFERENT
-    ahead = [
-        x < y for x, y in zip(sorted(rank[s] for s in first - second),
-                              sorted(rank[s] for s in second - first),
-                              strict=True)
-    ]
-    if all(ahead):
-        return LecturerComparison.PREFERS_FIRST
-    if not any(ahead):
-        return LecturerComparison.PREFERS_SECOND
-    return LecturerComparison.INCOMPARABLE
-
-
 def lecturer_compare(
     instance: Instance, k: int, first: Matching, second: Matching
 ) -> LecturerComparison:
     """How lecturer ``k`` ranks two stable matchings.
 
     The symmetric differences are listed in the lecturer's preference order
-    and compared position by position; a mixed outcome is surfaced as
-    ``INCOMPARABLE`` rather than collapsed.  A ``k`` that is not a plain
-    ``int`` (a ``bool`` or a float is not) is an unknown lecturer.
+    and compared position by position (``model._lecturer_prefers``); a
+    mixed outcome is surfaced as ``INCOMPARABLE`` rather than collapsed.  A
+    ``k`` that is not a plain ``int`` (a ``bool`` or a float is not) is an
+    unknown lecturer.
     """
     if type(k) is not int or not 1 <= k <= instance.num_lecturers:
         raise ValueError(f"unknown lecturer {lecturer_name(k)}")
     _require_stable(instance, first, second)
-    return _compare(
-        instance.lrank[k - 1],
-        _students_by_lecturer(instance, first)[k - 1],
-        _students_by_lecturer(instance, second)[k - 1],
-    )
+    a, b = (_students_by_lecturer(instance, m)[k - 1] for m in (first, second))
+    to_a, to_b = _lecturer_prefers(instance.lrank[k - 1], a, b)
+    if to_a:
+        return LecturerComparison.PREFERS_FIRST
+    if to_b:
+        return LecturerComparison.PREFERS_SECOND
+    if a == b:
+        return LecturerComparison.INDIFFERENT
+    return LecturerComparison.INCOMPARABLE
 
 
 def lecturer_dominates(instance: Instance, first: Matching, second: Matching) -> bool:
     """True iff every lecturer prefers ``first`` or is indifferent."""
     _require_stable(instance, first, second)
-    weakly = (LecturerComparison.PREFERS_FIRST, LecturerComparison.INDIFFERENT)
     return all(
-        _compare(rank, sa, sb) in weakly
-        for rank, sa, sb in zip(instance.lrank,
-                                _students_by_lecturer(instance, first),
-                                _students_by_lecturer(instance, second))
+        a == b or _lecturer_prefers(rank, a, b)[0]
+        for rank, a, b in zip(instance.lrank,
+                              _students_by_lecturer(instance, first),
+                              _students_by_lecturer(instance, second))
     )
 
 

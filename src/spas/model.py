@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import weakref
 from itertools import chain, groupby
-from operator import itemgetter
+from operator import itemgetter, lt
 
 
 def student_name(s: int) -> str:
@@ -300,6 +300,24 @@ class Matching(_Frozen):
 
 
 EMPTY_MATCHING = Matching(())
+
+
+def _lecturer_prefers(
+    rank: dict[int, int], first: set[int], second: set[int]
+) -> tuple[bool, bool]:
+    """Whether a lecturer, ``rank`` their rank table, prefers the assignee
+    set ``first`` to ``second``, and whether ``second`` to ``first``: the
+    one definition the lattice and verification layers share.  A lecturer
+    prefers one set when its difference from the other, sorted by rank, is
+    strictly better position by position than the other's difference from
+    it (Abraham, Irving & Manlove, 2007).  Equal sets, and sets of
+    different sizes, are preferred neither way."""
+    # the two differences have equal sizes exactly when the sets do
+    if first == second or len(first) != len(second):
+        return False, False
+    only_f = sorted(map(rank.__getitem__, first - second))
+    only_s = sorted(map(rank.__getitem__, second - first))
+    return all(map(lt, only_f, only_s)), all(map(lt, only_s, only_f))
 
 
 def _non_lists(raw: RawInstance) -> list[Violation]:

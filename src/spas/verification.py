@@ -3,9 +3,11 @@
 Every check re-derives its claim from the instance's rank tables and set
 algebra over the raw pair sets, on purpose never calling the lattice
 module, so a green check is independent evidence rather than an echo of
-the code it guards.  Checks do not re-verify stability of their inputs;
-the caller owns that precondition, which also makes the failure paths
-testable with crafted unstable matchings.
+the code it guards.  The one definition the two share, a lecturer's
+preference between two assignee sets, is ``model._lecturer_prefers``,
+which the lattice module reads too.  Checks do not re-verify stability
+of their inputs; the caller owns that precondition, which also makes the
+failure paths testable with crafted unstable matchings.
 
 Each member is validated once, unless it is certified stable for the
 instance (``Instance._certify``, as every member ``enumerate_all``
@@ -101,12 +103,13 @@ from collections import Counter, namedtuple
 from functools import partial
 from itertools import chain, combinations, islice, starmap, zip_longest
 from math import prod
-from operator import eq, getitem, itemgetter, le, lt, mul
+from operator import eq, getitem, itemgetter, le, mul
 
 from .model import (
     Instance,
     Matching,
     _Frozen,
+    _lecturer_prefers,
     lecturer_name,
     project_name,
     require_valid_matching,
@@ -115,8 +118,7 @@ from .model import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import (
-        Callable, Iterable, Iterator, Sequence, Set as AbstractSet)
+    from collections.abc import Callable, Iterable, Iterator, Sequence
 
 
 class PropertyReport(_Frozen):
@@ -215,7 +217,7 @@ _Component = namedtuple("_Component", "students ids views")
 
 
 def _components(
-    instance: Instance, stable: Sequence[Matching]
+    instance: Instance, stable: Iterable[Matching]
 ) -> tuple[list[tuple[int, ...]], list[_Component]]:
     """Each member's restriction id in every component, and the components.
 
@@ -223,7 +225,10 @@ def _components(
     each across the members; a component's students are those it assigns,
     and its projects are those its lecturers offer.  Every assignee of the
     component's projects and lecturers is one of its students, so their
-    assignee sets are the same in every member with the restriction."""
+    assignee sets are the same in every member with the restriction.  The
+    members are read twice, so a one-shot iterator is read into a tuple
+    first."""
+    stable = tuple(stable)
     owner = instance.project_owner
     root = list(range(instance.num_lecturers + 1))
 
@@ -268,21 +273,6 @@ def _components(
             key.append(part.ids[restriction])
         keys.append(tuple(key))
     return keys, comps
-
-
-def _lecturer_prefers(
-    rank: dict[int, int], first: AbstractSet[int], second: AbstractSet[int]
-) -> tuple[bool, bool]:
-    """Definitional lecturer comparison both ways, ``rank`` the lecturer's
-    rank table: whether the lecturer prefers ``first``, and whether
-    ``second``, each strictly better position by position.  Both read the
-    same two sorted differences."""
-    # the two differences have equal sizes exactly when the sets do
-    if first == second or len(first) != len(second):
-        return False, False
-    only_f = sorted(map(rank.__getitem__, first - second))
-    only_s = sorted(map(rank.__getitem__, second - first))
-    return all(map(lt, only_f, only_s)), all(map(lt, only_s, only_f))
 
 
 def _unpopular_projects(
@@ -339,7 +329,7 @@ def _unpopular_projects(
 
 
 def check_unpopular_projects(
-    instance: Instance, stable: Sequence[Matching]
+    instance: Instance, stable: Iterable[Matching]
 ) -> PropertyReport:
     """Count and membership invariants shared by every stable matching.
 
@@ -613,7 +603,7 @@ def _lattice_report(
 
 
 def check_lattice_axioms(
-    instance: Instance, stable: Sequence[Matching]
+    instance: Instance, stable: Iterable[Matching]
 ) -> PropertyReport:
     """Closure, bounds and dominance reversal over every ordered pair.
 
@@ -651,7 +641,7 @@ def _pair_entries(
 
 
 def run_all_checks(
-    instance: Instance, stable: Sequence[Matching], *, pairs_only: bool = False
+    instance: Instance, stable: Iterable[Matching], *, pairs_only: bool = False
 ) -> tuple[PropertyReport, ...]:
     """Run every check over a stable set, quantifying pairwise checks over
     all ordered pairs of distinct members (the statements are

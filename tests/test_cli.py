@@ -8,6 +8,7 @@ from known_instances import (
     A_M1,
     B_M,
     INSTANCE_A,
+    INSTANCE_B,
     UNIONS,
     disjoint_union,
     one_student_markets,
@@ -168,13 +169,20 @@ class TestEnumerate:
     # every command that enumerates honours the guard and --force
     @pytest.mark.parametrize("command", ["enumerate", "lattice", "verify"])
     def test_size_guard_exit_code(self, capsys, tmp_path, command):
-        big = generate(GenParams(
-            students=21, projects=3, lecturers=1, pref_len=(1, 1), seed=5))
+        big = disjoint_union(INSTANCE_B, INSTANCE_B, INSTANCE_A)
         path = tmp_path / "big.spa"
         path.write_text(serialize_instance(big))
         code, _, err = run(capsys, command, str(path))
         assert code == 3
         assert "guard" in err
+
+    def test_size_guard_waits_for_the_search(self, capsys, tmp_path):
+        # both optimal matchings coincide on this 21-student draw
+        big = generate(GenParams(
+            students=21, projects=3, lecturers=1, pref_len=(1, 1), seed=5))
+        path = tmp_path / "big.spa"
+        path.write_text(serialize_instance(big))
+        assert run(capsys, "enumerate", "--count-only", str(path)) == (0, "1\n", "")
 
     @pytest.mark.parametrize("args, code, out", [
         (["enumerate", "--count-only"], 0, "4\n"),

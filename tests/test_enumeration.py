@@ -97,10 +97,18 @@ class TestStableSetShape:
 
 class TestSizeGuard:
     def test_guard_trips(self):
-        instance = generate(GenParams(
-            students=21, projects=3, lecturers=1, pref_len=(1, 1), seed=5))
+        instance = disjoint_union(INSTANCE_B, INSTANCE_B, INSTANCE_A)
         with pytest.raises(SizeGuardError):
             enumerate_all(instance)
+
+    def test_guard_waits_for_the_search(self):
+        # both optimal matchings coincide on this 21-student draw, so its
+        # one member needs no search and no force
+        instance = generate(GenParams(
+            students=21, projects=3, lecturers=1, pref_len=(1, 1), seed=5))
+        best = solve_student_optimal(instance)
+        assert best == solve_lecturer_optimal(instance)
+        assert enumerate_all(instance) == (best,)
 
     def test_guard_overridable(self):
         parts, sets = (INSTANCE_B, INSTANCE_B, INSTANCE_A), (B_M, B_M, A_STABLE)

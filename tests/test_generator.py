@@ -124,3 +124,17 @@ class TestInfeasibleParams:
             generate(GenParams(2, 2, 1, project_cap=(0, 1), seed=0))
         with pytest.raises(ValueError):
             generate(GenParams(2, 2, 1, density=1.5, seed=0))
+
+    # each recipe used to fail with a stray TypeError, or a ValueError from
+    # unpacking, instead of one naming its field
+    @pytest.mark.parametrize("field, value", [
+        ("students", 2.5), ("students", "3"), ("students", True),
+        ("projects", 2.0), ("lecturers", None),
+        ("pref_len", (1.5, 3)), ("pref_len", 5), ("pref_len", (1,)),
+        ("pref_len", (1, 2, 3)), ("project_cap", ("1", 2)),
+        ("density", "x"), ("density", None),
+    ], ids=lambda x: x if isinstance(x, str) and x.isidentifier() else repr(x))
+    def test_malformed_values_name_their_field(self, field, value):
+        recipe = {"students": 3, "projects": 2, "lecturers": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            generate(GenParams(**recipe))

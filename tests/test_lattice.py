@@ -34,6 +34,7 @@ from oracles import (
     hasse_def,
 )
 from spas import (
+    GenParams,
     Instance,
     LecturerComparison,
     Matching,
@@ -41,12 +42,15 @@ from spas import (
     build_hasse,
     build_instance,
     enumerate_all,
+    generate,
     join,
     join_all,
     lecturer_compare,
     lecturer_dominates,
     meet,
     meet_all,
+    solve_lecturer_optimal,
+    solve_student_optimal,
     student_dominates,
 )
 from spas import lattice
@@ -591,3 +595,19 @@ class TestAgainstDefinitions:
         stable = union_stable_set(parts, sets)
         assert_student_side_is_definitional(instance, stable)
         assert_lecturer_side_is_definitional(instance, stable)
+
+    def test_where_the_das_differ(self):
+        # most corpus draws have one stable matching; these 51 of 300 dense
+        # draws have M_s != M_l, so their stable sets have several members
+        split = 0
+        for seed in range(300):
+            instance = generate(GenParams(
+                8, 6, 3, pref_len=(2, 5), project_cap=(1, 2), seed=seed,
+                density=0.8))
+            if solve_student_optimal(instance) == solve_lecturer_optimal(instance):
+                continue
+            split += 1
+            stable = enumerate_all(instance)
+            assert_student_side_is_definitional(instance, stable)
+            assert_lecturer_side_is_definitional(instance, stable)
+        assert split == 51

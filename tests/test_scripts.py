@@ -10,18 +10,24 @@ import pytest
 
 import spas
 
-SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "sweep_stable_counts.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SWEEP = SCRIPTS / "sweep_stable_counts.py"
+COUNT = SCRIPTS / "count_code_lines.py"
 
 
-def run_sweep(*argv: str) -> subprocess.CompletedProcess:
+def run_script(script: Path, *argv: str) -> subprocess.CompletedProcess:
     src = str(Path(spas.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, str(SWEEP), *argv], env=env, capture_output=True,
+        [sys.executable, str(script), *argv], env=env, capture_output=True,
         text=True, stdin=subprocess.DEVNULL, timeout=120,
     )
+
+
+def run_sweep(*argv: str) -> subprocess.CompletedProcess:
+    return run_script(SWEEP, *argv)
 
 
 @pytest.mark.parametrize("students", ["0", "21"])
@@ -52,3 +58,51 @@ def test_sweep_rejects_counts_below_one(flag, value):
     assert proc.stdout == ""
     assert f"argument {flag}: must be at least 1, got {value}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# nine code lines: the import, the def, the four lines of the call that
+# are not blank, the class line and the two lines of a string that is not
+# a docstring
+COUNTED = '''\
+"""Module docstring
+over two lines."""
+
+# a comment
+import os  # trailing comment
+
+
+def f(x):
+    """One-line docstring."""
+    # a comment inside
+    return os.path.join(
+        x,
+
+        "y",
+    )
+
+
+class C:
+    """Class
+    docstring."""
+
+    value = """not a docstring,
+    but a string on two lines"""
+'''
+
+
+def test_count_code_lines_per_file_and_total(tmp_path):
+    counted = tmp_path / "counted.py"
+    counted.write_text(COUNTED)
+    package = tmp_path / "package"
+    package.mkdir()
+    (package / "b.py").write_text("x = 1\n")
+    (package / "a.py").write_text('"""Only a docstring."""\n')
+    (package / "notes.txt").write_text("not python\n")
+    proc = run_script(COUNT, str(counted), str(package))
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["9", str(counted)],
+        ["0", str(package / "a.py")],
+        ["1", str(package / "b.py")],
+        ["10", "total"],
+    ]

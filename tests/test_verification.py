@@ -398,6 +398,17 @@ def test_run_all_checks_reads_each_member_once(monkeypatch):
     assert built == list(stable)
 
 
+@pytest.mark.parametrize("members", [B_M, B_M + (Matching(()),)],
+                         ids=["stable", "with-empty"])
+@pytest.mark.parametrize("check", [
+    run_all_checks, check_unpopular_projects, check_lattice_axioms])
+def test_set_checks_read_a_one_shot_iterator_whole(check, members):
+    # the members used to be read twice, so an iterator's second pass saw
+    # none of them and every check passed; the empty matching makes
+    # unpopular-projects fail as well
+    assert check(INSTANCE_B, iter(members)) == check(INSTANCE_B, members)
+
+
 def test_run_all_checks_validates_only_uncertified_members(monkeypatch):
     # enumerate_all certifies its members stable, and stable implies valid;
     # equal but uncertified matchings are validated as before
