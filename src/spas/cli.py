@@ -6,12 +6,18 @@ Exit codes: 0 success/true, 1 false (unstable, invalid, failed property),
 Only the instance model and the file formats are imported here; each
 command imports the other layers it runs, so that start-up, which
 dominates small runs, stays as short as the command allows.
+
+The grammar is written once, in ``_COMMANDS``.  A well-formed command
+line is read straight from that table (``_fast_args``); ``argparse``,
+which with ``gettext`` and ``locale`` costs several milliseconds to import
+and build, is loaded only for help and usage errors, so their text and
+exit codes are argparse's own.  Files are read and written as UTF-8.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .fileio import (
     emit_dot,
@@ -28,6 +34,10 @@ from .model import (
     is_valid_matching,
     validate_raw,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -48,12 +58,12 @@ def _print_report(report: ValidationReport) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return f.read()
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
 
@@ -69,7 +79,7 @@ def _load_matching(path: str, instance: Instance) -> Matching:
     return parse_matching_file(_read(path), instance)
 
 
-def _load_stable_set(args: argparse.Namespace) -> tuple[Instance, tuple[Matching, ...]]:
+def _load_stable_set(args: SimpleNamespace) -> tuple[Instance, tuple[Matching, ...]]:
     from .enumeration import SizeGuardError, enumerate_all
 
     instance = _load_instance(args.instance)
@@ -80,14 +90,14 @@ def _load_stable_set(args: argparse.Namespace) -> tuple[Instance, tuple[Matching
         raise _Exit(EXIT_SIZE_GUARD) from None
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     report = validate_raw(parse_raw_instance(_read(args.instance)))
     _print_report(report)
     print("VALID" if report.ok else "INVALID")
     return EXIT_OK if report.ok else EXIT_FALSE
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     from .stability import find_blocking_pairs
 
     instance = _load_instance(args.instance)
@@ -106,7 +116,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_FALSE
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: SimpleNamespace) -> int:
     from .solvers import solve_lecturer_optimal, solve_student_optimal
 
     instance = _load_instance(args.instance)
@@ -118,7 +128,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     _, stable = _load_stable_set(args)
     if args.count_only:
         print(len(stable))
@@ -131,7 +141,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_meet_join(args: argparse.Namespace) -> int:
+def _cmd_meet_join(args: SimpleNamespace) -> int:
     from .lattice import join, meet
 
     instance = _load_instance(args.instance)
@@ -142,19 +152,20 @@ def _cmd_meet_join(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_lattice(args: argparse.Namespace) -> int:
+def _cmd_lattice(args: SimpleNamespace) -> int:
     from .lattice import build_hasse
 
     instance, stable = _load_stable_set(args)
     diagram = build_hasse(instance, stable)
-    for a, b in diagram.edges:
-        print(f"{diagram.label(a)} -> {diagram.label(b)}")
+    # the file first, so that a run that cannot write it prints nothing
     if args.dot:
         _write(args.dot, emit_dot(diagram))
+    for a, b in diagram.edges:
+        print(f"{diagram.label(a)} -> {diagram.label(b)}")
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from .verification import run_all_checks
 
     instance, stable = _load_stable_set(args)
@@ -171,7 +182,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FALSE if failed else EXIT_OK
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: SimpleNamespace) -> int:
     from .generator import GenParams, generate
 
     params = GenParams(
@@ -189,7 +200,42 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_INSTANCE = ("instance", {})
+_FORCE = ("--force", dict(action="store_true", help="ignore the size guard"))
+_TWO_MATCHINGS = [_INSTANCE, ("m1", {}), ("m2", {})]
+_REQUIRED_INT = dict(type=int, required=True)
+
+# The grammar: each command's help, handler and arguments, an argument
+# being its name and the keyword arguments of argparse's add_argument, in
+# the order that usage and help list them.
+_COMMANDS = {
+    "validate": ("validate an instance file", _cmd_validate, [_INSTANCE]),
+    "check": ("report stability of a matching", _cmd_check,
+              [_INSTANCE, ("matching", {})]),
+    "solve": ("student- or lecturer-optimal matching", _cmd_solve,
+              [("--optimal", dict(required=True, choices=("student", "lecturer"))),
+               _INSTANCE]),
+    "enumerate": ("all stable matchings", _cmd_enumerate,
+                  [("--count-only", dict(action="store_true")), _FORCE, _INSTANCE]),
+    "meet": ("meet of two stable matchings", _cmd_meet_join, _TWO_MATCHINGS),
+    "join": ("join of two stable matchings", _cmd_meet_join, _TWO_MATCHINGS),
+    "lattice": ("Hasse diagram of the stable set", _cmd_lattice,
+                [("--dot", dict(metavar="PATH", help="also write a DOT file")),
+                 _FORCE, _INSTANCE]),
+    "verify": ("run the structural property checks", _cmd_verify,
+               [("--pairs", dict(action="store_true", help="pairwise checks only")),
+                _FORCE, _INSTANCE]),
+    "gen": ("generate a pseudo-random instance", _cmd_gen,
+            [("--students", _REQUIRED_INT), ("--projects", _REQUIRED_INT),
+             ("--lecturers", _REQUIRED_INT), ("--seed", _REQUIRED_INT),
+             ("--density", dict(type=float, default=0.5)),
+             ("--out", dict(metavar="PATH"))]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="spas",
         description="Student-project allocation with lecturer preferences: "
@@ -197,68 +243,72 @@ def build_parser() -> argparse.ArgumentParser:
                     "the lattice of stable matchings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate an instance file")
-    p.add_argument("instance")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("check", help="report stability of a matching")
-    p.add_argument("instance")
-    p.add_argument("matching")
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("solve", help="student- or lecturer-optimal matching")
-    p.add_argument("--optimal", required=True, choices=("student", "lecturer"))
-    p.add_argument("instance")
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("enumerate", help="all stable matchings")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--force", action="store_true",
-                   help="ignore the size guard")
-    p.add_argument("instance")
-    p.set_defaults(fn=_cmd_enumerate)
-
-    for name in ("meet", "join"):
-        p = sub.add_parser(name, help=f"{name} of two stable matchings")
-        p.add_argument("instance")
-        p.add_argument("m1")
-        p.add_argument("m2")
-        p.set_defaults(fn=_cmd_meet_join)
-
-    p = sub.add_parser("lattice", help="Hasse diagram of the stable set")
-    p.add_argument("--dot", metavar="PATH", help="also write a DOT file")
-    p.add_argument("--force", action="store_true",
-                   help="ignore the size guard")
-    p.add_argument("instance")
-    p.set_defaults(fn=_cmd_lattice)
-
-    p = sub.add_parser("verify", help="run the structural property checks")
-    p.add_argument("--pairs", action="store_true",
-                   help="pairwise checks only")
-    p.add_argument("--force", action="store_true",
-                   help="ignore the size guard")
-    p.add_argument("instance")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("gen", help="generate a pseudo-random instance")
-    p.add_argument("--students", type=int, required=True)
-    p.add_argument("--projects", type=int, required=True)
-    p.add_argument("--lecturers", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(fn=_cmd_gen)
-
+    for command, (help_text, fn, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kwargs in arguments:
+            p.add_argument(name, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
+def _fast_args(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` read straight from ``_COMMANDS``,
+    or None wherever argparse could differ: an unknown command, any token
+    starting with "-" that is not one of the command's option names (so
+    help, abbreviations, ``--opt=value``, ``--`` and negative numbers), a
+    missing or refused option value, or the wrong number of positionals."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, fn, arguments = _COMMANDS[argv[0]]
+    options = {name: kwargs for name, kwargs in arguments if name[0] == "-"}
+    given = {}
+    words = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            words.append(token)
+            continue
+        kwargs = options.get(token)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[token] = True
+            continue
+        value = next(tokens, "-")  # a missing value declines as "-" does
+        if value[:1] == "-":
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[token] = value
+    positionals = [name for name, _ in arguments if name[0] != "-"]
+    if len(words) != len(positionals):
+        return None
+    args = SimpleNamespace(command=argv[0], fn=fn, **dict(zip(positionals, words)))
+    for name, kwargs in options.items():
+        if name in given:
+            value = given[name]
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = (False if kwargs.get("action") == "store_true"
+                     else kwargs.get("default"))
+        setattr(args, name[2:].replace("-", "_"), value)
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
     except _Exit as exc:

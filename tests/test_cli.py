@@ -1,4 +1,8 @@
 import io
+import os
+import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -22,7 +26,8 @@ from spas import (
     serialize_instance,
     serialize_matching,
 )
-from spas.cli import main
+import spas
+from spas.cli import _COMMANDS, _fast_args, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,6 +114,17 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 0
         assert "WARNING" in out
+
+    def test_reads_utf8_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "cafe.spa"
+        path.write_bytes("# café\n".encode() + Path(A).read_bytes())
+        # an ASCII locale with neither C-locale coercion nor UTF-8 mode
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(spas.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spas", "validate", str(path)], env=env,
+            capture_output=True, text=True, stdin=subprocess.DEVNULL, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "VALID\n", "")
 
 
 class TestCheck:
@@ -243,6 +259,12 @@ class TestLattice:
         assert code == 0
         expected = emit_dot(build_hasse(INSTANCE_B, enumerate_all(INSTANCE_B)))
         assert dot_path.read_text() == expected
+
+    def test_unwritable_dot_file_prints_nothing(self, capsys, tmp_path):
+        dot_path = tmp_path / "missing" / "lattice.dot"
+        code, out, err = run(capsys, "lattice", "--dot", str(dot_path), A)
+        assert (code, out) == (1, "")
+        assert err.startswith("ERROR ")
 
 
 # one incomparable pair of members of each union (indices into
@@ -441,3 +463,112 @@ class TestUsageAndErrors:
             capsys, "enumerate", str(DATA / "instance_a_bad.spa"))
         assert code == 1
         assert "capacity-bound" in out
+
+
+# Command lines as README, the CI workflow and the cli_desk benchmark write
+# them; each must be read without argparse.
+DOCUMENTED = [
+    "validate instance.spa",
+    "check instance.spa matching.match",
+    "solve --optimal student instance.spa",
+    "solve --optimal lecturer instance.spa",
+    "enumerate instance.spa",
+    "enumerate --count-only instance.spa",
+    "enumerate --count-only --force instance.spa",
+    "meet instance.spa m1.match m2.match",
+    "join instance.spa m1.match m2.match",
+    "lattice instance.spa",
+    "lattice --dot out.dot instance.spa",
+    "lattice --dot out.dot --force instance.spa",
+    "verify instance.spa",
+    "verify --pairs instance.spa",
+    "verify --force a6.spa",
+    "verify --pairs --force instance.spa",
+    "gen --students 8 --projects 5 --lecturers 2 --seed 42",
+    "gen --students 8 --projects 5 --lecturers 2 --seed 42 --density 0.5 --out f",
+    "gen --students 4000 --projects 1000 --lecturers 200 --seed 1 --out g.spa",
+    "gen --students 12 --projects 6 --lecturers 3 --seed 7",
+]
+
+# tokens that argparse reads in its own way, besides file names
+ODD = ["-h", "--help", "--count", "--optimal=student", "--", "-", "-5", "1e-3",
+       "\u0663", ""]
+FILES = [A, "x.spa", "m.match"]
+VALUES = ["student", "lecturer", "both", "0", "3", "12", " 7", "1_0", "0.5",
+          "x", *ODD, *FILES]
+TOKENS = [*_COMMANDS, *{name for _, _, arguments in _COMMANDS.values()
+                        for name, _ in arguments}, *VALUES]
+
+
+def draw_argv(rng: random.Random) -> list[str]:
+    """A command line of one command, its arguments, some options given
+    twice, in a shuffled order, with up to three tokens then inserted,
+    replaced or deleted."""
+    command = rng.choice(list(_COMMANDS))
+    groups = []
+    for name, kwargs in _COMMANDS[command][2]:
+        if name[0] != "-":
+            groups.append([rng.choice(FILES)])
+        elif kwargs.get("required") or rng.random() < 0.5:
+            store_true = kwargs.get("action") == "store_true"
+            for _ in range(rng.choice((1, 1, 2))):  # the last repeat wins
+                groups.append([name] if store_true else [name, rng.choice(VALUES)])
+    rng.shuffle(groups)
+    argv = [command, *(token for group in groups for token in group)]
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        i = rng.randrange(len(argv) + 1)
+        edit = rng.choice(("insert", "replace", "delete"))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, rng.choice(TOKENS))
+        elif edit == "replace":
+            argv[i] = rng.choice(TOKENS)
+        else:
+            del argv[i]
+    return argv
+
+
+class TestFastArgs:
+    """``main`` reads a well-formed command line straight from the command
+    table and leaves every other one to argparse."""
+
+    def test_agrees_with_argparse(self):
+        parser = build_parser()
+        rng = random.Random(27)
+        accepted = 0
+        for _ in range(20_000):
+            argv = draw_argv(rng)
+            args = _fast_args(argv)
+            if args is not None:
+                accepted += 1
+                assert vars(args) == vars(parser.parse_args(argv)), argv
+        assert accepted > 5_000
+
+    @pytest.mark.parametrize("line", DOCUMENTED)
+    def test_documented_command_lines_take_the_fast_path(self, line):
+        argv = line.split()
+        args = _fast_args(argv)
+        assert args is not None
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate", A],
+        ["-h"],
+        ["validate", "--help"],
+        ["validate", "--", A],
+        ["validate", "-"],
+        ["solve", "--opt", "student", A],
+        ["solve", "--optimal=student", A],
+        ["solve", "--optimal", "both", A],
+        ["solve", A],
+        ["check", A],
+        ["meet", A, "m1.match", "m2.match", "m3.match"],
+        ["lattice", A, "--dot"],
+        ["lattice", "--dot", "--force", A],
+        ["gen", "--students", "4", "--projects", "3", "--lecturers", "2",
+         "--seed", "-5"],
+        ["gen", "--students", "four", "--projects", "3", "--lecturers", "2",
+         "--seed", "1"],
+    ])
+    def test_declines_what_argparse_reads_in_its_own_way(self, argv):
+        assert _fast_args(argv) is None

@@ -1,10 +1,14 @@
 """What importing ``spas`` loads: the lazy package namespace, the modules
-each CLI command pulls in, and the ``python -m spas`` entry module."""
+each CLI command pulls in, and the ``python -m spas`` entry module; and the
+help and usage errors of argparse, which no well-formed command loads."""
 
+import argparse
 import importlib
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -87,19 +91,24 @@ print(" ".join(sys.modules), file=sys.stderr)
 """
 
 
-def loaded_modules(child: str, *argv: str) -> set[str]:
-    """Module names a fresh interpreter running ``child`` lists on the last
-    line of its stderr, with this checkout's ``src`` on the path.  It runs
-    without ``site`` (``-S``), so that no ``.pth`` file loads anything
-    before the command does."""
+def python(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with this checkout's ``src`` on the path."""
     src = str(Path(spas.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", child, *argv], env=env, capture_output=True,
-        text=True, stdin=subprocess.DEVNULL, timeout=60, check=True,
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True,
+        stdin=subprocess.DEVNULL, timeout=60,
     )
+
+
+def loaded_modules(child: str, *argv: str) -> set[str]:
+    """Module names a fresh interpreter running ``child`` lists on the last
+    line of its stderr.  It runs without ``site`` (``-S``), so that no
+    ``.pth`` file loads anything before the command does."""
+    proc = python("-S", "-c", child, *argv)
+    proc.check_returncode()
     return set(proc.stderr.splitlines()[-1].split())
 
 
@@ -110,8 +119,10 @@ def test_command_loads_only_its_layers(command):
     assert {m for m in loaded if m.split(".")[0] == "spas"} == expected
 
 
-# modules that cost start-up and that no command needs
-HEAVY = {"dataclasses", "inspect", "pathlib", "typing"}
+# modules that cost start-up and that no command needs; argparse, with the
+# gettext and locale it imports, is for help and usage errors only
+HEAVY = {"dataclasses", "inspect", "pathlib", "typing",
+         "argparse", "gettext", "locale"}
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +142,65 @@ def test_command_loads_no_heavy_stdlib_module(command, bare_heavy):
 def test_importing_main_module_does_not_run_the_cli():
     module = importlib.import_module("spas.__main__")
     assert module.main is spas.cli.main
+
+
+def parser_written_out() -> argparse.ArgumentParser:
+    """The parser as it was written, call by call, before the grammar moved
+    into one table; ``spas`` must print its help byte for byte."""
+    parser = argparse.ArgumentParser(
+        prog="spas",
+        description="Student-project allocation with lecturer preferences: "
+                    "stability checking, optimal solvers, enumeration, and "
+                    "the lattice of stable matchings.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("validate", help="validate an instance file")
+    p.add_argument("instance")
+    p = sub.add_parser("check", help="report stability of a matching")
+    p.add_argument("instance")
+    p.add_argument("matching")
+    p = sub.add_parser("solve", help="student- or lecturer-optimal matching")
+    p.add_argument("--optimal", required=True, choices=("student", "lecturer"))
+    p.add_argument("instance")
+    p = sub.add_parser("enumerate", help="all stable matchings")
+    p.add_argument("--count-only", action="store_true")
+    p.add_argument("--force", action="store_true", help="ignore the size guard")
+    p.add_argument("instance")
+    for name in ("meet", "join"):
+        p = sub.add_parser(name, help=f"{name} of two stable matchings")
+        p.add_argument("instance")
+        p.add_argument("m1")
+        p.add_argument("m2")
+    p = sub.add_parser("lattice", help="Hasse diagram of the stable set")
+    p.add_argument("--dot", metavar="PATH", help="also write a DOT file")
+    p.add_argument("--force", action="store_true", help="ignore the size guard")
+    p.add_argument("instance")
+    p = sub.add_parser("verify", help="run the structural property checks")
+    p.add_argument("--pairs", action="store_true", help="pairwise checks only")
+    p.add_argument("--force", action="store_true", help="ignore the size guard")
+    p.add_argument("instance")
+    p = sub.add_parser("gen", help="generate a pseudo-random instance")
+    p.add_argument("--students", type=int, required=True)
+    p.add_argument("--projects", type=int, required=True)
+    p.add_argument("--lecturers", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--out", metavar="PATH")
+    return parser
+
+
+@pytest.mark.parametrize("command", ["", *COMMANDS])
+def test_help_is_unchanged(command, monkeypatch):
+    argv = [command, "--help"] if command else ["--help"]
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = io.StringIO()
+    with redirect_stdout(expected), pytest.raises(SystemExit):
+        parser_written_out().parse_args(argv)
+    proc = python("-m", "spas", *argv, COLUMNS="80")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.getvalue(), "")
+
+
+def test_usage_error_names_the_missing_option():
+    proc = python("-m", "spas", "solve", "x.spa")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "--optimal" in proc.stderr
