@@ -20,6 +20,7 @@ import sys
 from types import SimpleNamespace
 
 from .fileio import (
+    ParseError,
     emit_dot,
     parse_instance_file,
     parse_matching_file,
@@ -58,8 +59,17 @@ def _print_report(report: ValidationReport) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    """The text of the file at ``path``.  A byte that is not UTF-8 is a
+    ``ParseError`` naming the file, and the line and column it is at."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines as the parser counts them, up to a stand-in for the byte
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(f"byte 0x{data[exc.start]:02x} in {path} is not UTF-8",
+                         len(lines), len(lines[-1])) from None
 
 
 def _write(path: str, text: str) -> None:

@@ -94,7 +94,7 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
     """
     best = solve_student_optimal(instance)
     worst = solve_lecturer_optimal(instance)
-    if best == worst:
+    if best.pairs == worst.pairs:
         instance._certify(best)
         return (best,)
     n1 = instance.num_students

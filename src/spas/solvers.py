@@ -11,11 +11,18 @@ Write λ for the total length of the students' preference lists.  Both
 solvers walk the projected lists L_k^p (lecturer k's list restricted to the
 students who rank p), which come built with the instance, with pointers
 that never move back.
+
+Both are flat loops over plain lists: each step of the algorithm is
+written inline, so a proposal or an offer makes no Python function call,
+which in CPython costs more than the step itself.  Each list's end is read
+once before it is scanned, and the result is read off the assignment
+array with ``filter`` in C.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 
 from .model import Instance, Matching
 
@@ -36,6 +43,13 @@ def solve_student_optimal(instance: Instance) -> Matching:
     within the threshold, so nothing behind the pointer comes back.  Each
     student's head pointer, and each of these, crosses its list once, so
     the run is O(λ).
+
+    One proposal of s to p (lecturer k) is a single pass: the loads of p
+    and k are held in locals, at most one student is rejected (by k if p
+    is not over-subscribed, else by p), then p's threshold and k's are
+    lowered if full.  A lecturer's rejection may take p's own load down
+    when the rejected student holds p.  The project's reject-then-lower
+    steps share one pointer walk.
     """
     owner = instance.project_owner
     cap = instance.project_capacity
@@ -56,51 +70,66 @@ def solve_student_optimal(instance: Instance) -> Matching:
     pworst = [0] + [len(ranked) - 1 for ranked in projected]
     lworst = [0] + [len(ranked) - 1 for ranked in lprefs]
 
-    def worst_of(x: int, lists: tuple[tuple[int, ...], ...],
-                 ptr: list[int], held: list[int]) -> int:
-        # the worst assignee of project or lecturer x: x's pointer moves
-        # back over x's ranked list past every student x does not hold
-        ranked, i = lists[x - 1], ptr[x]
-        while held[ranked[i]] != x:
-            i -= 1
-        ptr[x] = i
-        return ranked[i]
-
-    def reject(s: int) -> None:
-        pload[assigned[s]] -= 1
-        lload[lect[s]] -= 1
-        assigned[s] = lect[s] = 0
-        free.append(s)
-
-    free = list(reversed(instance.students()))
+    free = list(range(n1, 0, -1))
     while free:
         s = free.pop()
         mine, i = prefs[s - 1], head[s]
-        while i < len(mine):
+        end = len(mine)
+        while i < end:
             p = mine[i]
             k = owner[p - 1]
-            r = lrank[k - 1][s]
+            rank_k = lrank[k - 1]
+            r = rank_k[s]
             if r <= pthr[p] and r <= lthr[k]:
                 break
             i += 1
         head[s] = i
-        if i == len(mine):
+        if i == end:
             continue  # list exhausted: s stays unassigned
 
         assigned[s], lect[s] = p, k
-        pload[p] += 1
-        lload[k] += 1
-        if pload[p] > cap[p - 1]:
-            reject(worst_of(p, projected, pworst, assigned))
-        elif lload[k] > dcap[k - 1]:
-            reject(worst_of(k, lprefs, lworst, lect))
+        lp, lk = pload[p] + 1, lload[k] + 1  # the loads of p and k
+        c, d = cap[p - 1], dcap[k - 1]
+        # a worst assignee: the pointer of p over L_k^p (of k over L_k)
+        # moves back past every student p (k) does not hold.  k rejects
+        # its worst unless p is over-subscribed
+        if lk > d and lp <= c:
+            ranked, j = lprefs[k - 1], lworst[k]
+            while lect[ranked[j]] != k:
+                j -= 1
+            lworst[k] = j
+            w = ranked[j]
+            q = assigned[w]
+            if q == p:  # p's load is the local one
+                lp -= 1
+            else:
+                pload[q] -= 1
+            lk -= 1
+            assigned[w] = lect[w] = 0
+            free.append(w)
+        if lp >= c:  # p rejects its worst if over, then lowers pthr[p]
+            ranked, j = projected[p - 1], pworst[p]
+            while True:
+                while assigned[ranked[j]] != p:
+                    j -= 1
+                if lp == c:
+                    break
+                w = ranked[j]
+                lp -= 1
+                lk -= 1
+                assigned[w] = lect[w] = 0
+                free.append(w)
+            pworst[p] = j
+            pthr[p] = rank_k[ranked[j]]
+        pload[p], lload[k] = lp, lk
+        if lk == d:  # last, as p's rejection changes k's assignees too
+            ranked, j = lprefs[k - 1], lworst[k]
+            while lect[ranked[j]] != k:
+                j -= 1
+            lworst[k] = j
+            lthr[k] = rank_k[ranked[j]]
 
-        if pload[p] == cap[p - 1]:
-            pthr[p] = lrank[k - 1][worst_of(p, projected, pworst, assigned)]
-        if lload[k] == dcap[k - 1]:
-            lthr[k] = lrank[k - 1][worst_of(k, lprefs, lworst, lect)]
-
-    return Matching._canonical(tuple((s, p) for s, p in enumerate(assigned) if p))
+    return Matching._canonical(tuple(filter(itemgetter(1), enumerate(assigned))))
 
 
 def solve_lecturer_optimal(instance: Instance) -> Matching:
@@ -120,6 +149,8 @@ def solve_lecturer_optimal(instance: Instance) -> Matching:
     lecturer's projects and the student's list, and there are at most λ
     offers, since each one improves a student; so the run is O(λ) when
     lecturers offer, and students rank, a bounded number of projects.
+    Each pointer step reads its student once, and the project a student
+    takes is found by a plain scan of their list.
     """
     owner = instance.project_owner
     cap = instance.project_capacity
@@ -142,24 +173,29 @@ def solve_lecturer_optimal(instance: Instance) -> Matching:
     while queue:
         k = queue.popleft()
         queued[k] = False
-        rank_k = lrank[k - 1]
-        while lload[k] < dcap[k - 1]:
+        rank_k, mine, d = lrank[k - 1], offered[k - 1], dcap[k - 1]
+        while lload[k] < d:
             s, best = 0, n1
-            for p in offered[k - 1]:
+            for p in mine:
                 if pload[p] == cap[p - 1]:
                     continue
                 ranked, i = projected[p - 1], head[p]
-                while i < len(ranked) and srank[ranked[i] - 1][p] >= cutoff[ranked[i]]:
+                end = len(ranked)
+                while i < end:
+                    t = ranked[i]
+                    if srank[t - 1][p] < cutoff[t]:
+                        if rank_k[t] < best:
+                            s, best = t, rank_k[t]
+                        break
                     i += 1
                 head[p] = i
-                if i < len(ranked) and rank_k[ranked[i]] < best:
-                    s, best = ranked[i], rank_k[ranked[i]]
             if not s:
                 break
             # the first open project of k on the list of s ranks above the
             # cutoff, because the one that made s eligible does
-            p = next(q for q in prefs[s - 1]
-                     if owner[q - 1] == k and pload[q] < cap[q - 1])
+            for p in prefs[s - 1]:
+                if owner[p - 1] == k and pload[p] < cap[p - 1]:
+                    break
             old = assigned[s]
             if old:
                 pload[old] -= 1
@@ -172,4 +208,4 @@ def solve_lecturer_optimal(instance: Instance) -> Matching:
             pload[p] += 1
             lload[k] += 1
 
-    return Matching._canonical(tuple((s, p) for s, p in enumerate(assigned) if p))
+    return Matching._canonical(tuple(filter(itemgetter(1), enumerate(assigned))))

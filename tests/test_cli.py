@@ -127,6 +127,22 @@ class TestValidate:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "VALID\n", "")
 
 
+    @pytest.mark.parametrize("argv, text, place", [
+        # a Latin-1 comment line before an instance
+        (("validate", "{}"), b"# caf\xe9\n" + Path(A).read_bytes(), "line 1, column 6"),
+        (("solve", "--optimal", "student", "{}"), b"# caf\xe9\n" + Path(A).read_bytes(),
+         "line 1, column 6"),
+        # a matching file: the column counts the two-byte "ü" as one
+        (("check", A, "{}"), b"s1 p1\n# \xc3\xbc\xe9\n", "line 2, column 4"),
+    ], ids=["validate", "solve", "check"])
+    def test_bytes_that_are_not_utf8_are_placed(self, capsys, tmp_path, argv, text, place):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text)
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == f"ERROR {place}: byte 0xe9 in {path} is not UTF-8\n"
+
+
 class TestCheck:
     def test_stable(self, capsys):
         code, out, _ = run(capsys, "check", A, str(DATA / "a_m1.match"))
