@@ -10,9 +10,10 @@ Instance grammar (``#``-prefixed comment lines and blank lines ignored):
     l<k> : capacity <d> : s<a> s<b> ...  one line per lecturer, best first
 
 Lines are split on Unicode whitespace (``str.split``).  Ids are the letter
-then ASCII digits without a leading zero; counts and capacities are ASCII
-digits and may be zero-padded.  A ``ParseError`` gives the line and the
-1-based character column of the token, found only when the error is raised.
+then ASCII digits without a leading zero, a grammar written once, in the
+token test ``_id_digits``; counts and capacities are ASCII digits and may be
+zero-padded.  A ``ParseError`` gives the line and the 1-based character
+column of the token, found only when the error is raised.
 
 Matching grammar: one ``s<i> p<j>`` or ``s<i> -`` per line; unassigned
 students may be omitted.  Serialisers emit canonical ascending order, so
@@ -61,6 +62,16 @@ def _error(message: str, line: int, raw_line: str, index: int) -> ParseError:
     return ParseError(message, line, column)
 
 
+def _id_digits(kind: str, token: str) -> str:
+    """The n of ``token`` if it is ``<kind><n>``, n ASCII digits without a
+    leading zero (``str.isdigit`` alone also accepts ``٣`` and ``²``), else
+    the empty string."""
+    d = token[1:]
+    if token[0] == kind and d.isascii() and d.isdigit() and d[0] != "0":
+        return d
+    return ""
+
+
 def _ids(kind: str, words: list[str], start: int, stop: int,
          raw_line: str, line: int, known: dict[str, dict[str, int]]) -> list[int]:
     """``words[start:stop]`` as ``<kind><n>`` ids, n ASCII digits without a
@@ -74,8 +85,8 @@ def _ids(kind: str, words: list[str], start: int, stop: int,
         for w in words[start:stop]:
             n = memo.get(w)
             if n is None:
-                d = w[1:]
-                if w[0] != kind or not d.isdigit() or not d.isascii() or d[0] == "0":
+                d = _id_digits(kind, w)
+                if not d:
                     message = f"expected {kind}<number> identifier, got {w!r}"
                     break
                 n = memo[w] = int(d)
@@ -217,25 +228,39 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def parse_matching_file(text: str, instance: Instance) -> Matching:
+    """The matching a file lists, its ids decoded by the token test alone:
+    ``_ids``, which raises the id's exact ``ParseError``, runs only on a
+    token that fails that test or whose digits ``int`` refuses."""
+    n1, n2 = instance.num_students, instance.num_projects
     pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    known: dict[str, dict[str, int]] = {"s": {}, "p": {}}
+    seen = [False] * (n1 + 1)
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         words = raw_line.split()
         if not words or words[0][0] == "#":
             continue
         if len(words) != 2:
             raise _error("expected 's<i> p<j>' or 's<i> -'", line_no, raw_line, 0)
-        (s,) = _ids("s", words, 0, 1, raw_line, line_no, known)
-        if not 1 <= s <= instance.num_students:
+        head, tail = words
+        try:
+            s = int(_id_digits("s", head) or 0)  # 0: not an id
+        except ValueError:  # more digits than int accepts
+            s = 0
+        if not s:
+            _ids("s", words, 0, 1, raw_line, line_no, {"s": {}})  # raises
+        if not 1 <= s <= n1:
             raise _error(f"unknown student s{s}", line_no, raw_line, 0)
-        if s in seen:
+        if seen[s]:
             raise _error(f"duplicate line for s{s}", line_no, raw_line, 0)
-        seen.add(s)
-        if words[1] == "-":
+        seen[s] = True
+        if tail == "-":
             continue
-        (p,) = _ids("p", words, 1, 2, raw_line, line_no, known)
-        if not 1 <= p <= instance.num_projects:
+        try:
+            p = int(_id_digits("p", tail) or 0)
+        except ValueError:
+            p = 0
+        if not p:
+            _ids("p", words, 1, 2, raw_line, line_no, {"p": {}})  # raises
+        if not 1 <= p <= n2:
             raise _error(f"unknown project p{p}", line_no, raw_line, 1)
         pairs.append((s, p))
     # positive int ids, one line per student: canonical once sorted

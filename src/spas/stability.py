@@ -12,6 +12,13 @@ P4  p full, lecturer prefers s to the worst student assigned to p
 
 When several P conditions hold the lowest-numbered one is reported, so
 output is deterministic.  S1 together with P2 cannot occur.
+
+The P conditions depend on s only through the lecturer's rank of s and
+whether s is already that lecturer's, so :func:`find_blocking_pairs`
+decides once per project how it can block: every student (P1), or those
+its lecturer ranks above a threshold (P3, P4), with a full lecturer's own
+students labelled P2.  Each student's list is then read only down to
+their own project.
 """
 
 from __future__ import annotations
@@ -41,21 +48,30 @@ def find_blocking_pairs(
 ) -> tuple[BlockingPair, ...]:
     """All blocking pairs, ordered by (student index, project index).
 
-    The matching is tallied once: each student's project, the load of each
-    project and lecturer, and the lecturer rank of the worst student held
-    on each project and by each lecturer.  The projected list keeps the
-    lecturer's order, so ranks on the full list decide a project's worst
-    too.  Each student's list is then scanned only down to (and excluding)
-    their current assignment: S2 needs strict preference, so nothing below
-    the assignment can block.  The rank tables come built with the
-    instance, so after validation this is O(λ + |M|), λ the total length
-    of the student lists, plus ordering the output.
+    Raises ``ValueError`` if the matching is not a valid matching of the
+    instance.  The matching is tallied once: each student's project and
+    its lecturer, the load of each project and lecturer, and the lecturer
+    rank of the worst student held on each project and by each lecturer.
+    The projected list keeps the lecturer's order, so ranks on the full
+    list decide a project's worst too.  Then each project gets its rule:
+
+    * project and lecturer undersubscribed: P1 for every student;
+    * project full: P4 for a student its lecturer ranks above the
+      project's worst assignee;
+    * project undersubscribed, lecturer full: a student the lecturer ranks
+      at or above their worst assignee, which every one of the lecturer's
+      own students is, blocks; the lecturer's own students get P2 and the
+      others P3.
+
+    Each student's list is then scanned only down to (and excluding) their
+    own project, found by its id: S2 needs strict preference, so nothing
+    below it can block.  A list entry costs one read of its project's rule
+    and, off P1, one rank read.  With the rank tables built with the
+    instance, this is O(n1 + n2 + n3 + λ) after validation, λ the total
+    length of the student lists, plus ordering the output.
     """
     require_valid_matching(instance, matching)
     owner = instance.project_owner
-    cap = instance.project_capacity
-    dcap = instance.lecturer_capacity
-    srank = instance.srank
     lrank = instance.lrank
 
     assigned = [0] * (instance.num_students + 1)  # project of s, or 0
@@ -70,36 +86,40 @@ def find_blocking_pairs(
         assigned[s], lect[s] = p, k
         pload[p] += 1
         lload[k] += 1
-        pworst[p] = max(pworst[p], r)
-        lworst[k] = max(lworst[k], r)
+        if r > pworst[p]:
+            pworst[p] = r
+        if r > lworst[k]:
+            lworst[k] = r
+
+    # per project: None for P1, else (lecturer's ranks, rank bound, label,
+    # lecturer whose own students are P2 or None); s blocks iff its rank
+    # is below the bound
+    rule: list[tuple | None] = [None] * (instance.num_projects + 1)
+    dcap = instance.lecturer_capacity
+    for p, (k, c) in enumerate(zip(owner, instance.project_capacity), start=1):
+        if pload[p] >= c:
+            rule[p] = (lrank[k - 1], pworst[p], "P4", None)
+        elif lload[k] >= dcap[k - 1]:
+            rule[p] = (lrank[k - 1], lworst[k] + 1, "P3", k)
 
     found: list[BlockingPair] = []
     # what BlockingPair's generated __new__ does, without a Python call
     new = tuple.__new__
     for s, prefs in enumerate(instance.student_prefs, start=1):
         mine = assigned[s]
-        if mine:
-            scan = prefs[: srank[s - 1][mine]]
-            s_cond = "S2"
-        else:
-            scan = prefs
-            s_cond = "S1"
-        for p in scan:
-            k = owner[p - 1]
-            r = lrank[k - 1][s]
-            if pload[p] >= cap[p - 1]:
-                if r >= pworst[p]:
-                    continue
-                p_cond = "P4"
-            elif lload[k] < dcap[k - 1]:
-                p_cond = "P1"
-            elif k == lect[s]:
-                p_cond = "P2"
-            elif r < lworst[k]:
-                p_cond = "P3"
-            else:
+        own = lect[s]
+        s_cond = "S2" if mine else "S1"
+        for p in prefs:
+            if p == mine:
+                break
+            how = rule[p]
+            if how is None:
+                found.append(new(BlockingPair, (s, p, s_cond, "P1")))
                 continue
-            found.append(new(BlockingPair, (s, p, s_cond, p_cond)))
+            ranks, bound, p_cond, k = how
+            if ranks[s] < bound:
+                found.append(new(BlockingPair, (
+                    s, p, s_cond, "P2" if k == own else p_cond)))
     found.sort()  # (student, project) is unique, so this orders by it
     return tuple(found)
 

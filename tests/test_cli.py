@@ -152,7 +152,9 @@ class TestCheck:
     def test_unstable_lists_blocking_pairs(self, capsys):
         code, out, _ = run(capsys, "check", A, str(DATA / "unstable_a.match"))
         assert code == 1
-        assert "s1 p1 S2 P1" in out.splitlines()
+        assert out == (
+            "s1 p1 S2 P1\ns2 p3 S1 P1\ns3 p1 S1 P1\ns3 p3 S1 P1\n"
+            "s4 p4 S1 P1\ns4 p5 S1 P1\ns5 p4 S1 P1\ns5 p5 S1 P1\n")
 
     def test_invalid_matching(self, capsys, tmp_path):
         path = tmp_path / "bad.match"

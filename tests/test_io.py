@@ -344,7 +344,11 @@ class TestParserOracle:
     @pytest.mark.parametrize("line", [
         "s5 p5", "s6 p1", "s1 p6", "s0 p1", "s1 p0", "s1 -", "s5 -", "s6 -",
         "s1", "s1 p1 p2", "s1 p1 # note", "p1 s1", "s1 l1", "s1 s2", "s-1 p1",
-        "S1 p1",
+        "S1 p1", "s1 p\u0663", "s\u0663 p1", "s1 p\u00b2", "s01 p1", "s1 p01",
+        "s1 -x",
+        # more digits than int converts from a string by default (4300)
+        pytest.param("s" + "1" * 5000 + " p1", id="s<5000 digits> p1"),
+        pytest.param("s1 p" + "1" * 5000, id="s1 p<5000 digits>"),
     ])
     def test_matching_lines_at_the_edges(self, line):
         # INSTANCE_A has five students and five projects

@@ -14,7 +14,14 @@ from oracles import (
     random_valid_matching,
     student_prefers,
 )
-from spas import BlockingPair, Matching, find_blocking_pairs, is_stable
+from spas import (
+    BlockingPair,
+    Matching,
+    find_blocking_pairs,
+    is_stable,
+    solve_lecturer_optimal,
+    solve_student_optimal,
+)
 
 
 class TestKnownMatchings:
@@ -147,7 +154,10 @@ def labelled_tuples(instance, matching):
 
 
 class TestAgainstOracle:
-    @pytest.mark.parametrize("n1, n2, n3", [(5, 5, 3), (12, 8, 4)])
+    # with one or two lecturers, lecturers fill up more often, so P2 and
+    # P3 decide more pairs
+    @pytest.mark.parametrize("n1, n2, n3", [
+        (5, 5, 3), (12, 8, 4), (12, 8, 1), (12, 8, 2)])
     @given(st.integers(1, 10**6), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_matches_naive_double_loop(self, n1, n2, n3, seed, mseed):
@@ -164,6 +174,23 @@ class TestAgainstOracle:
             for m in matchings:
                 assert labelled_tuples(instance, m) == naive_blocking_pairs(
                     instance, m)
+
+    def test_matches_naive_one_pair_short_of_stable(self):
+        # a stable matching less one pair has few blocking pairs: the freed
+        # student's, and S2 pairs found on assigned students' lists above
+        # their own projects, all P1 since the pair's project and lecturer
+        # now have room
+        s2 = 0
+        for seed in range(1, 61):
+            instance = corpus_instance(seed, 12, 8, 4)
+            for m in (solve_student_optimal(instance),
+                      solve_lecturer_optimal(instance)):
+                for pair in m.pairs:
+                    near = Matching(tuple(q for q in m.pairs if q != pair))
+                    got = labelled_tuples(instance, near)
+                    assert got == naive_blocking_pairs(instance, near)
+                    s2 += sum(s_cond == "S2" for _, _, s_cond, _ in got)
+        assert s2 > 100
 
     def test_every_condition_pair_is_reported(self):
         # at this shape every branch of the P-condition is taken: all seven
