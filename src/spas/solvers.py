@@ -10,7 +10,8 @@ free students or lecturers are served never changes the output.
 Write λ for the total length of the students' preference lists.  Both
 solvers walk the projected lists L_k^p (lecturer k's list restricted to the
 students who rank p), which come built with the instance, with pointers
-that never move back.
+that never move back.  SPA-student also keeps one pointer per lecturer on
+its whole list L_k, which is also that lecturer's deletion threshold.
 
 Both are flat loops over plain lists: each step of the algorithm is
 written inline, so a proposal or an offer makes no Python function call,
@@ -34,22 +35,29 @@ def solve_student_optimal(instance: Instance) -> Matching:
     over-subscribed project rejects its worst assignee, or else an
     over-subscribed lecturer rejects theirs.  A full project p, or a full
     lecturer k, deletes every pair it could never keep: the students that k
-    ranks below the worst assignee of p (resp. of k).  Deletions are kept
-    as rank thresholds, one per project and one per lecturer, which only
-    ever decrease; (s, p) is deleted exactly when k ranks s beyond either.
+    ranks below the worst assignee of p (resp. of k).
 
-    A worst assignee is found by a pointer that moves backwards over L_k^p
-    (for a project) or L_k (for a lecturer): every later assignee lies
-    within the threshold, so nothing behind the pointer comes back.  Each
-    student's head pointer, and each of these, crosses its list once, so
-    the run is O(λ).
+    Each project p keeps a pointer to its worst assignee on L_k^p and, as
+    its threshold, the rank k gives that student; (s, p) is deleted when k
+    ranks s beyond it.  Each lecturer k keeps one record, a pointer to its
+    worst assignee on L_k: k ranks each student at that student's position
+    on L_k, so the pointer is also k's threshold.  Before k first fills it
+    rests on the last position of L_k, which deletes nobody.  The pointers
+    only move backwards, past students the list no longer holds: every
+    later assignee lies within the threshold, so nothing behind a pointer
+    comes back.  Each student's head pointer, and each of these, crosses
+    its list once, so the run is O(λ).
 
     One proposal of s to p (lecturer k) is a single pass: the loads of p
     and k are held in locals, at most one student is rejected (by k if p
-    is not over-subscribed, else by p), then p's threshold and k's are
-    lowered if full.  A lecturer's rejection may take p's own load down
-    when the rejected student holds p.  The project's reject-then-lower
-    steps share one pointer walk.
+    is not over-subscribed, else by p), then the pointers of p and k move
+    to their worst assignees if full.  A lecturer's load never falls, only
+    a proposal to one of its projects changes its assignees, and each such
+    step that leaves k full ends with k's pointer on k's worst assignee.
+    So a proposal that overfills k finds that student under the pointer,
+    with no walk.  A lecturer's rejection may take p's own load down when
+    the rejected student holds p.  The project's reject-then-lower steps
+    share one pointer walk.
     """
     owner = instance.project_owner
     cap = instance.project_capacity
@@ -66,7 +74,6 @@ def solve_student_optimal(instance: Instance) -> Matching:
     pload = [0] * (n2 + 1)
     lload = [0] * (n3 + 1)
     pthr = [n1] * (n2 + 1)  # (s, p) deleted when k ranks s beyond this
-    lthr = [n1] * (n3 + 1)
     pworst = [0] + [len(ranked) - 1 for ranked in projected]
     lworst = [0] + [len(ranked) - 1 for ranked in lprefs]
 
@@ -80,7 +87,7 @@ def solve_student_optimal(instance: Instance) -> Matching:
             k = owner[p - 1]
             rank_k = lrank[k - 1]
             r = rank_k[s]
-            if r <= pthr[p] and r <= lthr[k]:
+            if r <= pthr[p] and r <= lworst[k]:
                 break
             i += 1
         head[s] = i
@@ -90,15 +97,10 @@ def solve_student_optimal(instance: Instance) -> Matching:
         assigned[s], lect[s] = p, k
         lp, lk = pload[p] + 1, lload[k] + 1  # the loads of p and k
         c, d = cap[p - 1], dcap[k - 1]
-        # a worst assignee: the pointer of p over L_k^p (of k over L_k)
-        # moves back past every student p (k) does not hold.  k rejects
-        # its worst unless p is over-subscribed
+        # k rejects its worst, already under k's pointer, unless p is
+        # over-subscribed
         if lk > d and lp <= c:
-            ranked, j = lprefs[k - 1], lworst[k]
-            while lect[ranked[j]] != k:
-                j -= 1
-            lworst[k] = j
-            w = ranked[j]
+            w = lprefs[k - 1][lworst[k]]
             q = assigned[w]
             if q == p:  # p's load is the local one
                 lp -= 1
@@ -127,7 +129,6 @@ def solve_student_optimal(instance: Instance) -> Matching:
             while lect[ranked[j]] != k:
                 j -= 1
             lworst[k] = j
-            lthr[k] = rank_k[ranked[j]]
 
     return Matching._canonical(tuple(filter(itemgetter(1), enumerate(assigned))))
 

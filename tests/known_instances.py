@@ -10,6 +10,11 @@ because neither lecturer consents to undoing the swap.
 INSTANCE_B: 9 students, 8 projects, 2 lecturers; exactly seven stable
 matchings B_M[0..6] whose cover graph is B_HASSE_EDGES.
 
+``irving_leather(n)`` is the Irving-Leather stable-marriage family IL(n)
+inside SPA-S, and ``irving_leather_paired(n)`` its variant IL2(n) with two
+projects per lecturer: inputs with many stable matchings and no product
+structure.
+
 ``disjoint_union`` places independent markets side by side.  No pair,
 project or lecturer crosses parts, so every blocking pair lies inside one
 part and the stable set of a union is the product of the parts' stable
@@ -72,6 +77,51 @@ def one_student_markets(n: int) -> Instance:
         project_owner=ids,
         lecturer_capacity=[1] * n,
         lecturer_prefs=[[i] for i in ids],
+    ))
+
+
+def _il_lists(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The student lists m_i and project rankings w_j of IL(n), n a power
+    of two: IL(1) is one student ranking one project, and IL(2n) comes
+    from IL(n) by m_i -> m_i, m_i + n; m_{i+n} -> m_i + n, m_i and
+    w_j -> w_j + n, w_j; w_{j+n} -> w_j, w_j + n."""
+    if n & (n - 1) or n < 1:
+        raise ValueError(f"n must be a power of two, not {n}")
+    m, w = [[1]], [[1]]
+    while len(m) < n:
+        h = len(m)
+        m = ([x + [y + h for y in x] for x in m]
+             + [[y + h for y in x] + x for x in m])
+        w = ([[y + h for y in x] + x for x in w]
+             + [x + [y + h for y in x] for x in w])
+    return m, w
+
+
+def irving_leather(n: int) -> Instance:
+    """IL(n) (Irving & Leather, SIAM J. Comput. 15(3), 1986) as stable
+    marriage: project j has capacity 1 and its own lecturer j, of capacity
+    1, who ranks the students as w_j.  Every list is complete."""
+    m, w = _il_lists(n)
+    return _build(RawInstance(
+        student_prefs=m,
+        project_capacity=[1] * n,
+        project_owner=list(range(1, n + 1)),
+        lecturer_capacity=[1] * n,
+        lecturer_prefs=w,
+    ))
+
+
+def irving_leather_paired(n: int) -> Instance:
+    """IL2(n), n >= 2: the student lists of IL(n), with lecturer j owning
+    projects 2j - 1 and 2j (capacity 1 each), of capacity 2, and ranking
+    the students as project 2j - 1 does in IL(n)."""
+    m, w = _il_lists(n)
+    return _build(RawInstance(
+        student_prefs=m,
+        project_capacity=[1] * n,
+        project_owner=[(j + 1) // 2 for j in range(1, n + 1)],
+        lecturer_capacity=[2] * (n // 2),
+        lecturer_prefs=w[::2],
     ))
 
 

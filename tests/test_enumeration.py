@@ -15,6 +15,8 @@ from known_instances import (
     INSTANCE_A,
     INSTANCE_B,
     disjoint_union,
+    irving_leather,
+    irving_leather_paired,
     one_student_markets,
     union_stable_set,
 )
@@ -156,6 +158,28 @@ class TestAgainstBruteForce:
     def test_unseeded_search_equals_oracle(self, seed):
         instance = corpus_instance(seed, 5, 5, 3)
         assert dfs_stable_set(instance) == brute_force_stable_set(instance)
+
+
+class TestIrvingLeather:
+    """Stable sets with no product structure (Irving & Leather, 1986)."""
+
+    @pytest.mark.parametrize("family, n, size", [
+        (irving_leather, 2, 2),
+        (irving_leather, 4, 10),
+        (irving_leather, 8, 268),
+        (irving_leather_paired, 4, 3),
+        (irving_leather_paired, 8, 25),
+    ])
+    def test_stable_set_size(self, family, n, size):
+        instance = family(n)
+        stable = dfs_stable_set(instance)
+        assert len(stable) == size
+        assert enumerate_all(instance) == stable
+
+    @pytest.mark.parametrize("family", [irving_leather, irving_leather_paired])
+    def test_equals_oracle_at_four_students(self, family):
+        instance = family(4)
+        assert brute_force_stable_set(instance) == dfs_stable_set(instance)
 
 
 def enum_bench_instances(n: int) -> list[Instance]:

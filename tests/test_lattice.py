@@ -23,6 +23,8 @@ from known_instances import (
     INSTANCE_B,
     UNIONS,
     disjoint_union,
+    irving_leather,
+    irving_leather_paired,
     union_stable_set,
 )
 from oracles import (
@@ -316,6 +318,18 @@ class TestHasse:
         instance = disjoint_union(*parts)
         stable = union_stable_set(parts, sets)
         assert build_hasse(instance, stable).edges == hasse_def(instance, stable)
+
+    @pytest.mark.parametrize("family, n, count", [
+        (irving_leather, 4, 12),
+        (irving_leather_paired, 8, 36),
+        (irving_leather, 8, 656),
+    ])
+    def test_equals_definition_on_irving_leather(self, family, n, count):
+        instance = family(n)
+        stable = enumerate_all(instance)
+        edges = build_hasse(instance, stable).edges
+        assert len(edges) == count
+        assert edges == hasse_def(instance, stable)
 
 
 def fresh(instance: Instance) -> Instance:

@@ -1,9 +1,18 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import corpus_instance
-from known_instances import A_M1, A_M2, B_M, INSTANCE_A, INSTANCE_B
-from oracles import dfs_stable_set
+from known_instances import (
+    A_M1,
+    A_M2,
+    B_M,
+    INSTANCE_A,
+    INSTANCE_B,
+    irving_leather,
+    irving_leather_paired,
+)
+from oracles import dfs_stable_set, naive_blocking_pairs
 from spas import (
     GenParams,
     Instance,
@@ -64,6 +73,42 @@ class TestKnownInstances:
         assert is_stable(INSTANCE_B, solve_lecturer_optimal(INSTANCE_B))
 
 
+def first_and_last(instance: Instance) -> tuple[Matching, Matching]:
+    # every student on the first project of their list, and on the last
+    prefs = list(enumerate(instance.student_prefs, start=1))
+    return (Matching(tuple((s, mine[0]) for s, mine in prefs)),
+            Matching(tuple((s, mine[-1]) for s, mine in prefs)))
+
+
+class TestIrvingLeather:
+    """Complete lists on which SPA-student gives every student their first
+    project, and in IL(n) SPA-lecturer their last; each IL2(n) lecturer
+    offers two projects."""
+
+    @pytest.mark.parametrize("n", [2 ** e for e in range(1, 9)])
+    def test_extremes_are_first_and_last(self, n):
+        instance = irving_leather(n)
+        best, worst = first_and_last(instance)
+        assert solve_student_optimal(instance) == best
+        assert solve_lecturer_optimal(instance) == worst
+        if n <= 64:
+            assert naive_blocking_pairs(instance, best) == []
+            assert naive_blocking_pairs(instance, worst) == []
+
+    @pytest.mark.parametrize("n", [2 ** e for e in range(2, 9)])
+    def test_paired_extremes(self, n):
+        instance = irving_leather_paired(n)
+        assert all(len(mine) == 2 for mine in instance.lecturer_projects)
+        best, _ = first_and_last(instance)
+        assert solve_student_optimal(instance) == best
+        worst = solve_lecturer_optimal(instance)
+        if n <= 8:
+            assert worst == join_all(instance, dfs_stable_set(instance))
+        if n <= 64:
+            assert naive_blocking_pairs(instance, best) == []
+            assert naive_blocking_pairs(instance, worst) == []
+
+
 class TestMethodAgreement:
     """Deferred acceptance against the meet/join fold over the stable set
     of the unseeded search, which never calls deferred acceptance."""
@@ -77,6 +122,14 @@ class TestMethodAgreement:
     @settings(max_examples=200, deadline=None)
     def test_da_agrees_on_wider_corpus(self, seed):
         assert_da_matches_fold(corpus_instance(seed, 12, 8, 4))
+
+    @given(st.integers(1, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_da_agrees_when_lecturers_fill(self, seed):
+        # at most two lecturers: they fill early, so a proposal often
+        # overfills a lecturer while its project has room, and the
+        # lecturer rejects
+        assert_da_matches_fold(corpus_instance(seed, 12, 8, 2))
 
     @given(st.integers(1, 10**6))
     @settings(max_examples=60, deadline=None)

@@ -19,6 +19,8 @@ from known_instances import (
     INSTANCE_B,
     UNIONS,
     disjoint_union,
+    irving_leather,
+    irving_leather_paired,
 )
 from oracles import (
     _PAIRWISE_CHECKS,
@@ -339,6 +341,12 @@ class TestAgainstNaiveRunAllChecks:
             assert run_all_checks(instance, members) == expected, seed
             assert run_all_checks(instance, members, pairs_only=True) == (
                 naive_run_all_checks(instance, members, pairs_only=True)), seed
+
+    @pytest.mark.parametrize("family", [irving_leather, irving_leather_paired])
+    def test_equal_on_irving_leather(self, family):
+        instance = family(4)
+        stable = enumerate_all(instance)
+        assert run_all_checks(instance, stable) == naive_run_all_checks(instance, stable)
 
 
 def test_pair_checks_equal_their_oracles_on_mixed_sets(corpus7):
