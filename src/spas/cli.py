@@ -112,11 +112,11 @@ def _cmd_check(args: SimpleNamespace) -> int:
 
     instance = _load_instance(args.instance)
     matching = _load_matching(args.matching, instance)
-    report = is_valid_matching(instance, matching)
-    if not report.ok:
-        _print_report(report)
+    try:
+        blocking = find_blocking_pairs(instance, matching)
+    except ValueError:  # an invalid matching: its full report, in order
+        _print_report(is_valid_matching(instance, matching))
         return EXIT_FALSE
-    blocking = find_blocking_pairs(instance, matching)
     if not blocking:
         print("STABLE")
         return EXIT_OK

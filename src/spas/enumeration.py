@@ -58,7 +58,7 @@ in the test suite.  The worst case stays exponential.
 
 from __future__ import annotations
 
-from .model import Instance, Matching
+from .model import Instance, Matching, require_valid_matching
 from .solvers import solve_lecturer_optimal, solve_student_optimal
 
 TYPE_CHECKING = False
@@ -107,12 +107,9 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
     srank = instance.srank
 
     # the bounds: M_s's load on each lecturer, and on each project of a
-    # lecturer M_s leaves undersubscribed; other projects keep c_p
-    pmax = [0] * len(owner)
-    lmax = [0] * (instance.num_lecturers + 1)
-    for _, p in best.pairs:
-        pmax[p] += 1
-        lmax[owner[p]] += 1
+    # lecturer M_s leaves undersubscribed, as the walk that validates M_s
+    # tallies them; the projects of a lecturer M_s fills keep c_p
+    _, _, pmax, lmax, _, _ = require_valid_matching(instance, best)
     for p, c in enumerate(instance.project_capacity, start=1):
         if lmax[owner[p]] == instance.lecturer_capacity[owner[p] - 1]:
             pmax[p] = c

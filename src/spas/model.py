@@ -527,17 +527,46 @@ def build_instance(raw: RawInstance) -> Instance | ValidationReport:
 def is_valid_matching(instance: Instance, matching: Matching) -> ValidationReport:
     """Report every violated matching condition (capacities, acceptability).
 
-    One pass over the pairs, which are canonical and so sorted by student,
-    tallies project and lecturer loads into flat arrays.  Violations come
-    grouped by rule: multiple assignments by student, then unknown ids and
-    unacceptable pairs in pair order, then over-full projects and lecturers
-    by index.
+    Violations come grouped by rule: multiple assignments by student, then
+    unknown ids and unacceptable pairs in pair order, then over-full
+    projects and lecturers by index.
     """
-    n1, n2 = instance.num_students, instance.num_projects
+    return _read_matching(instance, matching)[0]
+
+
+def require_valid_matching(instance: Instance, matching: Matching) -> tuple:
+    """Raise ``ValueError("invalid matching: ...")`` naming the first
+    violation :func:`is_valid_matching` reports, if there is one; else
+    return the matching read into flat arrays (see :func:`_read_matching`)."""
+    report, tally = _read_matching(instance, matching)
+    if tally is None:
+        raise ValueError(f"invalid matching: {report.violations[0].render()}")
+    return tally
+
+
+def _read_matching(instance: Instance, matching: Matching) -> tuple[
+        ValidationReport, tuple[list[int], ...] | None]:
+    """The report of :func:`is_valid_matching`, and the matching as flat
+    arrays, or ``None`` when there are violations.
+
+    One pass over the pairs, which are canonical and so sorted by student,
+    checks them and tallies the arrays, indexed by id: each student's
+    project and its lecturer (0 if unassigned), the load of each project
+    and each lecturer, and the lecturer rank of the worst assignee of each
+    project and of each lecturer (-1 if none).  A project's worst is
+    decided by ranks on its lecturer's full list, whose order its projected
+    list keeps.
+    """
+    n1, n2, n3 = instance.num_students, instance.num_projects, instance.num_lecturers
     owner = instance.project_owner
     srank = instance.srank
+    lrank = instance.lrank
+    assigned = [0] * (n1 + 1)
+    lect = [0] * (n1 + 1)
     pload = [0] * (n2 + 1)
-    lload = [0] * (instance.num_lecturers + 1)
+    lload = [0] * (n3 + 1)
+    pworst = [-1] * (n2 + 1)
+    lworst = [-1] * (n3 + 1)
     faults: list[Violation] = []
     repeated = False
     prev = 0
@@ -545,17 +574,23 @@ def is_valid_matching(instance: Instance, matching: Matching) -> ValidationRepor
         if s == prev:
             repeated = True
         prev = s
-        known = 1 <= p <= n2
-        if known:
+        if 1 <= p <= n2:
+            k = owner[p - 1]
             pload[p] += 1
-            lload[owner[p - 1]] += 1
-        if known and 1 <= s <= n1 and p in srank[s - 1]:
-            continue
+            lload[k] += 1
+            if 1 <= s <= n1 and p in srank[s - 1]:
+                r = lrank[k - 1][s]
+                assigned[s], lect[s] = p, k
+                if r > pworst[p]:
+                    pworst[p] = r
+                if r > lworst[k]:
+                    lworst[k] = r
+                continue
         subject = f"{student_name(s)},{project_name(p)}"
         if not 1 <= s <= n1:
             faults.append(Violation(
                 "dangling-identifier", subject, "student does not exist"))
-        elif not known:
+        elif not 1 <= p <= n2:
             faults.append(Violation(
                 "dangling-identifier", subject, "project does not exist"))
         else:
@@ -581,12 +616,6 @@ def is_valid_matching(instance: Instance, matching: Matching) -> ValidationRepor
                 violations.append(Violation(
                     rule, name(i), f"{load} students assigned, capacity is {c}"))
 
-    return ValidationReport(tuple(violations))
-
-
-def require_valid_matching(instance: Instance, matching: Matching) -> None:
-    """Raise ``ValueError("invalid matching: ...")`` naming the first
-    violation :func:`is_valid_matching` reports, if there is one."""
-    report = is_valid_matching(instance, matching)
-    if not report.ok:
-        raise ValueError(f"invalid matching: {report.violations[0].render()}")
+    if violations:
+        return ValidationReport(tuple(violations)), None
+    return ValidationReport(), (assigned, lect, pload, lload, pworst, lworst)

@@ -49,11 +49,8 @@ def find_blocking_pairs(
     """All blocking pairs, ordered by (student index, project index).
 
     Raises ``ValueError`` if the matching is not a valid matching of the
-    instance.  The matching is tallied once: each student's project and
-    its lecturer, the load of each project and lecturer, and the lecturer
-    rank of the worst student held on each project and by each lecturer.
-    The projected list keeps the lecturer's order, so ranks on the full
-    list decide a project's worst too.  Then each project gets its rule:
+    instance.  The walk that validates the matching also tallies it
+    (``model._read_matching``).  Then each project gets its rule:
 
     * project and lecturer undersubscribed: P1 for every student;
     * project full: P4 for a student its lecturer ranks above the
@@ -67,29 +64,13 @@ def find_blocking_pairs(
     own project, found by its id: S2 needs strict preference, so nothing
     below it can block.  A list entry costs one read of its project's rule
     and, off P1, one rank read.  With the rank tables built with the
-    instance, this is O(n1 + n2 + n3 + λ) after validation, λ the total
+    instance, this is O(n1 + n2 + n3 + λ) with validation, λ the total
     length of the student lists, plus ordering the output.
     """
-    require_valid_matching(instance, matching)
+    assigned, lect, pload, lload, pworst, lworst = require_valid_matching(
+        instance, matching)
     owner = instance.project_owner
     lrank = instance.lrank
-
-    assigned = [0] * (instance.num_students + 1)  # project of s, or 0
-    lect = [0] * (instance.num_students + 1)  # lecturer of that project, or 0
-    pload = [0] * (instance.num_projects + 1)
-    lload = [0] * (instance.num_lecturers + 1)
-    pworst = [-1] * (instance.num_projects + 1)  # rank of worst held, or -1
-    lworst = [-1] * (instance.num_lecturers + 1)
-    for s, p in matching.pairs:
-        k = owner[p - 1]
-        r = lrank[k - 1][s]
-        assigned[s], lect[s] = p, k
-        pload[p] += 1
-        lload[k] += 1
-        if r > pworst[p]:
-            pworst[p] = r
-        if r > lworst[k]:
-            lworst[k] = r
 
     # per project: None for P1, else (lecturer's ranks, rank bound, label,
     # lecturer whose own students are P2 or None); s blocks iff its rank

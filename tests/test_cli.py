@@ -157,11 +157,17 @@ class TestCheck:
             "s4 p4 S1 P1\ns4 p5 S1 P1\ns5 p4 S1 P1\ns5 p5 S1 P1\n")
 
     def test_invalid_matching(self, capsys, tmp_path):
+        # two rules broken: the whole report, in report order, not only the
+        # first violation that the stability check raises on
         path = tmp_path / "bad.match"
-        path.write_text("s1 p3\n")
-        code, out, _ = run(capsys, "check", A, str(path))
+        path.write_text("s1 p3\ns2 p1\ns3 p1\n")
+        code, out, err = run(capsys, "check", A, str(path))
         assert code == 1
-        assert "unacceptable-pair" in out
+        assert out == (
+            "ERROR unacceptable-pair [s1,p3]: p3 is not on the list of s1\n"
+            "ERROR unacceptable-pair [s2,p1]: p1 is not on the list of s2\n"
+            "ERROR project-capacity [p1]: 2 students assigned, capacity is 1\n")
+        assert err == ""
 
 
 class TestSolve:

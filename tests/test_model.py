@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from known_instances import A_M1, A_M2, INSTANCE_A, INSTANCE_B, disjoint_union
 from oracles import (
+    naive_blocking_pairs,
     naive_is_valid_matching,
     naive_list_correspondence,
     random_valid_matching,
@@ -24,6 +25,7 @@ from spas import (
     ValidationReport,
     Violation,
     build_instance,
+    find_blocking_pairs,
     generate,
     is_valid_matching,
     validate_raw,
@@ -573,7 +575,10 @@ class TestIsValidMatching:
     def test_matches_per_student_grouping(self):
         # random valid matchings, and random pair sets over ids up to two
         # past each range: dangling students and projects, unacceptable
-        # pairs, students on several projects, over-full projects/lecturers
+        # pairs, students on several projects, over-full projects/lecturers.
+        # The stability check reads the same walk: it names the oracle's
+        # first violation, and on a valid matching its tally gives the
+        # oracle's blocking pairs
         rules = set()
         for seed in range(1, 301):
             instance = corpus_instance(seed, 7, 6, 3)
@@ -586,8 +591,17 @@ class TestIsValidMatching:
             )
             for m in (valid, Matching(pairs), Matching(valid.pairs + pairs)):
                 report = is_valid_matching(instance, m)
-                assert report == naive_is_valid_matching(instance, m), seed
+                expected = naive_is_valid_matching(instance, m)
+                assert report == expected, seed
                 rules.update(v.rule for v in report.violations)
+                if expected.ok:
+                    assert list(find_blocking_pairs(instance, m)) == (
+                        naive_blocking_pairs(instance, m)), seed
+                    continue
+                with pytest.raises(ValueError) as caught:
+                    find_blocking_pairs(instance, m)
+                assert str(caught.value) == (
+                    f"invalid matching: {expected.violations[0].render()}"), seed
         assert rules == {
             "multiple-assignment", "dangling-identifier", "unacceptable-pair",
             "project-capacity", "lecturer-capacity",
