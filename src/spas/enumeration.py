@@ -12,10 +12,10 @@ number of students (Abraham, Irving & Manlove, 2007;
 set).  So the search starts from the two DAs: if M_s equals M_l it is the
 only stable matching.  Otherwise a student unassigned in M_s stays
 unassigned, every other student branches only over the positions of their
-list from M_s(s) down to M_l(s), and the loads of M_s bound the search:
-lecturer k takes at most |M_s(k)| students, a project p of a lecturer
-with |M_s(k)| < d_k at most |M_s(p)|, and every other project at most its
-capacity c_p.
+list from M_s(s) down to M_l(s), and the search counts the room left
+under bounds set by the loads of M_s: lecturer k takes at most |M_s(k)|
+students, a project p of a lecturer with |M_s(k)| < d_k at most |M_s(p)|,
+and every other project at most its capacity c_p.
 
 Depth-first search assigns students in index order.  Each student's level
 is a generator: it applies one choice, yields the level below it, and
@@ -106,35 +106,34 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
     lrank = instance.lrank
     srank = instance.srank
 
-    # the bounds: M_s's load on each lecturer, and on each project of a
+    # the room left under the bounds, all of it before any student is
+    # placed: M_s's load on each lecturer, and on each project of a
     # lecturer M_s leaves undersubscribed, as the walk that validates M_s
     # tallies them; the projects of a lecturer M_s fills keep c_p
-    _, _, pmax, lmax, _, _ = require_valid_matching(instance, best)
+    _, proom, lroom, _, _ = require_valid_matching(instance, best)
     for p, c in enumerate(instance.project_capacity, start=1):
-        if lmax[owner[p]] == instance.lecturer_capacity[owner[p] - 1]:
-            pmax[p] = c
+        if lroom[owner[p]] == instance.lecturer_capacity[owner[p] - 1]:
+            proom[p] = c
 
     # list positions each student branches over, position len(list) meaning
-    # unassigned: from M_s(s) down to M_l(s), or unassigned if M_s leaves s so
+    # unassigned: from M_s(s) down to M_l(s), or unassigned if M_s leaves s
+    # so; M_s and M_l assign the same students, so their pairs align
     span = [range(0)] + [range(len(plist), len(plist) + 1) for plist in prefs]
-    last = worst.as_dict()
-    for s, p in best.pairs:
-        span[s] = range(srank[s - 1][p], srank[s - 1][last[s]] + 1)
+    for (s, p), (_, q) in zip(best.pairs, worst.pairs, strict=True):
+        span[s] = range(srank[s - 1][p], srank[s - 1][q] + 1)
 
     assigned = [0] * (n1 + 1)
-    pload = [0] * len(pmax)
-    lload = [0] * len(lmax)
-    pworst = [-1] * len(pmax)  # worst (largest) lecturer rank assigned to p
-    lworst = [-1] * len(lmax)
-    envy: list[list[tuple[int, int]]] = [[] for _ in range(len(lmax))]
+    pworst = [-1] * len(proom)  # worst (largest) lecturer rank assigned to p
+    lworst = [-1] * len(lroom)
+    envy: list[list[tuple[int, int]]] = [[] for _ in range(len(lroom))]
     found: list[Matching] = []
 
     def blocked(s: int, p: int) -> bool:
         # (s, p) skipped earlier; decide P-conditions that are already final
         k = owner[p]
-        if pload[p] == pmax[p]:
+        if not proom[p]:
             return lrank[k - 1][s] < pworst[p]
-        if lload[k] == lmax[k]:
+        if not lroom[k]:
             return owner[assigned[s]] == k or lrank[k - 1][s] < lworst[k]
         return False
 
@@ -147,11 +146,11 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
             skipped = plist[:idx]
             if choice:
                 k0 = owner[choice]
-                if pload[choice] == pmax[choice] or lload[k0] == lmax[k0]:
+                if not proom[choice] or not lroom[k0]:
                     continue
                 assigned[i] = choice
-                pload[choice] += 1
-                lload[k0] += 1
+                proom[choice] -= 1
+                lroom[k0] -= 1
                 old = pworst[choice], lworst[k0]
                 r = lrank[k0 - 1][i]
                 if r > pworst[choice]:
@@ -161,11 +160,11 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
 
             dead = any(blocked(i, p) for p in skipped)
             if not dead and choice:
-                if pload[choice] == pmax[choice]:
+                if not proom[choice]:
                     dead = any(
                         p == choice and blocked(s, p) for s, p in envy[k0]
                     )
-                if not dead and lload[k0] == lmax[k0]:
+                if not dead and not lroom[k0]:
                     dead = any(blocked(s, p) for s, p in envy[k0])
             if not dead and i == n1:
                 found.append(Matching._canonical(tuple(
@@ -179,8 +178,8 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
 
             if choice:
                 assigned[i] = 0
-                pload[choice] -= 1
-                lload[k0] -= 1
+                proom[choice] += 1
+                lroom[k0] += 1
                 pworst[choice], lworst[k0] = old
 
     # the open levels from student 1 down, on an explicit stack

@@ -550,10 +550,11 @@ def _read_matching(instance: Instance, matching: Matching) -> tuple[
     arrays, or ``None`` when there are violations.
 
     One pass over the pairs, which are canonical and so sorted by student,
-    checks them and tallies the arrays, indexed by id: each student's
-    project and its lecturer (0 if unassigned), the load of each project
-    and each lecturer, and the lecturer rank of the worst assignee of each
-    project and of each lecturer (-1 if none).  A project's worst is
+    checks them and tallies five arrays, indexed by id: each student's
+    project (0 if unassigned), the load of each project and each lecturer,
+    and the lecturer rank of the worst assignee of each project and of
+    each lecturer (-1 if none).  A student's lecturer is the owner of
+    their project, so it is not kept.  A project's worst is
     decided by ranks on its lecturer's full list, whose order its projected
     list keeps.
     """
@@ -562,7 +563,6 @@ def _read_matching(instance: Instance, matching: Matching) -> tuple[
     srank = instance.srank
     lrank = instance.lrank
     assigned = [0] * (n1 + 1)
-    lect = [0] * (n1 + 1)
     pload = [0] * (n2 + 1)
     lload = [0] * (n3 + 1)
     pworst = [-1] * (n2 + 1)
@@ -580,7 +580,7 @@ def _read_matching(instance: Instance, matching: Matching) -> tuple[
             lload[k] += 1
             if 1 <= s <= n1 and p in srank[s - 1]:
                 r = lrank[k - 1][s]
-                assigned[s], lect[s] = p, k
+                assigned[s] = p
                 if r > pworst[p]:
                     pworst[p] = r
                 if r > lworst[k]:
@@ -618,4 +618,4 @@ def _read_matching(instance: Instance, matching: Matching) -> tuple[
 
     if violations:
         return ValidationReport(tuple(violations)), None
-    return ValidationReport(), (assigned, lect, pload, lload, pworst, lworst)
+    return ValidationReport(), (assigned, pload, lload, pworst, lworst)

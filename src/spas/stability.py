@@ -50,7 +50,9 @@ def find_blocking_pairs(
 
     Raises ``ValueError`` if the matching is not a valid matching of the
     instance.  The walk that validates the matching also tallies it
-    (``model._read_matching``).  Then each project gets its rule:
+    (``model._read_matching``); a student's own lecturer is read as the
+    owner of their project, 0 when they are unassigned.  Then each project
+    gets its rule:
 
     * project and lecturer undersubscribed: P1 for every student;
     * project full: P4 for a student its lecturer ranks above the
@@ -67,9 +69,9 @@ def find_blocking_pairs(
     instance, this is O(n1 + n2 + n3 + λ) with validation, λ the total
     length of the student lists, plus ordering the output.
     """
-    assigned, lect, pload, lload, pworst, lworst = require_valid_matching(
+    assigned, pload, lload, pworst, lworst = require_valid_matching(
         instance, matching)
-    owner = instance.project_owner
+    owner = (0,) + instance.project_owner  # owner[0]: no lecturer
     lrank = instance.lrank
 
     # per project: None for P1, else (lecturer's ranks, rank bound, label,
@@ -77,7 +79,7 @@ def find_blocking_pairs(
     # is below the bound
     rule: list[tuple | None] = [None] * (instance.num_projects + 1)
     dcap = instance.lecturer_capacity
-    for p, (k, c) in enumerate(zip(owner, instance.project_capacity), start=1):
+    for p, (k, c) in enumerate(zip(owner[1:], instance.project_capacity), start=1):
         if pload[p] >= c:
             rule[p] = (lrank[k - 1], pworst[p], "P4", None)
         elif lload[k] >= dcap[k - 1]:
@@ -88,7 +90,7 @@ def find_blocking_pairs(
     new = tuple.__new__
     for s, prefs in enumerate(instance.student_prefs, start=1):
         mine = assigned[s]
-        own = lect[s]
+        own = owner[mine]
         s_cond = "S2" if mine else "S1"
         for p in prefs:
             if p == mine:

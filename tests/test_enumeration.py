@@ -242,9 +242,13 @@ class TestSeededSearch:
                 8, 6, 3, pref_len=(2, 5), project_cap=(1, 2), seed=seed,
                 density=0.8))
             best = solve_student_optimal(instance)
-            if best == solve_lecturer_optimal(instance):
+            worst = solve_lecturer_optimal(instance)
+            if best == worst:
                 continue
             searched += 1
+            # the search reads M_s's and M_l's pairs in step, which needs
+            # the same students, not only as many
+            assert [s for s, _ in best.pairs] == [s for s, _ in worst.pairs], seed
             load = Counter(instance.project_owner[p - 1] for _, p in best.pairs)
             undersubscribed += any(
                 load[k] < d for k, d in enumerate(instance.lecturer_capacity, 1))

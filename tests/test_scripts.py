@@ -1,6 +1,7 @@
 """The scripts under ``scripts/`` run from a checkout and fail cleanly on
 arguments they cannot serve."""
 
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import spas
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SWEEP = SCRIPTS / "sweep_stable_counts.py"
 COUNT = SCRIPTS / "count_code_lines.py"
+MUTANTS = SCRIPTS / "mutants.py"
 
 
 def run_script(script: Path, *argv: str) -> subprocess.CompletedProcess:
@@ -106,3 +108,23 @@ def test_count_code_lines_per_file_and_total(tmp_path):
         ["1", str(package / "b.py")],
         ["10", "total"],
     ]
+
+
+def test_mutants_reports_stale_and_killed(tmp_path):
+    # one test file, not the suite: the script runs pytest on the paths it
+    # is given, in a copy of the repository with the mutant applied
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps([
+        dict(name="stale", file="src/spas/stability.py",
+             old="text that is not in the file", new="", reason="stale"),
+        dict(name="inclusive", file="src/spas/stability.py",
+             old="if ranks[s] < bound:", new="if ranks[s] <= bound:",
+             reason="P3 and P4 need strict lecturer preference"),
+    ]))
+    proc = run_script(MUTANTS, "--table", str(table), "tests/test_stability.py")
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    stale, killed = map(json.loads, proc.stdout.splitlines())
+    assert (stale["name"], stale["result"]) == ("stale", "stale")
+    assert (killed["name"], killed["result"]) == ("inclusive", "killed")
+    assert killed["killed_by"].startswith("tests/test_stability.py::")
