@@ -61,6 +61,18 @@ MUTANTS = (
          reason="SPA-student: until a lecturer first fills, their pointer "
                 "rests on the last student of their list, who may still "
                 "propose"),
+    dict(name="student-da-walk-project-as-lecturer",
+         file="src/spas/solvers.py",
+         old="while owner[assigned[ranked[j]]] != k:",
+         new="while assigned[ranked[j]] != k:",
+         reason="SPA-student: a lecturer's walk compares the owner of each "
+                "student's project, not the project, with the lecturer"),
+    dict(name="student-da-owner-without-sentinel",
+         file="src/spas/solvers.py",
+         old="owner = (0,) + instance.project_owner  # owner[0] == 0: no project",
+         new="owner = instance.project_owner",
+         reason="SPA-student: the owner table is indexed by project id, "
+                "with entry 0 for no project"),
     dict(name="blocking-p3-for-p2",
          file=STABILITY,
          old='"P2" if k == own else p_cond',

@@ -12,6 +12,9 @@ solvers walk the projected lists L_k^p (lecturer k's list restricted to the
 students who rank p), which come built with the instance, with pointers
 that never move back.  SPA-student also keeps one pointer per lecturer on
 its whole list L_k, which is also that lecturer's deletion threshold.
+Both read a project's lecturer from one owner table indexed by project id,
+whose entry 0, "no project", is lecturer 0.  So SPA-student keeps no copy
+of a student's lecturer: it is the owner of the student's project.
 
 Both are flat loops over plain lists: each step of the algorithm is
 written inline, so a proposal or an offer makes no Python function call,
@@ -46,7 +49,9 @@ def solve_student_optimal(instance: Instance) -> Matching:
     only move backwards, past students the list no longer holds: every
     later assignee lies within the threshold, so nothing behind a pointer
     comes back.  Each student's head pointer, and each of these, crosses
-    its list once, so the run is O(λ).
+    its list once, so the run is O(λ).  No student keeps a lecturer: k's
+    walk tests ``owner[assigned[s]]``, which the sentinel ``owner[0] == 0``
+    makes 0 for a free student.
 
     One proposal of s to p (lecturer k) is a single pass: the loads of p
     and k are held in locals, at most one student is rejected (by k if p
@@ -59,7 +64,7 @@ def solve_student_optimal(instance: Instance) -> Matching:
     the rejected student holds p.  The project's reject-then-lower steps
     share one pointer walk.
     """
-    owner = instance.project_owner
+    owner = (0,) + instance.project_owner  # owner[0] == 0: no project
     cap = instance.project_capacity
     dcap = instance.lecturer_capacity
     prefs = instance.student_prefs
@@ -69,7 +74,6 @@ def solve_student_optimal(instance: Instance) -> Matching:
 
     n1, n2, n3 = instance.num_students, instance.num_projects, instance.num_lecturers
     assigned = [0] * (n1 + 1)  # project of s, or 0
-    lect = [0] * (n1 + 1)  # lecturer of that project, or 0
     head = [0] * (n1 + 1)
     pload = [0] * (n2 + 1)
     lload = [0] * (n3 + 1)
@@ -84,7 +88,7 @@ def solve_student_optimal(instance: Instance) -> Matching:
         end = len(mine)
         while i < end:
             p = mine[i]
-            k = owner[p - 1]
+            k = owner[p]
             rank_k = lrank[k - 1]
             r = rank_k[s]
             if r <= pthr[p] and r <= lworst[k]:
@@ -94,7 +98,7 @@ def solve_student_optimal(instance: Instance) -> Matching:
         if i == end:
             continue  # list exhausted: s stays unassigned
 
-        assigned[s], lect[s] = p, k
+        assigned[s] = p
         lp, lk = pload[p] + 1, lload[k] + 1  # the loads of p and k
         c, d = cap[p - 1], dcap[k - 1]
         # k rejects its worst, already under k's pointer, unless p is
@@ -107,7 +111,7 @@ def solve_student_optimal(instance: Instance) -> Matching:
             else:
                 pload[q] -= 1
             lk -= 1
-            assigned[w] = lect[w] = 0
+            assigned[w] = 0
             free.append(w)
         if lp >= c:  # p rejects its worst if over, then lowers pthr[p]
             ranked, j = projected[p - 1], pworst[p]
@@ -119,14 +123,14 @@ def solve_student_optimal(instance: Instance) -> Matching:
                 w = ranked[j]
                 lp -= 1
                 lk -= 1
-                assigned[w] = lect[w] = 0
+                assigned[w] = 0
                 free.append(w)
             pworst[p] = j
             pthr[p] = rank_k[ranked[j]]
         pload[p], lload[k] = lp, lk
         if lk == d:  # last, as p's rejection changes k's assignees too
             ranked, j = lprefs[k - 1], lworst[k]
-            while lect[ranked[j]] != k:
+            while owner[assigned[ranked[j]]] != k:
                 j -= 1
             lworst[k] = j
 
@@ -153,7 +157,7 @@ def solve_lecturer_optimal(instance: Instance) -> Matching:
     Each pointer step reads its student once, and the project a student
     takes is found by a plain scan of their list.
     """
-    owner = instance.project_owner
+    owner = (0,) + instance.project_owner
     cap = instance.project_capacity
     dcap = instance.lecturer_capacity
     offered = instance.lecturer_projects
@@ -195,12 +199,12 @@ def solve_lecturer_optimal(instance: Instance) -> Matching:
             # the first open project of k on the list of s ranks above the
             # cutoff, because the one that made s eligible does
             for p in prefs[s - 1]:
-                if owner[p - 1] == k and pload[p] < cap[p - 1]:
+                if owner[p] == k and pload[p] < cap[p - 1]:
                     break
             old = assigned[s]
             if old:
                 pload[old] -= 1
-                j = owner[old - 1]
+                j = owner[old]
                 lload[j] -= 1
                 if j != k and not queued[j]:
                     queued[j] = True

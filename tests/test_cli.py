@@ -142,6 +142,33 @@ class TestValidate:
         assert (code, out) == (1, "")
         assert err == f"ERROR {place}: byte 0xe9 in {path} is not UTF-8\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("validate", A),
+        ("solve", "--optimal", "student", A),
+        ("check", A, str(DATA / "a_m1.match")),
+    ], ids=["validate", "solve", "check"])
+    def test_a_byte_order_mark_is_ignored(self, capsys, tmp_path, argv):
+        # as Windows editors write UTF-8: the same exit code and stdout as
+        # the plain files
+        marked = []
+        for arg in argv:
+            if arg.startswith(str(DATA)):
+                path = tmp_path / Path(arg).name
+                path.write_bytes(b"\xef\xbb\xbf" + Path(arg).read_bytes())
+                arg = str(path)
+            marked.append(arg)
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *marked)[:2] == plain[:2]
+
+    def test_bytes_after_a_byte_order_mark_are_placed(self, capsys, tmp_path):
+        # the mark is not counted in the column
+        path = tmp_path / "latin1.spa"
+        path.write_bytes(b"\xef\xbb\xbf# caf\xe9\n" + Path(A).read_bytes())
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"ERROR line 1, column 6: byte 0xe9 in {path} is not UTF-8\n"
+
 
 class TestCheck:
     def test_stable(self, capsys):
