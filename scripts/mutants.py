@@ -73,6 +73,35 @@ MUTANTS = (
          new="owner = instance.project_owner",
          reason="SPA-student: the owner table is indexed by project id, "
                 "with entry 0 for no project"),
+    dict(name="student-da-capacity-unpadded",
+         file="src/spas/solvers.py",
+         old="cap = (0,) + instance.project_capacity\n"
+             "    dcap = (0,) + instance.lecturer_capacity\n"
+             "    prefs",
+         new="cap = instance.project_capacity\n"
+             "    dcap = (0,) + instance.lecturer_capacity\n"
+             "    prefs",
+         reason="SPA-student: every table its loops read is indexed by id, "
+                "with a placeholder at index 0"),
+    dict(name="student-da-pointers-double-entry",
+         file="src/spas/solvers.py",
+         old="pworst = [len(ranked) - 1 for ranked in projected]",
+         new="pworst = [0] + [len(ranked) - 1 for ranked in projected]",
+         reason="SPA-student: the project pointers come from the padded "
+                "projected lists, which already hold entry 0"),
+    dict(name="lecturer-da-cutoff-within-ranks",
+         file="src/spas/solvers.py",
+         old="cutoff = [len(cap)] * (n1 + 1)",
+         new="cutoff = [len(cap) - 2] * (n1 + 1)",
+         reason="SPA-lecturer: a free student's cutoff lies beyond every "
+                "rank, so a student who ranks every project may take the "
+                "last"),
+    dict(name="lecturer-da-student-ranks-unpadded",
+         file="src/spas/solvers.py",
+         old="srank = (None,) + instance.srank",
+         new="srank = instance.srank",
+         reason="SPA-lecturer: every table its loops read is indexed by id, "
+                "with a placeholder at index 0"),
     dict(name="blocking-p3-for-p2",
          file=STABILITY,
          old='"P2" if k == own else p_cond',

@@ -11,8 +11,8 @@ The grammar is written once, in ``_COMMANDS``.  A well-formed command
 line is read straight from that table (``_fast_args``); ``argparse``,
 which with ``gettext`` and ``locale`` costs several milliseconds to import
 and build, is loaded only for help and usage errors, so their text and
-exit codes are argparse's own.  Files are read and written as UTF-8, and
-a byte-order mark at the start of a file is ignored.
+exit codes are argparse's own.  Files are read and written as UTF-8; the
+parsers ignore a byte-order mark at the start of a file.
 """
 
 from __future__ import annotations
@@ -60,18 +60,17 @@ def _print_report(report: ValidationReport) -> None:
 
 
 def _read(path: str) -> str:
-    """The text of the file at ``path``, less a leading byte-order mark.  A
-    byte that is not UTF-8 is a ``ParseError`` naming the file, and the line
-    and column it is at."""
+    """The text of the file at ``path``.  A byte that is not UTF-8 is a
+    ``ParseError`` naming the file, and the line and column it is at, which
+    count from after a leading byte-order mark as the parsers do."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        return data.decode("utf-8-sig")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the lines as the parser counts them, up to a stand-in for the byte;
-        # exc.object is the data after the mark, as exc.start counts it
-        data = exc.object
-        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        # the lines as the parser counts them, up to a stand-in for the byte
+        text = data[:exc.start].decode("utf-8").removeprefix("\ufeff")
+        lines = (text + "?").splitlines()
         raise ParseError(f"byte 0x{data[exc.start]:02x} in {path} is not UTF-8",
                          len(lines), len(lines[-1])) from None
 

@@ -13,7 +13,10 @@ Lines are split on Unicode whitespace (``str.split``).  Ids are the letter
 then ASCII digits without a leading zero, a grammar written once, in the
 token test ``_id_digits``; counts and capacities are ASCII digits and may be
 zero-padded.  A ``ParseError`` gives the line and the 1-based character
-column of the token, found only when the error is raised.
+column of the token, found only when the error is raised.  Both parsers
+ignore one byte-order mark (U+FEFF) at the very start of the text, as
+some Windows editors write it; columns on line 1 count from after it, and
+a mark anywhere else is an error.
 
 Matching grammar: one ``s<i> p<j>`` or ``s<i> -`` per line; unassigned
 students may be omitted.  Serialisers emit canonical ascending order, so
@@ -126,6 +129,7 @@ def parse_raw_instance(text: str) -> RawInstance:
     by_kind = {"s": students, "p": projects, "l": lecturers}
     known: dict[str, dict[str, int]] = {"s": {}, "p": {}, "l": {}}
 
+    text = text.removeprefix("\ufeff")
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         words = raw_line.split()
         if not words or words[0][0] == "#":
@@ -234,6 +238,7 @@ def parse_matching_file(text: str, instance: Instance) -> Matching:
     n1, n2 = instance.num_students, instance.num_projects
     pairs: list[tuple[int, int]] = []
     seen = [False] * (n1 + 1)
+    text = text.removeprefix("\ufeff")
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         words = raw_line.split()
         if not words or words[0][0] == "#":

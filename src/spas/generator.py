@@ -55,9 +55,10 @@ def _pair(value: object) -> object:
 
 def _validate_params(params: GenParams) -> None:
     """Raise ``ValueError`` naming the first field of ``params`` that is
-    malformed or out of range; counts and range ends are plain ``int``s
-    (a ``bool`` or a float is not), as model ids are."""
-    for field in ("students", "projects", "lecturers"):
+    malformed or out of range; counts, the seed and range ends are plain
+    ``int``s (a ``bool`` or a float is not), as model ids are.  A seed of
+    ``None`` would seed from the operating system, so it is refused too."""
+    for field in ("students", "projects", "lecturers", "seed"):
         if type(value := getattr(params, field)) is not int:
             raise ValueError(f"{field} must be an integer, got {value!r}")
     for field in ("pref_len", "project_cap"):

@@ -12,9 +12,11 @@ solvers walk the projected lists L_k^p (lecturer k's list restricted to the
 students who rank p), which come built with the instance, with pointers
 that never move back.  SPA-student also keeps one pointer per lecturer on
 its whole list L_k, which is also that lecturer's deletion threshold.
-Both read a project's lecturer from one owner table indexed by project id,
-whose entry 0, "no project", is lecturer 0.  So SPA-student keeps no copy
-of a student's lecturer: it is the owner of the student's project.
+Each solver copies, once per call, every instance table its loops read,
+with a placeholder at index 0, so each table is indexed by id and a read
+subtracts nothing.  In the owner table that entry, "no project", is
+lecturer 0, so SPA-student keeps no copy of a student's lecturer: it is
+the owner of the student's project.
 
 Both are flat loops over plain lists: each step of the algorithm is
 written inline, so a proposal or an offer makes no Python function call,
@@ -25,7 +27,6 @@ array with ``filter`` in C.
 
 from __future__ import annotations
 
-from collections import deque
 from operator import itemgetter
 
 from .model import Instance, Matching
@@ -49,9 +50,10 @@ def solve_student_optimal(instance: Instance) -> Matching:
     only move backwards, past students the list no longer holds: every
     later assignee lies within the threshold, so nothing behind a pointer
     comes back.  Each student's head pointer, and each of these, crosses
-    its list once, so the run is O(λ).  No student keeps a lecturer: k's
-    walk tests ``owner[assigned[s]]``, which the sentinel ``owner[0] == 0``
-    makes 0 for a free student.
+    its list once, so the run is O(λ).  Every table the loops read is a
+    copy with a placeholder at index 0, indexed by id.  No student keeps a
+    lecturer: k's walk tests ``owner[assigned[s]]``, which the sentinel
+    ``owner[0] == 0`` makes 0 for a free student.
 
     One proposal of s to p (lecturer k) is a single pass: the loads of p
     and k are held in locals, at most one student is rejected (by k if p
@@ -65,31 +67,31 @@ def solve_student_optimal(instance: Instance) -> Matching:
     share one pointer walk.
     """
     owner = (0,) + instance.project_owner  # owner[0] == 0: no project
-    cap = instance.project_capacity
-    dcap = instance.lecturer_capacity
-    prefs = instance.student_prefs
-    lprefs = instance.lecturer_prefs
-    lrank = instance.lrank
-    projected = instance.projected
+    cap = (0,) + instance.project_capacity
+    dcap = (0,) + instance.lecturer_capacity
+    prefs = ((),) + instance.student_prefs
+    lprefs = ((),) + instance.lecturer_prefs
+    lrank = (None,) + instance.lrank
+    projected = ((),) + instance.projected
 
-    n1, n2, n3 = instance.num_students, instance.num_projects, instance.num_lecturers
+    n1 = len(instance.student_prefs)
     assigned = [0] * (n1 + 1)  # project of s, or 0
     head = [0] * (n1 + 1)
-    pload = [0] * (n2 + 1)
-    lload = [0] * (n3 + 1)
-    pthr = [n1] * (n2 + 1)  # (s, p) deleted when k ranks s beyond this
-    pworst = [0] + [len(ranked) - 1 for ranked in projected]
-    lworst = [0] + [len(ranked) - 1 for ranked in lprefs]
+    pload = [0] * len(cap)
+    lload = [0] * len(dcap)
+    pthr = [n1] * len(cap)  # (s, p) deleted when k ranks s beyond this
+    pworst = [len(ranked) - 1 for ranked in projected]
+    lworst = [len(ranked) - 1 for ranked in lprefs]
 
     free = list(range(n1, 0, -1))
     while free:
         s = free.pop()
-        mine, i = prefs[s - 1], head[s]
+        mine, i = prefs[s], head[s]
         end = len(mine)
         while i < end:
             p = mine[i]
             k = owner[p]
-            rank_k = lrank[k - 1]
+            rank_k = lrank[k]
             r = rank_k[s]
             if r <= pthr[p] and r <= lworst[k]:
                 break
@@ -100,11 +102,11 @@ def solve_student_optimal(instance: Instance) -> Matching:
 
         assigned[s] = p
         lp, lk = pload[p] + 1, lload[k] + 1  # the loads of p and k
-        c, d = cap[p - 1], dcap[k - 1]
+        c, d = cap[p], dcap[k]
         # k rejects its worst, already under k's pointer, unless p is
         # over-subscribed
         if lk > d and lp <= c:
-            w = lprefs[k - 1][lworst[k]]
+            w = lprefs[k][lworst[k]]
             q = assigned[w]
             if q == p:  # p's load is the local one
                 lp -= 1
@@ -114,7 +116,7 @@ def solve_student_optimal(instance: Instance) -> Matching:
             assigned[w] = 0
             free.append(w)
         if lp >= c:  # p rejects its worst if over, then lowers pthr[p]
-            ranked, j = projected[p - 1], pworst[p]
+            ranked, j = projected[p], pworst[p]
             while True:
                 while assigned[ranked[j]] != p:
                     j -= 1
@@ -129,7 +131,7 @@ def solve_student_optimal(instance: Instance) -> Matching:
             pthr[p] = rank_k[ranked[j]]
         pload[p], lload[k] = lp, lk
         if lk == d:  # last, as p's rejection changes k's assignees too
-            ranked, j = lprefs[k - 1], lworst[k]
+            ranked, j = lprefs[k], lworst[k]
             while owner[assigned[ranked[j]]] != k:
                 j -= 1
             lworst[k] = j
@@ -146,9 +148,10 @@ def solve_lecturer_optimal(instance: Instance) -> Matching:
     takes the best such project on their own list, leaving their old one.
     Students only ever trade up, so each keeps a cutoff, the rank of their
     current project, and a project's pointer over L_k^p skips for good
-    every student holding p or something better.  A work queue holds the
-    lecturers that may have an offer to make; a lecturer re-enters it when
-    a student leaves them for another lecturer.
+    every student holding p or something better.  A free student's cutoff
+    lies beyond every rank.  A work list holds the lecturers that may have
+    an offer to make; a lecturer re-enters it when a student leaves them
+    for another lecturer.
 
     Pointer moves total O(λ).  Each offer also scans the offering
     lecturer's projects and the student's list, and there are at most λ
@@ -158,37 +161,37 @@ def solve_lecturer_optimal(instance: Instance) -> Matching:
     takes is found by a plain scan of their list.
     """
     owner = (0,) + instance.project_owner
-    cap = instance.project_capacity
-    dcap = instance.lecturer_capacity
-    offered = instance.lecturer_projects
-    srank = instance.srank
-    lrank = instance.lrank
-    prefs = instance.student_prefs
-    projected = instance.projected
+    cap = (0,) + instance.project_capacity
+    dcap = (0,) + instance.lecturer_capacity
+    offered = ((),) + instance.lecturer_projects
+    srank = (None,) + instance.srank
+    lrank = (None,) + instance.lrank
+    prefs = ((),) + instance.student_prefs
+    projected = ((),) + instance.projected
 
-    n1, n2, n3 = instance.num_students, instance.num_projects, instance.num_lecturers
+    n1 = len(instance.student_prefs)
     assigned = [0] * (n1 + 1)
-    cutoff = [0] + [len(mine) for mine in prefs]
-    head = [0] * (n2 + 1)
-    pload = [0] * (n2 + 1)
-    lload = [0] * (n3 + 1)
-    queued = [True] * (n3 + 1)
-    queue = deque(instance.lecturers())
+    cutoff = [len(cap)] * (n1 + 1)  # no list is as long as len(cap)
+    head = [0] * len(cap)
+    pload = [0] * len(cap)
+    lload = [0] * len(dcap)
+    waiting = [True] * len(dcap)
+    pending = list(range(len(dcap) - 1, 0, -1))
 
-    while queue:
-        k = queue.popleft()
-        queued[k] = False
-        rank_k, mine, d = lrank[k - 1], offered[k - 1], dcap[k - 1]
+    while pending:
+        k = pending.pop()
+        waiting[k] = False
+        rank_k, mine, d = lrank[k], offered[k], dcap[k]
         while lload[k] < d:
             s, best = 0, n1
             for p in mine:
-                if pload[p] == cap[p - 1]:
+                if pload[p] == cap[p]:
                     continue
-                ranked, i = projected[p - 1], head[p]
+                ranked, i = projected[p], head[p]
                 end = len(ranked)
                 while i < end:
                     t = ranked[i]
-                    if srank[t - 1][p] < cutoff[t]:
+                    if srank[t][p] < cutoff[t]:
                         if rank_k[t] < best:
                             s, best = t, rank_k[t]
                         break
@@ -198,18 +201,18 @@ def solve_lecturer_optimal(instance: Instance) -> Matching:
                 break
             # the first open project of k on the list of s ranks above the
             # cutoff, because the one that made s eligible does
-            for p in prefs[s - 1]:
-                if owner[p] == k and pload[p] < cap[p - 1]:
+            for p in prefs[s]:
+                if owner[p] == k and pload[p] < cap[p]:
                     break
             old = assigned[s]
             if old:
                 pload[old] -= 1
                 j = owner[old]
                 lload[j] -= 1
-                if j != k and not queued[j]:
-                    queued[j] = True
-                    queue.append(j)
-            assigned[s], cutoff[s] = p, srank[s - 1][p]
+                if j != k and not waiting[j]:
+                    waiting[j] = True
+                    pending.append(j)
+            assigned[s], cutoff[s] = p, srank[s][p]
             pload[p] += 1
             lload[k] += 1
 

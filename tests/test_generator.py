@@ -133,6 +133,8 @@ class TestInfeasibleParams:
         ("pref_len", (1.5, 3)), ("pref_len", 5), ("pref_len", (1,)),
         ("pref_len", (1, 2, 3)), ("project_cap", ("1", 2)),
         ("density", "x"), ("density", None),
+        # None seeds from the OS, and True equals 1
+        ("seed", None), ("seed", True), ("seed", 1.5), ("seed", "x"),
     ], ids=lambda x: x if isinstance(x, str) and x.isidentifier() else repr(x))
     def test_malformed_values_name_their_field(self, field, value):
         recipe = {"students": 3, "projects": 2, "lecturers": 1, field: value}

@@ -110,6 +110,24 @@ class TestInstanceFiles:
         noisy = "\n# noise\n".join(shuffled) + "\n"
         assert parse_instance_file(noisy) == INSTANCE_B
 
+    def test_a_leading_byte_order_mark_is_ignored(self):
+        # as Windows editors write UTF-8: the instance is unchanged, and
+        # line 1 is read from after the mark, here as a header
+        text = (DATA / "instance_a.spa").read_text()
+        assert parse_instance_file("\ufeff" + text) == INSTANCE_A
+        with pytest.raises(ParseError, match="students <count>") as err:
+            parse_instance_file("\ufeffstudents x\n")
+        assert (err.value.line, err.value.column) == (1, 1)
+
+    @pytest.mark.parametrize("text,line", [
+        ("\ufeff\ufeffstudents 0\nprojects 0\nlecturers 0\n", 1),
+        ("students 0\n\ufeffprojects 0\nlecturers 0\n", 2),
+    ])
+    def test_a_byte_order_mark_elsewhere_is_an_error(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_raw_instance(text)
+        assert (err.value.line, err.value.column) == (line, 1)
+
     def test_semantic_errors_deferred_to_validation(self):
         report = parse_instance_file((DATA / "instance_a_bad.spa").read_text())
         assert isinstance(report, ValidationReport)
@@ -193,6 +211,17 @@ class TestMatchingFiles:
     def test_parse_known_matching(self):
         text = (DATA / "a_m1.match").read_text()
         assert parse_matching_file(text, INSTANCE_A) == A_M1
+
+    def test_a_leading_byte_order_mark_is_ignored(self):
+        text = (DATA / "a_m1.match").read_text()
+        assert parse_matching_file("\ufeff" + text, INSTANCE_A) == A_M1
+        # columns on line 1 count from after the mark
+        with pytest.raises(ParseError) as err:
+            parse_matching_file("\ufeffs1 p99\n", INSTANCE_A)
+        assert (err.value.line, err.value.column) == (1, 4)
+        with pytest.raises(ParseError) as err:
+            parse_matching_file("s1 p1\n\ufeffs2 p2\n", INSTANCE_A)
+        assert (err.value.line, err.value.column) == (2, 1)
 
     def test_empty_file_empty_matching(self):
         assert parse_matching_file("", INSTANCE_A) == Matching(())
