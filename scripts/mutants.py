@@ -44,8 +44,11 @@ COPIED = ("src", "tests", "scripts", "pyproject.toml")
 TIMEOUT = 300  # seconds per mutant; the whole suite takes under a minute
 
 ENUMERATION = "src/spas/enumeration.py"
+FILEIO = "src/spas/fileio.py"
+LATTICE = "src/spas/lattice.py"
 MODEL = "src/spas/model.py"
 STABILITY = "src/spas/stability.py"
+VERIFICATION = "src/spas/verification.py"
 
 MUTANTS = (
     dict(name="student-da-local-load",
@@ -118,7 +121,7 @@ MUTANTS = (
          new="own = 0",
          reason="a student's own lecturer is the owner of their project"),
     dict(name="id-digits-without-isascii",
-         file="src/spas/fileio.py",
+         file=FILEIO,
          old="d.isascii() and d.isdigit()",
          new="d.isdigit()",
          reason="str.isdigit alone accepts digits that are not ASCII"),
@@ -149,7 +152,7 @@ MUTANTS = (
          reason="projects of a lecturer M_s fills are bounded by c_p, not "
                 "by M_s's load"),
     dict(name="meet-join-swapped",
-         file="src/spas/lattice.py",
+         file=LATTICE,
          old="(rank[a[1]] < rank[b[1]]) != better",
          new="(rank[a[1]] < rank[b[1]]) == better",
          reason="meet takes each student's better project, join the worse"),
@@ -166,6 +169,67 @@ MUTANTS = (
              "                    lworst[k] = r\n",
          new="",
          reason="the tally keeps each lecturer's worst assignee rank"),
+    dict(name="lines-keep-byte-order-mark",
+         file=FILEIO,
+         old='text = text.removeprefix("\\ufeff")',
+         new="text = text",
+         reason="both parsers and the placement of a byte that is not UTF-8 "
+                "drop one byte-order mark at the start of the text"),
+    dict(name="lines-lone-cr-not-an-end",
+         file=FILEIO,
+         old='text.replace("\\r\\n", "\\n").replace("\\r", "\\n")',
+         new='text.replace("\\r\\n", "\\n")',
+         reason="a lone carriage return ends a line, as in text-mode open"),
+    dict(name="hasse-repeated-member-accepted",
+         file=LATTICE,
+         old="if (j := first.setdefault(m.pairs, i)) != i:",
+         new="if False:",
+         reason="two equal nodes would dominate each other, a 2-cycle in "
+                "the diagram"),
+    dict(name="hasse-no-reduction",
+         file=LATTICE,
+         old="covered &= ~dom[x]",
+         new="pass",
+         reason="a cover edge skips no node in between"),
+    dict(name="member-labels-from-zero",
+         file=VERIFICATION,
+         old='return f"(M{i + 1}, M{j + 1}) "',
+         new='return f"(M{i}, M{j}) "',
+         reason="reports name members from 1, as spas enumerate does"),
+    dict(name="pair-lemmas-weakly-better",
+         file=VERIFICATION,
+         old="srank[s - 1][p] >= srank[s - 1][q]",
+         new="srank[s - 1][p] > srank[s - 1][q]",
+         reason="the pairwise lemmas quantify over strictly better-off "
+                "students"),
+    dict(name="lecturer-dominance-transposed",
+         file=VERIFICATION,
+         old="to_x, to_y = _lecturer_prefers(",
+         new="to_y, to_x = _lecturer_prefers(",
+         reason="lecturer dominance of (y, x) reads whether each lecturer "
+                "prefers y's assignees"),
+    dict(name="unpopular-full-lecturer-covered",
+         file=VERIFICATION,
+         old="if min(load) >= instance.lecturer_capacity[k - 1]:",
+         new="if min(load) > instance.lecturer_capacity[k - 1]:",
+         reason="part (iii) covers only undersubscribed lecturers"),
+    dict(name="components-never-joined",
+         file=VERIFICATION,
+         old="root[find(k)] = find(held[s])",
+         new="pass",
+         reason="a student holding projects of two lecturers joins their "
+                "components"),
+    dict(name="product-bounds-counted-once",
+         file=VERIFICATION,
+         old="2 * (closed - same)",
+         new="(closed - same)",
+         reason="a pair assigning different students fails both bounds"),
+    dict(name="pair-count-weights-squared",
+         file=VERIFICATION,
+         old="w[c] * w[d]",
+         new="w[c] * w[c]",
+         reason="a pair of restrictions (c, d) fails once per pair of "
+                "members having them"),
 )
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

@@ -11,8 +11,7 @@ The grammar is written once, in ``_COMMANDS``.  A well-formed command
 line is read straight from that table (``_fast_args``); ``argparse``,
 which with ``gettext`` and ``locale`` costs several milliseconds to import
 and build, is loaded only for help and usage errors, so their text and
-exit codes are argparse's own.  Files are read and written as UTF-8; the
-parsers ignore a byte-order mark at the start of a file.
+exit codes are argparse's own.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ import sys
 from types import SimpleNamespace
 
 from .fileio import (
-    ParseError,
+    _read,
+    _write,
     emit_dot,
     parse_instance_file,
     parse_matching_file,
@@ -59,37 +59,12 @@ def _print_report(report: ValidationReport) -> None:
         print(f"WARNING {w.render()}")
 
 
-def _read(path: str) -> str:
-    """The text of the file at ``path``.  A byte that is not UTF-8 is a
-    ``ParseError`` naming the file, and the line and column it is at, which
-    count from after a leading byte-order mark as the parsers do."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the lines as the parser counts them, up to a stand-in for the byte
-        text = data[:exc.start].decode("utf-8").removeprefix("\ufeff")
-        lines = (text + "?").splitlines()
-        raise ParseError(f"byte 0x{data[exc.start]:02x} in {path} is not UTF-8",
-                         len(lines), len(lines[-1])) from None
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-
-
 def _load_instance(path: str) -> Instance:
     obj = parse_instance_file(_read(path))
     if isinstance(obj, ValidationReport):
         _print_report(obj)
         raise _Exit(EXIT_FALSE)
     return obj
-
-
-def _load_matching(path: str, instance: Instance) -> Matching:
-    return parse_matching_file(_read(path), instance)
 
 
 def _load_stable_set(args: SimpleNamespace) -> tuple[Instance, tuple[Matching, ...]]:
@@ -114,7 +89,7 @@ def _cmd_check(args: SimpleNamespace) -> int:
     from .stability import find_blocking_pairs
 
     instance = _load_instance(args.instance)
-    matching = _load_matching(args.matching, instance)
+    matching = parse_matching_file(_read(args.matching), instance)
     try:
         blocking = find_blocking_pairs(instance, matching)
     except ValueError:  # an invalid matching: its full report, in order
@@ -159,8 +134,8 @@ def _cmd_meet_join(args: SimpleNamespace) -> int:
     from .lattice import join, meet
 
     instance = _load_instance(args.instance)
-    first = _load_matching(args.m1, instance)
-    second = _load_matching(args.m2, instance)
+    first = parse_matching_file(_read(args.m1), instance)
+    second = parse_matching_file(_read(args.m2), instance)
     op = meet if args.command == "meet" else join
     sys.stdout.write(serialize_matching(op(instance, first, second)))
     return EXIT_OK

@@ -245,12 +245,19 @@ def _dominated(instance: Instance, nodes: Sequence[Matching]) -> list[int]:
 def build_hasse(instance: Instance, stable: Sequence[Matching]) -> HasseDiagram:
     """Cover edges of the dominance order over an enumerated stable set.
 
-    A bitset transitive reduction: the covers of node i are the nodes it
-    dominates, less every node dominated by one of those.  Dominance takes
-    O(n·|S|) operations on |S|-bit integers, n the number of students, and
-    the reduction one per dominating pair.
+    The members must be distinct: two equal nodes would dominate each
+    other, and the diagram would hold a cycle, so a repeated member raises
+    ``ValueError`` naming both (``M8 repeats M1``).  A bitset transitive
+    reduction: the covers of node i are the nodes it dominates, less every
+    node dominated by one of those.  Dominance takes O(n·|S|) operations on
+    |S|-bit integers, n the number of students, and the reduction one per
+    dominating pair.
     """
     nodes = tuple(stable)
+    first: dict[tuple[tuple[int, int], ...], int] = {}
+    for i, m in enumerate(nodes):
+        if (j := first.setdefault(m.pairs, i)) != i:
+            raise ValueError(f"M{i + 1} repeats M{j + 1}")
     _require_stable(instance, *nodes)
     dom = _dominated(instance, nodes)
     edges = []

@@ -84,6 +84,14 @@ preference-reversal failures) ``spas verify --force`` runs in 0.2 s end
 to end, within 5% of the peak RSS of ``spas enumerate --force``; on six
 copies (4096 members) in 0.5 s (2-core x86-64, CPython 3.11.7).
 
+A failure of an ordered pair of members starts with ``(Mi, Mj)``, the
+members counted from 1 in the order given, as ``spas enumerate``,
+``spas lattice`` and the DOT file number them (``_members``).  So do the
+four lemmas' failures, the lattice-axiom failures (``(M4, M3) dominance
+reversal fails``) and the unpopular-projects failures that name students
+unassigned in one member but not in the first (``(M1, M6) unassigned
+students differ: s3 s5``).
+
 The check tests only what can fail on rank vectors: closure, the meet
 and join bounding their arguments, and dominance reversal.  The paper's
 other lattice clauses hold for any rank vectors, so they are not
@@ -179,6 +187,12 @@ class _Failures:
     def __reduce__(self) -> tuple:
         # copies and pickles hold the text, not the tables it is read from
         return tuple, (tuple(self),)
+
+
+def _members(i: int, j: int) -> str:
+    """The prefix of a failure of the ordered pair of members at indices i
+    and j, which names them counted from 1, as ``spas enumerate`` does."""
+    return f"(M{i + 1}, M{j + 1}) "
 
 
 # An assignment as the checks read it: ``assigned`` maps each assigned
@@ -312,8 +326,7 @@ def _unpopular_projects(
         if moved:
             names = " ".join(student_name(s) for s in sorted(moved))
             failures.append(
-                f"unassigned students differ between members 0 and {idx}: {names}"
-            )
+                f"{_members(0, idx)}unassigned students differ: {names}")
 
     for k, load in sorted(loads.items()):
         if min(load) >= instance.lecturer_capacity[k - 1]:
@@ -530,11 +543,11 @@ def _restriction_tables(instance: Instance, comp: _Component) -> tuple[list, ...
 
 # the lattice-axiom failures of an ordered pair of members, by kind
 _AXIOM_TEXT = (
-    "meet of members {} and {} left the stable set",
-    "join of members {} and {} left the stable set",
-    "meet of {} and {} is not a lower bound",
-    "join of {} and {} is not an upper bound",
-    "dominance reversal fails between members {} and {}",
+    "meet left the stable set",
+    "join left the stable set",
+    "meet is not a lower bound",
+    "join is not an upper bound",
+    "dominance reversal fails",
 )
 
 
@@ -597,7 +610,7 @@ def _lattice_report(
 
     def entries() -> Iterator[str]:
         for kind, i, j in _axiom_walk(keys, tables):
-            yield _AXIOM_TEXT[kind].format(i, j)
+            yield _members(i, j) + _AXIOM_TEXT[kind]
 
     return PropertyReport("lattice-axioms", count == 0, _Failures(count, entries))
 
@@ -624,15 +637,15 @@ def _pair_entries(
     report order; ``tables`` holds that lemma's table of each component.
     A member whose restrictions all pass against every other restriction
     is skipped whole."""
-    for i, x in enumerate(keys, start=1):
+    for i, x in enumerate(keys):
         rows = [t[c] for t, c in zip(tables, x)]
         if not any(map(any, rows)):
             continue
-        for j, y in enumerate(keys, start=1):
+        for j, y in enumerate(keys):
             runs = [found for found in map(getitem, rows, y) if found]
             if not runs:
                 continue
-            prefix = f"(M{i}, M{j}) "
+            prefix = _members(i, j)
             # components own disjoint students and lecturers, so a stable
             # sort by key restores the order of one walk over the whole pair
             for _, text in runs[0] if len(runs) == 1 else sorted(

@@ -518,31 +518,30 @@ def naive_lattice_axioms(
     for i in range(n):
         for j in range(n):
             x, y = members[i], members[j]
+            pair = f"(M{i + 1}, M{j + 1})"  # as spas enumerate numbers them
             mt = _combine_def(instance, x, y, better=True)
             jn = _combine_def(instance, x, y, better=False)
             if mt not in member_set:
-                failures.append(f"meet of members {i} and {j} left the stable set")
+                failures.append(f"{pair} meet left the stable set")
                 continue
             if jn not in member_set:
-                failures.append(f"join of members {i} and {j} left the stable set")
+                failures.append(f"{pair} join left the stable set")
                 continue
             if not (_dominates_def(instance, mt, x) and _dominates_def(instance, mt, y)):
-                failures.append(f"meet of {i} and {j} is not a lower bound")
+                failures.append(f"{pair} meet is not a lower bound")
             if not (_dominates_def(instance, x, jn) and _dominates_def(instance, y, jn)):
-                failures.append(f"join of {i} and {j} is not an upper bound")
+                failures.append(f"{pair} join is not an upper bound")
             for z in range(n):
                 if dom[z][i] and dom[z][j] and not _dominates_def(instance, members[z], mt):
                     failures.append(
-                        f"member {z} is a lower bound of {i} and {j} above their meet"
+                        f"{pair} M{z + 1} is a lower bound above their meet"
                     )
                 if dom[i][z] and dom[j][z] and not _dominates_def(instance, jn, members[z]):
                     failures.append(
-                        f"member {z} is an upper bound of {i} and {j} below their join"
+                        f"{pair} M{z + 1} is an upper bound below their join"
                     )
             if dom[i][j] != _lect_dominates_def(instance, y, x):
-                failures.append(
-                    f"dominance reversal fails between members {i} and {j}"
-                )
+                failures.append(f"{pair} dominance reversal fails")
 
     for x in members:
         for y in members:
@@ -617,7 +616,7 @@ def _check_unpopular_projects(
             diff = u ^ unassigned[0]
             names = " ".join(student_name(s) for s in sorted(diff))
             failures.append(
-                f"unassigned students differ between members 0 and {idx}: {names}"
+                f"(M1, M{idx + 1}) unassigned students differ: {names}"
             )
 
     under = {
@@ -812,6 +811,9 @@ def naive_run_all_checks(
 
 
 _TOKEN = re.compile(r"\S+")
+# a line ends only here: "\x0c", "\x85", U+2028 and the like, which
+# str.splitlines also ends a line at, are spaces within one
+_LINE_END = re.compile(r"\r\n|\r|\n")
 _ID = re.compile(r"^([spl])([1-9][0-9]*)$")
 _COUNT_KEYWORDS = ("students", "projects", "lecturers")
 
@@ -857,7 +859,7 @@ def token_parse_raw_instance(text: str) -> RawInstance:
     projects: dict[int, tuple[int, int]] = {}
     lecturers: dict[int, tuple[int, list[int]]] = {}
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for line_no, raw_line in enumerate(_LINE_END.split(text), start=1):
         stripped = raw_line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -957,7 +959,7 @@ def token_parse_matching_file(text: str, instance: Instance) -> Matching:
     """The matching parser over ``(token, column)`` tuples."""
     pairs: list[tuple[int, int]] = []
     seen: set[int] = set()
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for line_no, raw_line in enumerate(_LINE_END.split(text), start=1):
         stripped = raw_line.strip()
         if not stripped or stripped.startswith("#"):
             continue

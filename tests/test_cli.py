@@ -72,8 +72,8 @@ FAIL preference-reversal: 8 violation(s)
   (M5, M6) s1 left l1 while preferring this side, but l1 does not prefer the other matching
 PASS rank-boundaries
 FAIL lattice-axioms: 2 violation(s)
-  dominance reversal fails between members 3 and 2
-  dominance reversal fails between members 5 and 4
+  (M4, M3) dominance reversal fails
+  (M6, M5) dominance reversal fails
 """
 VERIFY_B_PAIRS = """\
 PASS full-project
@@ -134,7 +134,11 @@ class TestValidate:
          "line 1, column 6"),
         # a matching file: the column counts the two-byte "ü" as one
         (("check", A, "{}"), b"s1 p1\n# \xc3\xbc\xe9\n", "line 2, column 4"),
-    ], ids=["validate", "solve", "check"])
+        # only "\n", "\r\n" and "\r" end a line, as the parsers read it
+        (("validate", "{}"), b"# a\x0cb \xe9\n" + Path(A).read_bytes(),
+         "line 1, column 7"),
+        (("check", A, "{}"), b"s1 p1\r# \xe9\r", "line 2, column 3"),
+    ], ids=["validate", "solve", "check", "form-feed", "lone-cr"])
     def test_bytes_that_are_not_utf8_are_placed(self, capsys, tmp_path, argv, text, place):
         path = tmp_path / "latin1.txt"
         path.write_bytes(text)
@@ -160,6 +164,22 @@ class TestValidate:
         plain = run(capsys, *argv)
         assert plain[0] == 0
         assert run(capsys, *marked)[:2] == plain[:2]
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_crlf_and_lone_cr_files_read_as_the_originals(
+            self, capsys, tmp_path, newline):
+        names = ("instance_a.spa", "instance_a_bad.spa", "a_m1.match",
+                 "unstable_a.match")
+        for name in names:
+            (tmp_path / name).write_bytes(
+                (DATA / name).read_bytes().replace(b"\n", newline))
+        for argv in (("validate", "instance_a.spa"),
+                     ("validate", "instance_a_bad.spa"),
+                     ("check", "instance_a.spa", "a_m1.match"),
+                     ("check", "instance_a.spa", "unstable_a.match")):
+            plain = run(capsys, argv[0], *(str(DATA / a) for a in argv[1:]))
+            copy = run(capsys, argv[0], *(str(tmp_path / a) for a in argv[1:]))
+            assert copy == plain
 
     def test_bytes_after_a_byte_order_mark_are_placed(self, capsys, tmp_path):
         # the mark is not counted in the column
@@ -396,7 +416,9 @@ class TestLatticeGolden:
     layer moved onto rank tables.  The ``verify`` files were written before
     verification split its checks by component, and ``verify_force_a^5``
     (1,310,720 failures, of which it prints five) before verification sized
-    its reports from the component tables."""
+    its reports from the component tables; ``verify_a+b`` and ``verify_b+b``
+    were relabelled when the lattice-axioms report took the ``(Mi, Mj)``
+    prefix of the other reports."""
 
     def test_every_case_has_a_golden_file(self, tmp_path):
         cases = set(lattice_cases(tmp_path))

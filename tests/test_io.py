@@ -52,6 +52,10 @@ DATA = Path(__file__).parent / "data"
 HOSTILE_NUMBERS = ("100000000000", "1" + "0" * 4999, "\u00b2", "-1", "0",
                    "1", "2")
 EDITS = ("drop", "duplicate", "swap", "drop-line", "duplicate-line")
+# str.splitlines ends a line at each of these; the parsers end one only at
+# "\n", "\r\n" or "\r", and take these for spaces between tokens
+NOT_LINE_ENDS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                 "\u2029")
 
 
 def mutated(text: str, seed: int) -> str:
@@ -127,6 +131,15 @@ class TestInstanceFiles:
         with pytest.raises(ParseError) as err:
             parse_raw_instance(text)
         assert (err.value.line, err.value.column) == (line, 1)
+
+    @pytest.mark.parametrize("c", NOT_LINE_ENDS, ids=ascii)
+    def test_only_cr_and_lf_end_a_line(self, c):
+        # the comment runs on past c, so lines are counted as grep -n does
+        text = (DATA / "instance_a.spa").read_text()
+        assert parse_instance_file(f"# comment{c}more words\n" + text) == INSTANCE_A
+        with pytest.raises(ParseError, match="students <count>") as err:
+            parse_instance_file(f"# comment{c}more words\nstudents x\n")
+        assert (err.value.line, err.value.column) == (2, 1)
 
     def test_semantic_errors_deferred_to_validation(self):
         report = parse_instance_file((DATA / "instance_a_bad.spa").read_text())
@@ -223,6 +236,14 @@ class TestMatchingFiles:
             parse_matching_file("s1 p1\n\ufeffs2 p2\n", INSTANCE_A)
         assert (err.value.line, err.value.column) == (2, 1)
 
+    @pytest.mark.parametrize("c", NOT_LINE_ENDS, ids=ascii)
+    def test_only_cr_and_lf_end_a_line(self, c):
+        text = (DATA / "a_m1.match").read_text()
+        assert parse_matching_file(f"# comment{c}s9 p9\n" + text, INSTANCE_A) == A_M1
+        with pytest.raises(ParseError, match="unknown project p99") as err:
+            parse_matching_file(f"# comment{c}s9 p9\ns1 p99\n", INSTANCE_A)
+        assert (err.value.line, err.value.column) == (2, 4)
+
     def test_empty_file_empty_matching(self):
         assert parse_matching_file("", INSTANCE_A) == Matching(())
 
@@ -306,9 +327,11 @@ def outcome(parse, *args):
         return (str(err), err.line, err.column)
 
 
-# Token separators: str.split() breaks on each; "\x0b" and "\x0c" also end
-# a line, "\x1f" does not, and "\xa0" and "\u3000" are not ASCII.
-SPACES = ("\t", "\x0b", "\x0c", "\x1f", "\xa0", "\u3000", "  ")
+# Token separators: str.split() breaks on each, and none ends a line,
+# although str.splitlines ends one at "\x0b", "\x0c", "\x1c", "\x85" and
+# "\u2028"; "\xa0" and "\u3000" are not ASCII.
+SPACES = ("\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028",
+          "\u3000", "  ")
 VARIANTS = {
     **{f"space-{ascii(c)}": (lambda t, c=c: t.replace(" ", c)) for c in SPACES},
     "crlf": lambda t: t.replace("\n", "\r\n"),

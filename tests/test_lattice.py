@@ -273,6 +273,18 @@ class TestHasse:
         assert diagram.edges == ()
         assert diagram.source_indices() == diagram.sink_indices() == (0,)
 
+    @pytest.mark.parametrize("repeat, message", [
+        (0, "M8 repeats M1"), (6, "M8 repeats M7")])
+    def test_a_repeated_member_is_refused(self, monkeypatch, repeat, message):
+        # two equal nodes would dominate each other, a 2-cycle that leaves
+        # the bottom or the top without its edges; an equal copy repeats
+        # its member as much as the object itself, and is refused before
+        # any dominance is decided
+        stable = enumerate_all(INSTANCE_B)
+        monkeypatch.setattr(lattice, "_dominated", None)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_hasse(INSTANCE_B, stable + (Matching(stable[repeat].pairs),))
+
     @given(st.integers(1, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_unique_source_and_sink_are_the_extremes(self, seed):

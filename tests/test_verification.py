@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 from itertools import islice, permutations
 from math import prod
 
@@ -41,7 +42,9 @@ from spas import (
     check_unpopular_projects,
     enumerate_all,
     find_blocking_pairs,
+    lecturer_dominates,
     run_all_checks,
+    student_dominates,
     verification,
 )
 
@@ -79,7 +82,8 @@ class TestUnpopularProjects:
         second = Matching(((3, 1), (5, 4)))
         report = check_unpopular_projects(INSTANCE_A, (first, second))
         assert not report.passed
-        assert any("unassigned" in f for f in report.failures)
+        assert report.failures == (
+            "(M1, M2) unassigned students differ: s1 s3 s4 s5",)
 
 
 class TestPairwiseChecksOnKnownInstances:
@@ -210,6 +214,21 @@ class TestLatticeAxioms:
         assert not report.passed
         assert all("dominance reversal" in f for f in report.failures)
         assert len(report.failures) == 2
+
+    def test_dominance_reversal_names_its_pairs_as_enumerate_does(self):
+        # (Mi, Mj) counts from 1, as spas enumerate and spas lattice do
+        stable = enumerate_all(INSTANCE_B)
+        named = set()
+        for f in check_lattice_axioms(INSTANCE_B, stable).failures:
+            match = re.fullmatch(r"\(M(\d+), M(\d+)\) dominance reversal fails", f)
+            assert match, f
+            named.add((int(match[1]), int(match[2])))
+        refuted = {
+            (i, j) for i, x in enumerate(stable, start=1)
+            for j, y in enumerate(stable, start=1)
+            if (student_dominates(INSTANCE_B, x, y)
+                != lecturer_dominates(INSTANCE_B, y, x))}
+        assert named == refuted == {(4, 3), (6, 5)}
 
     def test_singleton_passes(self):
         assert check_lattice_axioms(INSTANCE_B, (B_M[0],)).passed
@@ -651,7 +670,8 @@ class TestAgainstNaiveOnComponents:
 
 class TestPinnedOutput:
     """Failure counts and text of run_all_checks as the checks gave them
-    before the rank-vector rewrite, which reproduces them byte for byte.
+    before the rank-vector rewrite, which reproduces them byte for byte,
+    with every report since naming members ``(Mi, Mj)`` from 1.
     To recompute a digest, for a+b:
 
         PYTHONPATH=src:tests python -c "from test_verification import *; u = disjoint_union(INSTANCE_A, INSTANCE_B); print(digest(run_all_checks(u, enumerate_all(u))))"
@@ -659,11 +679,11 @@ class TestPinnedOutput:
 
     @pytest.mark.parametrize("parts, reversals, axioms, sha", [
         ((INSTANCE_A, INSTANCE_B), 324, 18,
-         "3ba85f9f88a305c52b3bd6a79ed2989acbaf29b30cde52abfa18f3cf9b214850"),
+         "716e2eabd153e1e431809371b4538815195f4302955d95fb629be153a1dc9621"),
         ((INSTANCE_A, INSTANCE_A, INSTANCE_A), 3072, 0,
          "21ed3e0efb59360e77fa9aa997f4359e0760f9e52dfe84cec1d0586c36ff530b"),
         ((INSTANCE_B, INSTANCE_B), 784, 104,
-         "f40a3abbbf5a78c0c4a165cf5b21a7f44cc4792cbbd27c1bf4532f4e20ea8601"),
+         "a01e5725c6ff48fc202e6af204579de8a50bb53ccd8b5723aa1166012195c14e"),
     ], ids=["a+b", "a+a+a", "b+b"])
     def test_unions(self, parts, reversals, axioms, sha):
         instance = disjoint_union(*parts)
@@ -697,4 +717,4 @@ class TestPinnedOutput:
             "lattice-axioms": 5842,
         }
         assert digest(reports) == (
-            "0277af6321c67a88b956e2975f1ad3055c9256d62b60779f216b802191633558")
+            "b1dbfed547803e64bfb2eb0508c814717fc66e002dcc6dbec8d3816c245e818c")
