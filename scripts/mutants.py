@@ -5,9 +5,14 @@ Each mutant replaces one exact text in one file under ``src`` with another.
 For each mutant the script copies ``src``, ``tests``, ``scripts`` and
 ``pyproject.toml`` to a temporary directory (the suite runs the scripts
 and takes its pytest settings from ``pyproject.toml``), applies the mutant
-there and runs pytest with ``-x`` on the given test
-paths, for at most ``TIMEOUT`` seconds.  It prints one JSON line per mutant,
-whose ``result`` is one of:
+there and runs pytest with ``-x`` on the given test paths, for at most
+``TIMEOUT`` seconds.  Directories are expanded into their test files in
+pytest's order, and the test file of the mutant's module
+(``tests/test_<stem>.py`` for ``src/spas/<stem>.py``) runs first when it is
+among them: it is the likeliest to kill the mutant, and ``-x`` stops at the
+first failure.  The other files keep their order, and a mutant survives
+only when every test passes.  It prints one JSON line per mutant, whose
+``result`` is one of:
 
 * ``killed``: a test failed or errored; ``killed_by`` names the first;
 * ``survived``: every test passed;
@@ -125,6 +130,11 @@ MUTANTS = (
          old="d.isascii() and d.isdigit()",
          new="d.isdigit()",
          reason="str.isdigit alone accepts digits that are not ASCII"),
+    dict(name="instance-id-range-off-by-one",
+         file=FILEIO,
+         old="if ident > counts[kind]:",
+         new="if ident > counts[kind] + 1:",
+         reason="a line's own id lies in 1..n for its declared count n"),
     dict(name="search-project-fill-cut",
          file=ENUMERATION,
          old="                if not proom[choice]:\n"
@@ -230,6 +240,12 @@ MUTANTS = (
          new="w[c] * w[c]",
          reason="a pair of restrictions (c, d) fails once per pair of "
                 "members having them"),
+    dict(name="pair-entries-merged-reversed",
+         file=VERIFICATION,
+         old="key=itemgetter(0))",
+         new="key=itemgetter(0), reverse=True)",
+         reason="the components' failures of one pair merge in the order "
+                "of one walk over the whole pair"),
 )
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
@@ -249,7 +265,10 @@ def apply(tree: Path, mutant: dict) -> bool:
 def run_tests(tree: Path, tests: list[str]) -> dict:
     """Run pytest with ``-x`` in ``tree`` on its own ``src``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE",
+    # plain asserts: rewriting recompiles every test module and pytest
+    # plugin in each fresh tree, about half of a mutant's start-up, and
+    # changes only the message of an assert that fails
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "--assert=plain",
            "-p", "no:cacheprovider", *tests]
     # a session of its own, so a timeout also ends what the tests started
     proc = subprocess.Popen(cmd, cwd=tree, env=env, stdin=subprocess.DEVNULL,
@@ -270,6 +289,22 @@ def run_tests(tree: Path, tests: list[str]) -> dict:
             "output": out[-2000:]}
 
 
+def ordered(tests: list[str], file: str) -> list[str]:
+    """``tests`` with each directory expanded into its test files, repeats
+    dropped, and the test file of ``file``'s module first if it is there."""
+    paths: list[str] = []
+    for test in tests:
+        if (ROOT / test).is_dir():
+            paths += [p.relative_to(ROOT).as_posix()
+                      for p in sorted((ROOT / test).rglob("test_*.py"))]
+        else:
+            paths.append(test)
+    own = f"tests/test_{Path(file).stem}.py"
+    if own in paths:
+        paths.insert(0, own)
+    return list(dict.fromkeys(paths))
+
+
 def check(mutant: dict, tests: list[str]) -> dict:
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
@@ -282,7 +317,7 @@ def check(mutant: dict, tests: list[str]) -> dict:
                 shutil.copy2(source, tree / name)
         if not apply(tree, mutant):
             return {"result": "stale"}
-        return run_tests(tree, tests)
+        return run_tests(tree, ordered(tests, mutant["file"]))
 
 
 def main() -> int:

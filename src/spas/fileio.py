@@ -21,10 +21,13 @@ form feed, U+0085 or U+2028 separates two tokens; unlike in
 ASCII digits without a leading zero, a grammar written once, in the
 token test ``_id_digits``; counts and capacities are ASCII digits and may be
 zero-padded.  A ``ParseError`` gives the line and the 1-based character
-column of the token, found only when the error is raised.  Both parsers
-ignore one byte-order mark (U+FEFF) at the very start of the text, as
-some Windows editors write it; columns on line 1 count from after it, and
-a mark anywhere else is an error.
+column of the token, found only when the error is raised.  Each line is
+judged where it is read, its own id against its declared count too, so
+the first error in file order is the one raised; only a missing header
+and a missing entity line have no place.  Both parsers ignore one
+byte-order mark (U+FEFF) at the very start of the text, as some Windows
+editors write it; columns on line 1 count from after it, and a mark
+anywhere else is an error.
 
 Matching grammar: one ``s<i> p<j>`` or ``s<i> -`` per line; unassigned
 students may be omitted.  Serialisers emit canonical ascending order, so
@@ -158,7 +161,7 @@ def parse_raw_instance(text: str) -> RawInstance:
     A file with no content (only blanks and comments) is the empty
     instance.
     """
-    counts: dict[str, int] = {}
+    counts: dict[str, int] = {}  # by kind: each keyword's first letter
     students: dict[int, list[int]] = {}
     projects: dict[int, tuple[int, int]] = {}
     lecturers: dict[int, tuple[int, list[int]]] = {}
@@ -172,11 +175,11 @@ def parse_raw_instance(text: str) -> RawInstance:
         head = words[0]
 
         if head in _COUNT_KEYWORDS:
-            if head in counts:
+            if head[0] in counts:
                 raise _error(f"duplicate '{head}' header", line_no, raw_line, 0)
             if len(words) != 2 or not _is_count(words[1]):
                 raise _error(f"expected '{head} <count>'", line_no, raw_line, 0)
-            counts[head] = _count(words, 1, raw_line, line_no)
+            counts[head[0]] = _count(words, 1, raw_line, line_no)
             continue
 
         if len(counts) < 3:
@@ -188,6 +191,9 @@ def parse_raw_instance(text: str) -> RawInstance:
             raise _error(f"unrecognised line {raw_line.strip()!r}",
                          line_no, raw_line, 0)
         (ident,) = _ids(kind, words, 0, 1, raw_line, line_no, known)
+        if ident > counts[kind]:
+            raise _error(f"{kind}{ident} is outside the declared range "
+                         f"1..{counts[kind]}", line_no, raw_line, 0)
         if ident in by_kind[kind]:
             raise _error(f"duplicate line for {kind}{ident}", line_no, raw_line, 0)
         if kind == "s":
@@ -210,33 +216,23 @@ def parse_raw_instance(text: str) -> RawInstance:
             ranked = _ids("s", words, 5, len(words), raw_line, line_no, known)
             lecturers[ident] = (_count(words, 3, raw_line, line_no), ranked)
 
-    if not counts and not (students or projects or lecturers):
+    if not counts:  # an entity line before the headers has raised
         return RawInstance([], [], [], [], [])
     for keyword in _COUNT_KEYWORDS:
-        if keyword not in counts:
+        if keyword[0] not in counts:
             raise ParseError(f"missing '{keyword}' header")
-
-    def gather(found: dict, n: int, prefix: str) -> None:
-        for ident in sorted(found):
-            if not 1 <= ident <= n:
-                raise ParseError(
-                    f"{prefix}{ident} is outside the declared range 1..{n}"
-                )
-        if len(found) < n:
-            # every found id lies in 1..n, so one of 1..len(found)+1 is free
-            missing = next(i for i in range(1, n + 1) if i not in found)
-            raise ParseError(f"missing line for {prefix}{missing}")
-
-    gather(students, counts["students"], "s")
-    gather(projects, counts["projects"], "p")
-    gather(lecturers, counts["lecturers"], "l")
+    for kind, found in by_kind.items():
+        if len(found) < counts[kind]:
+            # every found id is in range, so one of 1..len(found)+1 is free
+            missing = next(i for i in range(1, counts[kind] + 1) if i not in found)
+            raise ParseError(f"missing line for {kind}{missing}")
 
     return RawInstance(
-        student_prefs=[students[i] for i in range(1, counts["students"] + 1)],
-        project_capacity=[projects[j][0] for j in range(1, counts["projects"] + 1)],
-        project_owner=[projects[j][1] for j in range(1, counts["projects"] + 1)],
-        lecturer_capacity=[lecturers[k][0] for k in range(1, counts["lecturers"] + 1)],
-        lecturer_prefs=[lecturers[k][1] for k in range(1, counts["lecturers"] + 1)],
+        student_prefs=[students[i] for i in range(1, counts["s"] + 1)],
+        project_capacity=[projects[j][0] for j in range(1, counts["p"] + 1)],
+        project_owner=[projects[j][1] for j in range(1, counts["p"] + 1)],
+        lecturer_capacity=[lecturers[k][0] for k in range(1, counts["l"] + 1)],
+        lecturer_prefs=[lecturers[k][1] for k in range(1, counts["l"] + 1)],
     )
 
 

@@ -852,6 +852,14 @@ def _parse_count(tokens: list[tuple[str, int]], line: int) -> int:
     return _to_int(tokens[1][0], line, tokens[1][1])
 
 
+def _in_range(kind: str, ident: int, n: int, line: int, column: int) -> int:
+    if ident > n:
+        raise ParseError(
+            f"{kind}{ident} is outside the declared range 1..{n}", line, column
+        )
+    return ident
+
+
 def token_parse_raw_instance(text: str) -> RawInstance:
     """The instance parser over ``(token, column)`` tuples."""
     counts: dict[str, int] = {}
@@ -859,7 +867,9 @@ def token_parse_raw_instance(text: str) -> RawInstance:
     projects: dict[int, tuple[int, int]] = {}
     lecturers: dict[int, tuple[int, list[int]]] = {}
 
-    for line_no, raw_line in enumerate(_LINE_END.split(text), start=1):
+    # one byte-order mark at the very start is dropped
+    lines = _LINE_END.split(text.removeprefix("\ufeff"))
+    for line_no, raw_line in enumerate(lines, start=1):
         stripped = raw_line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -879,7 +889,8 @@ def token_parse_raw_instance(text: str) -> RawInstance:
 
         kind = head[0]
         if kind == "s":
-            i = _parse_id(head, "s", line_no, head_col)
+            i = _in_range("s", _parse_id(head, "s", line_no, head_col),
+                          counts["students"], line_no, head_col)
             if i in students:
                 raise ParseError(f"duplicate line for s{i}", line_no, head_col)
             if len(toks) < 2 or toks[1][0] != ":":
@@ -888,7 +899,8 @@ def token_parse_raw_instance(text: str) -> RawInstance:
                 _parse_id(t, "p", line_no, c) for t, c in toks[2:]
             ]
         elif kind == "p":
-            j = _parse_id(head, "p", line_no, head_col)
+            j = _in_range("p", _parse_id(head, "p", line_no, head_col),
+                          counts["projects"], line_no, head_col)
             if j in projects:
                 raise ParseError(f"duplicate line for p{j}", line_no, head_col)
             words = [t for t, _ in toks[1:]]
@@ -906,7 +918,8 @@ def token_parse_raw_instance(text: str) -> RawInstance:
             k = _parse_id(toks[5][0], "l", line_no, toks[5][1])
             projects[j] = (_to_int(words[2], line_no, toks[3][1]), k)
         elif kind == "l":
-            k = _parse_id(head, "l", line_no, head_col)
+            k = _in_range("l", _parse_id(head, "l", line_no, head_col),
+                          counts["lecturers"], line_no, head_col)
             if k in lecturers:
                 raise ParseError(f"duplicate line for l{k}", line_no, head_col)
             words = [t for t, _ in toks[1:]]
@@ -933,11 +946,6 @@ def token_parse_raw_instance(text: str) -> RawInstance:
             raise ParseError(f"missing '{keyword}' header")
 
     def gather(found: dict, n: int, prefix: str) -> None:
-        for ident in sorted(found):
-            if not 1 <= ident <= n:
-                raise ParseError(
-                    f"{prefix}{ident} is outside the declared range 1..{n}"
-                )
         if len(found) < n:
             missing = next(i for i in range(1, n + 1) if i not in found)
             raise ParseError(f"missing line for {prefix}{missing}")
@@ -959,7 +967,9 @@ def token_parse_matching_file(text: str, instance: Instance) -> Matching:
     """The matching parser over ``(token, column)`` tuples."""
     pairs: list[tuple[int, int]] = []
     seen: set[int] = set()
-    for line_no, raw_line in enumerate(_LINE_END.split(text), start=1):
+    # one byte-order mark at the very start is dropped
+    lines = _LINE_END.split(text.removeprefix("\ufeff"))
+    for line_no, raw_line in enumerate(lines, start=1):
         stripped = raw_line.strip()
         if not stripped or stripped.startswith("#"):
             continue

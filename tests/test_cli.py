@@ -527,6 +527,15 @@ class TestUsageAndErrors:
         assert code == 1
         assert "line 1" in err
 
+    def test_an_id_outside_its_count_is_placed(self, capsys, tmp_path):
+        # line 4's error is reported, not the later one on line 7
+        path = tmp_path / "range.spa"
+        path.write_text("students 1\nprojects 1\nlecturers 1\ns7 : p1\n"
+                        "p1 : capacity 1 lecturer l1\nl1 : capacity 1 : s1\n"
+                        "zzz\n")
+        assert run(capsys, "validate", str(path)) == (
+            1, "", "ERROR line 4, column 1: s7 is outside the declared range 1..1\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "no-such-file.spa")
         assert code == 1

@@ -186,6 +186,29 @@ class TestInstanceFiles:
         assert err.value.column is not None
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("line,message", [
+        ("s6 : p1", "s6 is outside the declared range 1..5"),
+        ("p6 : capacity 1 lecturer l1", "p6 is outside the declared range 1..5"),
+        ("l3 : capacity 1 : s1", "l3 is outside the declared range 1..2"),
+    ], ids=["student", "project", "lecturer"])
+    def test_an_id_one_past_its_count_is_placed(self, line, message):
+        # instance_a declares 5 students, 5 projects and 2 lecturers
+        lines = (DATA / "instance_a.spa").read_text().splitlines()
+        text = "\n".join(lines + [line]) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_raw_instance(text)
+        assert (err.value.line, err.value.column) == (len(lines) + 1, 1)
+        assert str(err.value) == f"line {len(lines) + 1}, column 1: {message}"
+
+    def test_the_first_error_in_file_order_is_reported(self):
+        # the id out of range on line 4 is found before line 7's garbage
+        text = ("students 1\nprojects 1\nlecturers 1\ns7 : p1\n"
+                "p1 : capacity 1 lecturer l1\nl1 : capacity 1 : s1\nzzz\n")
+        with pytest.raises(ParseError) as err:
+            parse_raw_instance(text)
+        assert (err.value.line, err.value.column) == (4, 1)
+        assert "s7 is outside the declared range 1..1" in str(err.value)
+
     @pytest.mark.parametrize("text,missing", [
         ("students 100000000000\nprojects 0\nlecturers 0\n", "s1"),
         ("students 100000000000\nprojects 0\nlecturers 0\ns1 :\ns2 :\n", "s3"),
@@ -341,6 +364,7 @@ VARIANTS = {
     "zero-padded": lambda t: re.sub(
         r"(students|projects|lecturers|capacity) ", r"\1 00", t),
     "zero-padded-ids": lambda t: re.sub(r"\b([spl])(\d)", r"\g<1>0\2", t),
+    "byte-order-mark": lambda t: "\ufeff" + t,
     "unchanged": lambda t: t,
 }
 

@@ -128,3 +128,22 @@ def test_mutants_reports_stale_and_killed(tmp_path):
     assert (stale["name"], stale["result"]) == ("stale", "stale")
     assert (killed["name"], killed["result"]) == ("inclusive", "killed")
     assert killed["killed_by"].startswith("tests/test_stability.py::")
+
+
+@pytest.mark.parametrize("tests", [
+    ("tests/test_acceptance.py", "tests/test_stability.py"),
+    ("tests/test_acceptance.py", "tests"),
+], ids=["files", "directory"])
+def test_mutants_run_the_module_test_file_first(tmp_path, tests):
+    # tests/test_acceptance.py kills this mutant too, and is listed first
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps([
+        dict(name="inclusive", file="src/spas/stability.py",
+             old="if ranks[s] < bound:", new="if ranks[s] <= bound:",
+             reason="P3 and P4 need strict lecturer preference"),
+    ]))
+    proc = run_script(MUTANTS, "--table", str(table), *tests)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (killed,) = map(json.loads, proc.stdout.splitlines())
+    assert killed["result"] == "killed"
+    assert killed["killed_by"].startswith("tests/test_stability.py::")
