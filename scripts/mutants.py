@@ -135,6 +135,17 @@ MUTANTS = (
          old="if ident > counts[kind]:",
          new="if ident > counts[kind] + 1:",
          reason="a line's own id lies in 1..n for its declared count n"),
+    dict(name="one-id-without-fallback",
+         file=FILEIO,
+         old="return n or _ids(",
+         new="return n  # _ids(",
+         reason="a matching file's token that is not an id is a placed "
+                "ParseError, not the id 0"),
+    dict(name="serialized-capacity-and-owner-swapped",
+         file=FILEIO,
+         old="for p, (capacity, owner) in enumerate(projects",
+         new="for p, (owner, capacity) in enumerate(projects",
+         reason="a project line gives its capacity, then its lecturer"),
     dict(name="search-project-fill-cut",
          file=ENUMERATION,
          old="                if not proom[choice]:\n"

@@ -141,6 +141,18 @@ def _ids(kind: str, words: list[str], start: int, stop: int,
     raise _error(message, line, raw_line, words.index(w, start))
 
 
+def _one_id(kind: str, words: list[str], index: int, raw_line: str, line: int) -> int:
+    """``words[index]`` as a ``<kind><n>`` id, decoded by the token test
+    alone.  ``_ids`` runs only on a token that fails that test or whose
+    digits ``int`` refuses, and so raises that token's placed
+    ``ParseError``."""
+    try:
+        n = int(_id_digits(kind, words[index]) or 0)  # 0: not an id
+    except ValueError:  # more digits than int accepts
+        n = 0
+    return n or _ids(kind, words, index, index + 1, raw_line, line, {kind: {}})[0]
+
+
 def _is_count(token: str) -> bool:
     """ASCII digits only: ``str.isdigit`` also accepts ``²`` and the like,
     which ``int`` then rejects."""
@@ -247,25 +259,23 @@ def serialize_instance(instance: Instance) -> str:
         f"projects {instance.num_projects}",
         f"lecturers {instance.num_lecturers}",
     ]
-    for s in instance.students():
-        parts = [f"s{s}", ":"] + [f"p{p}" for p in instance.student_prefs[s - 1]]
-        lines.append(" ".join(parts))
-    for p in instance.projects():
-        lines.append(
-            f"p{p} : capacity {instance.project_capacity[p - 1]} "
-            f"lecturer l{instance.project_owner[p - 1]}"
-        )
-    for k in instance.lecturers():
-        parts = [f"l{k}", ":", "capacity", str(instance.lecturer_capacity[k - 1]), ":"]
-        parts += [f"s{s}" for s in instance.lecturer_prefs[k - 1]]
-        lines.append(" ".join(parts))
+    for s, prefs in enumerate(instance.student_prefs, start=1):
+        lines.append(" ".join([f"s{s} :"] + [f"p{p}" for p in prefs]))
+    projects = zip(instance.project_capacity, instance.project_owner)
+    for p, (capacity, owner) in enumerate(projects, start=1):
+        lines.append(f"p{p} : capacity {capacity} lecturer l{owner}")
+    lecturers = zip(instance.lecturer_capacity, instance.lecturer_prefs)
+    for k, (capacity, ranked) in enumerate(lecturers, start=1):
+        lines.append(" ".join([f"l{k} : capacity {capacity} :"]
+                              + [f"s{s}" for s in ranked]))
     return "\n".join(lines) + "\n"
 
 
 def parse_matching_file(text: str, instance: Instance) -> Matching:
-    """The matching a file lists, its ids decoded by the token test alone:
-    ``_ids``, which raises the id's exact ``ParseError``, runs only on a
-    token that fails that test or whose digits ``int`` refuses."""
+    """The matching a file lists, each line's two ids decoded by
+    ``_one_id``.  A malformed line, an id outside the instance and a
+    second line for one student raise a ``ParseError`` placed at the
+    token."""
     n1, n2 = instance.num_students, instance.num_projects
     pairs: list[tuple[int, int]] = []
     seen = [False] * (n1 + 1)
@@ -275,26 +285,15 @@ def parse_matching_file(text: str, instance: Instance) -> Matching:
             continue
         if len(words) != 2:
             raise _error("expected 's<i> p<j>' or 's<i> -'", line_no, raw_line, 0)
-        head, tail = words
-        try:
-            s = int(_id_digits("s", head) or 0)  # 0: not an id
-        except ValueError:  # more digits than int accepts
-            s = 0
-        if not s:
-            _ids("s", words, 0, 1, raw_line, line_no, {"s": {}})  # raises
+        s = _one_id("s", words, 0, raw_line, line_no)
         if not 1 <= s <= n1:
             raise _error(f"unknown student s{s}", line_no, raw_line, 0)
         if seen[s]:
             raise _error(f"duplicate line for s{s}", line_no, raw_line, 0)
         seen[s] = True
-        if tail == "-":
+        if words[1] == "-":
             continue
-        try:
-            p = int(_id_digits("p", tail) or 0)
-        except ValueError:
-            p = 0
-        if not p:
-            _ids("p", words, 1, 2, raw_line, line_no, {"p": {}})  # raises
+        p = _one_id("p", words, 1, raw_line, line_no)
         if not 1 <= p <= n2:
             raise _error(f"unknown project p{p}", line_no, raw_line, 1)
         pairs.append((s, p))

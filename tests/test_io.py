@@ -358,6 +358,7 @@ SPACES = ("\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028",
 VARIANTS = {
     **{f"space-{ascii(c)}": (lambda t, c=c: t.replace(" ", c)) for c in SPACES},
     "crlf": lambda t: t.replace("\n", "\r\n"),
+    "cr": lambda t: t.replace("\n", "\r"),
     "blanks": lambda t: "".join(f" \t{line}\u3000 \n" for line in t.splitlines()),
     "comments": lambda t: "".join(f"# note\n{line}\n \u3000\n  #\n"
                                   for line in t.splitlines()),

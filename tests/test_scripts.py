@@ -110,6 +110,17 @@ def test_count_code_lines_per_file_and_total(tmp_path):
     ]
 
 
+def test_every_module_has_its_test_file():
+    # scripts/mutants.py runs tests/test_<stem>.py first against a mutant
+    # of src/spas/<stem>.py; fileio's tests, named before that rule, are in
+    # tests/test_io.py, and this pins that one exception
+    tests = Path(__file__).resolve().parent
+    stems = {p.stem for p in Path(spas.__file__).parent.glob("*.py")}
+    missing = sorted(stem for stem in stems - {"__init__", "__main__"}
+                     if not (tests / f"test_{stem}.py").is_file())
+    assert missing == ["fileio"]
+
+
 def test_mutants_reports_stale_and_killed(tmp_path):
     # one test file, not the suite: the script runs pytest on the paths it
     # is given, in a copy of the repository with the mutant applied
