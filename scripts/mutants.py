@@ -48,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "scripts", "pyproject.toml")
 TIMEOUT = 300  # seconds per mutant; the whole suite takes under a minute
 
+CLI = "src/spas/cli.py"
 ENUMERATION = "src/spas/enumeration.py"
 FILEIO = "src/spas/fileio.py"
 LATTICE = "src/spas/lattice.py"
@@ -146,6 +147,13 @@ MUTANTS = (
          old="for p, (capacity, owner) in enumerate(projects",
          new="for p, (owner, capacity) in enumerate(projects",
          reason="a project line gives its capacity, then its lecturer"),
+    dict(name="level-self-reference",
+         file=ENUMERATION,
+         old="yield i + 1\n",
+         new="yield level and i + 1\n",
+         reason="a level that refers to level through its closure is a "
+                "reference cycle, which leaves the search's whole state to "
+                "the cyclic collector"),
     dict(name="search-project-fill-cut",
          file=ENUMERATION,
          old="                if not proom[choice]:\n"
@@ -172,6 +180,12 @@ MUTANTS = (
          new="            pass\n",
          reason="projects of a lecturer M_s fills are bounded by c_p, not "
                 "by M_s's load"),
+    dict(name="run-without-freeze",
+         file=CLI,
+         old="    gc.freeze()\n",
+         new="",
+         reason="the process entry freezes the heap before it exits, so the "
+                "shutdown collection has nothing to walk"),
     dict(name="meet-join-swapped",
          file=LATTICE,
          old="(rank[a[1]] < rank[b[1]]) != better",

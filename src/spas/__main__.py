@@ -1,6 +1,4 @@
-import sys
-
-from spas.cli import main
+from spas.cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,10 +12,18 @@ line is read straight from that table (``_fast_args``); ``argparse``,
 which with ``gettext`` and ``locale`` costs several milliseconds to import
 and build, is loaded only for help and usage errors, so their text and
 exit codes are argparse's own.
+
+``run`` is the process entry, of the ``spas`` script and of ``python -m
+spas``: it runs ``main`` with the cyclic collector off and freezes the heap
+before the process exits, so the interpreter's last collection at shutdown
+has nothing to walk.  No command leaves cyclic garbage, which the test
+suite checks.  ``main`` and the library never touch the collector, so
+in-process callers keep their own setting.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from types import SimpleNamespace
 
@@ -308,4 +316,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """The process entry: ``main`` on ``sys.argv`` with the cyclic collector
+    off, then ``gc.freeze()`` and ``SystemExit`` with ``main``'s code.  It
+    leaves the collector off and exits, so it must not be called in-process;
+    call ``main`` there."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)

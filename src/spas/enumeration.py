@@ -18,10 +18,13 @@ students, a project p of a lecturer with |M_s(k)| < d_k at most |M_s(p)|,
 and every other project at most its capacity c_p.
 
 Depth-first search assigns students in index order.  Each student's level
-is a generator: it applies one choice, yields the level below it, and
-undoes the choice in the lines after the ``yield``.  The open levels sit on
-an explicit stack of generators, so the depth is not bounded by the
-interpreter's recursion limit.  A branch dies as soon as a blocking pair
+is a generator: it applies one choice, yields the index of the student
+below it, and undoes the choice in the lines after the ``yield``.  The
+outer loop opens each yielded level and keeps the open levels on an
+explicit stack of generators, so the depth is not bounded by the
+interpreter's recursion limit, and no level refers to ``level`` itself: a
+self-reference would be a cycle that leaves the search's whole state to
+the cyclic collector.  A branch dies as soon as a blocking pair
 is already decided by the frozen prefix:
 
 * once a project is at its bound its assignee set can no longer change,
@@ -137,8 +140,8 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
             return owner[assigned[s]] == k or lrank[k - 1][s] < lworst[k]
         return False
 
-    def level(i: int) -> Iterator[Iterator]:
-        # student i's choices in list order: apply one, yield the level
+    def level(i: int) -> Iterator[int]:
+        # student i's choices in list order: apply one, yield the student
         # below it unless a cut kills it, then undo it
         plist = prefs[i - 1]
         for idx in span[i]:
@@ -172,7 +175,7 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
             elif not dead:
                 for p in skipped:
                     envy[owner[p]].append((i, p))
-                yield level(i + 1)
+                yield i + 1
                 for p in skipped:
                     envy[owner[p]].pop()
 
@@ -182,14 +185,15 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
                 lroom[k0] += 1
                 pworst[choice], lworst[k0] = old
 
-    # the open levels from student 1 down, on an explicit stack
+    # the open levels from student 1 down, on an explicit stack; a level
+    # yields the student below it, 0 meaning it is exhausted
     stack = [level(1)]
     while stack:
-        below = next(stack[-1], None)
-        if below is None:
-            stack.pop()
+        below = next(stack[-1], 0)
+        if below:
+            stack.append(level(below))
         else:
-            stack.append(below)
+            stack.pop()
 
     found.sort(key=lambda m: m.pairs)
     instance._certify(*found)

@@ -1,9 +1,10 @@
+import gc
 import io
 import os
 import random
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,89 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The golden commands on the bundled instances.  ``spas.cli.run`` leaves
+# the cyclic collector off for the whole process, so none may leave
+# cyclic garbage; only help and usage errors, which build argparse's
+# parser, leave some (382 objects for ``spas solve x.spa`` on CPython 3.11).
+GOLDEN_COMMANDS = [
+    ("validate", A),
+    ("validate", str(DATA / "instance_a_bad.spa")),
+    ("check", A, str(DATA / "a_m1.match")),
+    ("check", A, str(DATA / "unstable_a.match")),
+    ("solve", "--optimal", "student", A),
+    ("solve", "--optimal", "lecturer", B),
+    ("enumerate", B),
+    ("enumerate", "--count-only", B),
+    ("lattice", B),
+    ("lattice", "--dot", "{tmp}/b.dot", B),
+    ("verify", B),
+    ("verify", "--pairs", A),
+    ("meet", B, str(DATA / "b_m2.match"), str(DATA / "b_m3.match")),
+    ("join", B, str(DATA / "b_m4.match"), str(DATA / "b_m5.match")),
+    ("gen", "--students", "4", "--projects", "3", "--lecturers", "2", "--seed", "1"),
+]
+
+
+def garbage_after(argv: list[str], enabled: bool) -> int:
+    """What ``gc.collect()`` finds after ``main(argv)`` runs with the cyclic
+    collector on or off, having checked that ``main`` left the collector
+    and its freeze count as it found them.  The caller's setting is
+    restored."""
+    gc.collect()
+    frozen = gc.get_freeze_count()
+    was = gc.isenabled()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+# Runs spas.cli.run on its arguments in a fresh interpreter.  The atexit
+# hook runs after run's SystemExit and prints the collector's state.
+RUN_CHILD = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count(), file=sys.stderr))
+from spas.cli import run
+run()
+"""
+
+
+class TestCollector:
+    @pytest.mark.parametrize("argv", GOLDEN_COMMANDS,
+                             ids=lambda argv: " ".join(Path(w).name for w in argv))
+    def test_no_command_leaves_cyclic_garbage(self, argv, tmp_path):
+        argv = [word.replace("{tmp}", str(tmp_path)) for word in argv]
+        garbage_after(argv, enabled=True)  # also loads the command's layers
+        assert garbage_after(argv, enabled=False) == 0
+
+    def test_usage_error_keeps_the_collector_setting(self):
+        garbage_after(["solve", "x.spa"], enabled=True)
+        garbage_after(["solve", "x.spa"], enabled=False)
+
+    @pytest.mark.parametrize("argv", [("validate", A), ("verify", B), ("solve", "x.spa")],
+                             ids=lambda argv: argv[0])
+    def test_run_exits_with_the_collector_off_and_the_heap_frozen(self, argv, capsys):
+        code, out, _ = run(capsys, *argv)
+        env = dict(os.environ, PYTHONPATH=str(Path(spas.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_CHILD, *argv], env=env,
+            capture_output=True, text=True, stdin=subprocess.DEVNULL, timeout=60)
+        enabled, frozen = proc.stderr.splitlines()[-1].split()
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert enabled == "False"
+        assert int(frozen) > 0
 
 
 class TestValidate:

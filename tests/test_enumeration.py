@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from collections import Counter
@@ -141,6 +142,34 @@ class TestStablePairs:
         ))
         assert isinstance(built, Instance)
         assert stable_pairs(built) == {(1, 1)}
+
+
+class TestNoReferenceCycle:
+    """The search leaves no reference cycle, so its whole state is freed
+    when ``enumerate_all`` returns, even with the cyclic collector off, as
+    the ``spas`` process runs.  A level generator that refers to ``level``
+    through its closure would be such a cycle."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: INSTANCE_A,
+        lambda: INSTANCE_B,
+        lambda: disjoint_union(INSTANCE_A, INSTANCE_A),
+        lambda: irving_leather(4),
+        lambda: corpus_instance(35, 7, 6, 3),  # its two DAs differ
+    ], ids=["a", "b", "a+a", "IL(4)", "corpus-35"])
+    def test_search_leaves_no_cyclic_garbage(self, make):
+        instance = make()
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert len(enumerate_all(instance)) > 1  # the search ran
+            assert gc.collect() == 0
+            stable_pairs(instance)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestAgainstBruteForce:

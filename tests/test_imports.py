@@ -3,6 +3,7 @@ each CLI command pulls in, and the ``python -m spas`` entry module; and the
 help and usage errors of argparse, which no well-formed command loads."""
 
 import argparse
+import gc
 import importlib
 import io
 import os
@@ -141,7 +142,8 @@ def test_command_loads_no_heavy_stdlib_module(command, bare_heavy):
 
 def test_importing_main_module_does_not_run_the_cli():
     module = importlib.import_module("spas.__main__")
-    assert module.main is spas.cli.main
+    assert module.run is spas.cli.run
+    assert gc.isenabled()  # run, which turns the collector off, did not run
 
 
 def parser_written_out() -> argparse.ArgumentParser:
