@@ -156,14 +156,10 @@ MUTANTS = (
                 "the cyclic collector"),
     dict(name="search-project-fill-cut",
          file=ENUMERATION,
-         old="                if not proom[choice]:\n"
-             "                    dead = any(\n"
-             "                        p == choice and blocked(s, p)"
-             " for s, p in envy[k0]\n"
-             "                    )\n",
-         new="",
-         reason="the cut when a project fills only prunes; the pinned "
-                "search work shows it"),
+         old="choice and not (proom[choice] and lroom[k0])",
+         new="choice and not lroom[k0]",
+         reason="the cut when a choice fills its project only prunes; the "
+                "pinned search work shows it"),
     dict(name="search-room-not-restored",
          file=ENUMERATION,
          old="                proom[choice] += 1\n",
@@ -186,6 +182,24 @@ MUTANTS = (
          new="",
          reason="the process entry freezes the heap before it exits, so the "
                 "shutdown collection has nothing to walk"),
+    dict(name="fast-args-required-ignored",
+         file=CLI,
+         old="if missing or len(words)",
+         new="if len(words)",
+         reason="a command line without a required option is argparse's "
+                "usage error"),
+    dict(name="empty-dot-path-absent",
+         file=CLI,
+         old="if args.dot is not None:",
+         new="if args.dot:",
+         reason="an empty --dot path cannot be written, so the run fails "
+                "and prints nothing"),
+    dict(name="empty-out-path-absent",
+         file=CLI,
+         old="if args.out is not None:",
+         new="if args.out:",
+         reason="an empty --out path cannot be written, so the run fails "
+                "and prints nothing"),
     dict(name="meet-join-swapped",
          file=LATTICE,
          old="(rank[a[1]] < rank[b[1]]) != better",
@@ -231,6 +245,12 @@ MUTANTS = (
          old='return f"(M{i + 1}, M{j + 1}) "',
          new='return f"(M{i}, M{j}) "',
          reason="reports name members from 1, as spas enumerate does"),
+    dict(name="failure-index-not-converted",
+         file=VERIFICATION,
+         old="i = index(key)",
+         new="i = key",
+         reason="lazy failures refuse an index that is not an integer with "
+                "TypeError, as the tuple they equal does"),
     dict(name="pair-lemmas-weakly-better",
          file=VERIFICATION,
          old="srank[s - 1][p] >= srank[s - 1][q]",

@@ -155,7 +155,7 @@ def _cmd_lattice(args: SimpleNamespace) -> int:
     instance, stable = _load_stable_set(args)
     diagram = build_hasse(instance, stable)
     # the file first, so that a run that cannot write it prints nothing
-    if args.dot:
+    if args.dot is not None:
         _write(args.dot, emit_dot(diagram))
     for a, b in diagram.edges:
         print(f"{diagram.label(a)} -> {diagram.label(b)}")
@@ -190,7 +190,7 @@ def _cmd_gen(args: SimpleNamespace) -> int:
         density=args.density,
     )
     text = serialize_instance(generate(params))
-    if args.out:
+    if args.out is not None:
         _write(args.out, text)
     else:
         sys.stdout.write(text)
@@ -253,12 +253,16 @@ def _fast_args(argv: list[str]) -> SimpleNamespace | None:
     or None wherever argparse could differ: an unknown command, any token
     starting with "-" that is not one of the command's option names (so
     help, abbreviations, ``--opt=value``, ``--`` and negative numbers), a
-    missing or refused option value, or the wrong number of positionals."""
+    missing or refused option value, a required option not given, or the
+    wrong number of positionals.  One pass over the tokens fills a table
+    of option values seeded with their defaults (False for a flag)."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, fn, arguments = _COMMANDS[argv[0]]
     options = {name: kwargs for name, kwargs in arguments if name[0] == "-"}
-    given = {}
+    values = {name: False if kwargs.get("action") == "store_true"
+              else kwargs.get("default") for name, kwargs in options.items()}
+    missing = {name for name, kwargs in options.items() if kwargs.get("required")}
     words = []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -268,8 +272,9 @@ def _fast_args(argv: list[str]) -> SimpleNamespace | None:
         kwargs = options.get(token)
         if kwargs is None:
             return None
+        missing.discard(token)
         if kwargs.get("action") == "store_true":
-            given[token] = True
+            values[token] = True
             continue
         value = next(tokens, "-")  # a missing value declines as "-" does
         if value[:1] == "-":
@@ -280,21 +285,13 @@ def _fast_args(argv: list[str]) -> SimpleNamespace | None:
             return None
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
-        given[token] = value
+        values[token] = value
     positionals = [name for name, _ in arguments if name[0] != "-"]
-    if len(words) != len(positionals):
+    if missing or len(words) != len(positionals):
         return None
-    args = SimpleNamespace(command=argv[0], fn=fn, **dict(zip(positionals, words)))
-    for name, kwargs in options.items():
-        if name in given:
-            value = given[name]
-        elif kwargs.get("required"):
-            return None
-        else:
-            value = (False if kwargs.get("action") == "store_true"
-                     else kwargs.get("default"))
-        setattr(args, name[2:].replace("-", "_"), value)
-    return args
+    return SimpleNamespace(
+        command=argv[0], fn=fn, **dict(zip(positionals, words)),
+        **{name[2:].replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -34,6 +34,15 @@ is already decided by the frozen prefix:
   project loads are final, which settles the two conditions that pair an
   undersubscribed project with a full lecturer (P2, P3).
 
+Each choice tests the student's own skipped pairs and, when it leaves its
+project or its lecturer without room, scans the pairs skipped so far on
+that lecturer's projects once.  A pair there on another project p adds
+no cut of its own.  If p has no room, its worst assignee cannot change
+until the search backs out past the student who skipped p, so the pair
+was already tested, with the same result, at the step that filled p or
+at that student's own level.  If p and its lecturer both have room, the
+pair decides nothing yet.
+
 A student skips every project above their choice, not only those from
 M_s(s) on: the sandwich bounds what a student may hold, not what they may
 envy, so a pair above M_s(s) still feeds the cuts.  The search finds
@@ -142,7 +151,9 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
 
     def level(i: int) -> Iterator[int]:
         # student i's choices in list order: apply one, yield the student
-        # below it unless a cut kills it, then undo it
+        # below it unless a cut kills it, then undo it; a cut reads i's own
+        # skipped pairs, and k0's envied pairs in one scan once the choice
+        # leaves its project or k0 without room
         plist = prefs[i - 1]
         for idx in span[i]:
             choice = plist[idx] if idx < len(plist) else 0
@@ -161,14 +172,9 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
                 if r > lworst[k0]:
                     lworst[k0] = r
 
-            dead = any(blocked(i, p) for p in skipped)
-            if not dead and choice:
-                if not proom[choice]:
-                    dead = any(
-                        p == choice and blocked(s, p) for s, p in envy[k0]
-                    )
-                if not dead and not lroom[k0]:
-                    dead = any(blocked(s, p) for s, p in envy[k0])
+            dead = any(blocked(i, p) for p in skipped) or (
+                choice and not (proom[choice] and lroom[k0])
+                and any(blocked(s, p) for s, p in envy[k0]))
             if not dead and i == n1:
                 found.append(Matching._canonical(tuple(
                     (s, assigned[s]) for s in range(1, n1 + 1) if assigned[s])))

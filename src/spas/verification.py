@@ -111,7 +111,7 @@ from collections import Counter, namedtuple
 from functools import partial
 from itertools import chain, combinations, islice, starmap, zip_longest
 from math import prod
-from operator import eq, getitem, itemgetter, le, mul
+from operator import eq, getitem, index, itemgetter, le, mul
 
 from .model import (
     Instance,
@@ -163,14 +163,15 @@ class _Failures:
     def __iter__(self) -> Iterator[str]:
         return self._entries() if self._count else iter(())
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._count)
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(self._count)
             return (tuple(islice(self, start, stop, step)) if step > 0
-                    else tuple(self)[index])
-        if not -self._count <= index < self._count:
+                    else tuple(self)[key])
+        i = index(key)  # what is not an integer raises TypeError, as in a tuple
+        if not -self._count <= i < self._count:
             raise IndexError("failure index out of range")
-        return next(islice(self, index % self._count, None))
+        return next(islice(self, i % self._count, None))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (tuple, _Failures)):
@@ -441,13 +442,13 @@ def _pair_failures(
 
 
 def _pair_tables(instance: Instance, views: list[_View]) -> list[list[list]]:
-    """For each lemma, the failures of each ordered pair of distinct
-    restrictions of one component, None where there are none.  Every such
-    pair is the restriction of some ordered pair of members, so none is
-    decided in vain."""
+    """For each lemma, the failures of each ordered pair of restrictions of
+    one component, empty on the diagonal.  Every pair of distinct
+    restrictions is the restriction of some ordered pair of members, so
+    none is decided in vain."""
     table = [[_pair_failures(instance, a, b) if a is not b else ((),) * 4
               for b in views] for a in views]
-    return [[[found[lemma] or None for found in row] for row in table]
+    return [[[found[lemma] for found in row] for row in table]
             for lemma in range(len(_PAIR_NAMES))]
 
 
@@ -636,21 +637,19 @@ def _pair_entries(
     """The failures of one lemma over the ordered pairs of members, in
     report order; ``tables`` holds that lemma's table of each component.
     A member whose restrictions all pass against every other restriction
-    is skipped whole."""
+    is skipped whole.  Each pair's component failures merge by a stable
+    sort on their keys: components own disjoint students and lecturers, so
+    that restores the order of one walk over the whole pair."""
     for i, x in enumerate(keys):
         rows = [t[c] for t, c in zip(tables, x)]
         if not any(map(any, rows)):
             continue
         for j, y in enumerate(keys):
             runs = [found for found in map(getitem, rows, y) if found]
-            if not runs:
-                continue
-            prefix = _members(i, j)
-            # components own disjoint students and lecturers, so a stable
-            # sort by key restores the order of one walk over the whole pair
-            for _, text in runs[0] if len(runs) == 1 else sorted(
-                    chain.from_iterable(runs), key=itemgetter(0)):
-                yield prefix + text
+            if runs:
+                prefix = _members(i, j)
+                for _, text in sorted(chain.from_iterable(runs), key=itemgetter(0)):
+                    yield prefix + text
 
 
 def run_all_checks(

@@ -421,6 +421,12 @@ class TestLattice:
         assert (code, out) == (1, "")
         assert err.startswith("ERROR ")
 
+    def test_empty_dot_path_is_unwritable(self, capsys):
+        # an empty path is a path that cannot be written, not an absent one
+        code, out, err = run(capsys, "lattice", "--dot", "", A)
+        assert (code, out) == (1, "")
+        assert err.startswith("ERROR ")
+
 
 # one incomparable pair of members of each union (indices into
 # union_stable_set), so meet and join differ from both
@@ -582,6 +588,13 @@ class TestGen:
         assert code == 0
         assert out == ""
         assert path.exists()
+
+    def test_empty_out_path_is_unwritable(self, capsys):
+        code, out, err = run(
+            capsys, "gen", "--students", "2", "--projects", "1",
+            "--lecturers", "1", "--seed", "1", "--out", "")
+        assert (code, out) == (1, "")
+        assert err.startswith("ERROR ")
 
     def test_infeasible_params(self, capsys):
         code, _, err = run(

@@ -596,6 +596,11 @@ def test_lazy_failures_behave_as_their_tuple():
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
                 lazy[i]
+        for i in (1.0, "x", None):
+            for side in lazy, text:
+                with pytest.raises(TypeError):
+                    side[i]
+        assert lazy[True] == text[True] and lazy[False] == text[False]
         for cut in (slice(5), slice(3, 9), slice(-4, None), slice(None, None, 7),
                     slice(10, 2), slice(None, None, -3), slice(n - 2, n + 5)):
             assert lazy[cut] == text[cut]
