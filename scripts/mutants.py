@@ -156,8 +156,8 @@ MUTANTS = (
                 "the cyclic collector"),
     dict(name="search-project-fill-cut",
          file=ENUMERATION,
-         old="choice and not (proom[choice] and lroom[k0])",
-         new="choice and not lroom[k0]",
+         old="not (dead or proom[choice] and lroom[k0])",
+         new="not (dead or lroom[k0])",
          reason="the cut when a choice fills its project only prunes; the "
                 "pinned search work shows it"),
     dict(name="search-room-not-restored",
@@ -253,10 +253,17 @@ MUTANTS = (
                 "TypeError, as the tuple they equal does"),
     dict(name="pair-lemmas-weakly-better",
          file=VERIFICATION,
-         old="srank[s - 1][p] >= srank[s - 1][q]",
-         new="srank[s - 1][p] > srank[s - 1][q]",
+         old="if q is None or q == p:",
+         new="if q is None:",
          reason="the pairwise lemmas quantify over strictly better-off "
-                "students"),
+                "students, and a student on one project in both matchings "
+                "is better off on neither side"),
+    dict(name="pair-sides-swapped",
+         file=VERIFICATION,
+         old="table[i][j], table[j][i] = _pair_failures(",
+         new="table[j][i], table[i][j] = _pair_failures(",
+         reason="the walk over a pair of restrictions returns the (a, b) "
+                "side first, and it fills the (a, b) cell"),
     dict(name="lecturer-dominance-transposed",
          file=VERIFICATION,
          old="to_x, to_y = _lecturer_prefers(",
@@ -274,6 +281,12 @@ MUTANTS = (
          new="pass",
          reason="a student holding projects of two lecturers joins their "
                 "components"),
+    dict(name="restriction-meet-one-order",
+         file=VERIFICATION,
+         old="meet[i][j] = meet[j][i] = ",
+         new="meet[i][j] = ",
+         reason="the meet of a pair of restrictions fills the cells of "
+                "both orders"),
     dict(name="product-bounds-counted-once",
          file=VERIFICATION,
          old="2 * (closed - same)",

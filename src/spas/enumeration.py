@@ -172,9 +172,16 @@ def enumerate_all(instance: Instance, *, force: bool = False) -> tuple[Matching,
                 if r > lworst[k0]:
                     lworst[k0] = r
 
-            dead = any(blocked(i, p) for p in skipped) or (
-                choice and not (proom[choice] and lroom[k0])
-                and any(blocked(s, p) for s, p in envy[k0]))
+            dead = False
+            for p in skipped:
+                if blocked(i, p):
+                    dead = True
+                    break
+            if choice and not (dead or proom[choice] and lroom[k0]):
+                for s, p in envy[k0]:
+                    if blocked(s, p):
+                        dead = True
+                        break
             if not dead and i == n1:
                 found.append(Matching._canonical(tuple(
                     (s, assigned[s]) for s in range(1, n1 + 1) if assigned[s])))

@@ -19,11 +19,13 @@ of members, the checks read each member only to find its restrictions
 assignments and the assignee sets of its component's projects and
 lecturers.  The public pairwise checks build views of their own
 arguments.  Each pairwise lemma quantifies over the students assigned in
-both matchings who are strictly better off in the first, so
-``_pair_failures`` decides all four on an ordered pair in one walk over
-the first member's assignments; ``run_all_checks`` and each public
-pairwise check call it, the latter keeping only its own lemma's
-failures.
+both matchings who are strictly better off in the first.  A student
+assigned on both sides to different projects is strictly better off on
+exactly one side, so ``_pair_failures`` decides all four lemmas on both
+orders of an unordered pair in one walk over the first member's
+assignments, each such student once, for the side they are better off
+on.  ``run_all_checks`` calls it for both orders, and each public
+pairwise check for its own order only, keeping its own lemma's failures.
 
 Both the pairwise lemmas and the lattice check run per component.  Two
 lecturers share a component when some student holds a project of each
@@ -35,12 +37,12 @@ such a student leaves, and reads only the assignee sets of that
 student's component; so the failures of a pair of members are the union,
 over the components where their restrictions differ, of the failures of
 those two restrictions.  ``_pair_failures`` therefore runs once per
-ordered pair of distinct restrictions of each component, and each pair
-of members merges its components' failures by student (by lecturer for
-preference-reversal).  Components own disjoint students and lecturers,
-so the merge gives the order of one walk over the whole pair.  This
-holds for any set of members, not only for products of their
-restrictions.
+unordered pair of distinct restrictions of each component and fills the
+cells of both orders, and each pair of members merges its components'
+failures by student (by lecturer for preference-reversal).  Components
+own disjoint students and lecturers, so the merge gives the order of one
+walk over the whole pair.  This holds for any set of members, not only
+for products of their restrictions.
 
 The lattice-axioms check reads each member as a rank vector: entry s - 1
 is the position of s's project on their list, or the number of projects
@@ -57,11 +59,14 @@ and at least both arguments and assign their union and intersection, so
 they bound both exactly when the two assign the same students.
 
 Every one of these is decided per component, on the restrictions' rank
-vectors, once per pair of distinct restrictions.  A student outside every
-component is unassigned in every member, so the whole meet (join) of two
-members is a member exactly when, in each component, the min (max) of
-their restrictions is a restriction and the tuple of those restrictions
-is some member's.  Two members assign the same students, are ordered for
+vectors.  The meet, join and same-students cells are symmetric, so each
+unordered pair of restrictions decides them once for both orders, as one
+comparison per lecturer decides lecturer dominance both ways; student
+dominance is read per ordered pair.  A student outside every component
+is unassigned in every member, so the whole meet (join) of two members
+is a member exactly when, in each component, the min (max) of their
+restrictions is a restriction and the tuple of those restrictions is
+some member's.  Two members assign the same students, are ordered for
 the students, or are ordered (reversed) for the lecturers exactly when
 that holds in every component.
 
@@ -109,7 +114,8 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import partial
-from itertools import chain, combinations, islice, starmap, zip_longest
+from itertools import (
+    chain, combinations, combinations_with_replacement, islice, starmap, zip_longest)
 from math import prod
 from operator import eq, getitem, index, itemgetter, le, mul
 
@@ -363,32 +369,43 @@ _PAIR_NAMES = (
 
 
 def _pair_failures(
-    instance: Instance, a: _View, b: _View
-) -> tuple[list[tuple[int, str]], ...]:
-    """The four pairwise lemmas' failures on (a, b), in report order.
+    instance: Instance, a: _View, b: _View, reverse: bool = True
+) -> tuple[tuple[list[tuple[int, str]], ...], ...]:
+    """The four pairwise lemmas' failures on (a, b) and on (b, a), each in
+    report order; those on (b, a) stay empty unless ``reverse``.
 
     Every lemma quantifies over the students assigned in both matchings
-    who strictly prefer a, so one walk over a's assignments, in ascending
-    student order, visits each of them once.  Full-project, same-lecturer
-    and rank-boundaries are decided per student; preference-reversal
-    afterwards, over the lecturers those students leave, ascending.  Each
-    failure comes keyed by its student, or its lecturer for
-    preference-reversal, so keys ascend in each list."""
+    who strictly prefer the first.  A student assigned on both sides to
+    different projects strictly prefers exactly one side, and a student on
+    one project in both prefers neither, so one walk over a's assignments,
+    in ascending student order, visits each of them once, for the side
+    they prefer.  Full-project, same-lecturer and rank-boundaries are
+    decided per student; preference-reversal afterwards, per side, over
+    the lecturers that side's students leave, ascending.  Each failure
+    comes keyed by its student, or its lecturer for preference-reversal,
+    so keys ascend in each list."""
     owner, cap = instance.project_owner, instance.project_capacity
     srank, lrank = instance.srank, instance.lrank
-    full, same, reversal, bounds = failures = ([], [], [], [])
-    movers: set[int] = set()
-    losing: set[int] = set()
+    # per side: the matching preferred, the other, the four lemmas'
+    # failures, the students who prefer it and the lecturers they leave
+    sides = [(a, b, ([], [], [], []), set(), set()),
+             (b, a, ([], [], [], []), set(), set())]
     for s, p in a.assigned.items():
         q = b.assigned.get(s)
-        if q is None or srank[s - 1][p] >= srank[s - 1][q]:
+        if q is None or q == p:
             continue
+        flip = srank[s - 1][p] > srank[s - 1][q]
+        if flip and not reverse:
+            continue
+        x, y, (full, same, _, bounds), movers, losing = sides[flip]
+        if flip:
+            p, q = q, p
         movers.add(s)
         k, kq = owner[p - 1], owner[q - 1]
         rank = lrank[k - 1]
         rank_s = rank[s]
-        held, alt = a.lect[k], b.lect[k]
-        if len(b.proj[p]) != cap[p - 1] and (
+        held, alt = x.lect[k], y.lect[k]
+        if len(y.proj[p]) != cap[p - 1] and (
             s in alt or any(rank_s < rank[t] for t in alt)
         ):
             full.append((s,
@@ -396,7 +413,7 @@ def _pair_failures(
                 f"yet {project_name(p)} is not full in the other matching"
             ))
         if kq != k:
-            # s leaves exactly the lecturer they hold in a
+            # s leaves exactly the lecturer they hold on their side
             losing.add(k)
         elif held == alt:
             same.append((s,
@@ -416,38 +433,40 @@ def _pair_failures(
                 ))
         rank = lrank[kq - 1]
         rank_s = rank[s]
-        for t in a.proj[q] - b.proj[q]:
+        for t in x.proj[q] - y.proj[q]:
             if rank[t] < rank_s:
                 bounds.append((s,
                     f"{student_name(t)} in the project set difference of "
                     f"{project_name(q)} outranks {student_name(s)}"
                 ))
-        if len(a.proj[q]) < cap[q - 1]:
-            for t in a.lect[kq] - b.lect[kq]:
+        if len(x.proj[q]) < cap[q - 1]:
+            for t in x.lect[kq] - y.lect[kq]:
                 if rank[t] < rank_s:
                     bounds.append((s,
                         f"{student_name(t)} in the lecturer set difference of "
                         f"{lecturer_name(kq)} outranks {student_name(s)}"
                     ))
-    for k in sorted(losing):
-        set_m, set_alt = a.lect[k], b.lect[k]
-        mover = next(s for s in set_m - set_alt if s in movers)
-        if not _lecturer_prefers(lrank[k - 1], set_alt, set_m)[0]:
-            reversal.append((k,
-                f"{student_name(mover)} left {lecturer_name(k)} while "
-                f"preferring this side, but {lecturer_name(k)} does not "
-                f"prefer the other matching"
-            ))
-    return failures
+    for x, y, failures, movers, losing in sides:
+        for k in sorted(losing):
+            set_m, set_alt = x.lect[k], y.lect[k]
+            mover = next(s for s in set_m - set_alt if s in movers)
+            if not _lecturer_prefers(lrank[k - 1], set_alt, set_m)[0]:
+                failures[2].append((k,
+                    f"{student_name(mover)} left {lecturer_name(k)} while "
+                    f"preferring this side, but {lecturer_name(k)} does not "
+                    f"prefer the other matching"
+                ))
+    return sides[0][2], sides[1][2]
 
 
 def _pair_tables(instance: Instance, views: list[_View]) -> list[list[list]]:
     """For each lemma, the failures of each ordered pair of restrictions of
-    one component, empty on the diagonal.  Every pair of distinct
-    restrictions is the restriction of some ordered pair of members, so
-    none is decided in vain."""
-    table = [[_pair_failures(instance, a, b) if a is not b else ((),) * 4
-              for b in views] for a in views]
+    one component, empty on the diagonal.  One walk decides both orders of
+    each unordered pair of distinct restrictions, and every such pair is
+    the restriction of some pair of members, so none is decided in vain."""
+    table = [[((),) * 4] * len(views) for _ in views]
+    for i, j in combinations(range(len(views)), 2):
+        table[i][j], table[j][i] = _pair_failures(instance, views[i], views[j])
     return [[[found[lemma] for found in row] for row in table]
             for lemma in range(len(_PAIR_NAMES))]
 
@@ -455,9 +474,11 @@ def _pair_tables(instance: Instance, views: list[_View]) -> list[list[list]]:
 def _check_pair(
     lemma: int, instance: Instance, m: Matching, m_alt: Matching
 ) -> PropertyReport:
+    """One lemma's report on (m, m_alt), from the walk over the pair with
+    the (m_alt, m) side left undecided."""
     a, b = (_view(instance, dict(_validated(instance, x)), instance.projects(),
                   instance.lecturers()) for x in (m, m_alt))
-    found = _pair_failures(instance, a, b)[lemma]
+    found = _pair_failures(instance, a, b, reverse=False)[0][lemma]
     return _report(_PAIR_NAMES[lemma], [text for _, text in found])
 
 
@@ -515,16 +536,21 @@ def _restriction_tables(instance: Instance, comp: _Component) -> tuple[list, ...
     ids of their meet and join, None when no restriction is one, whether
     they assign the same students, whether x is below y for the students,
     and whether each of the component's lecturers weakly prefers y's
-    assignee set to x's, which is y below x for the lecturers."""
+    assignee set to x's, which is y below x for the lecturers.  The meet,
+    join and same-students cells are symmetric, so each is decided once
+    per unordered pair and fills both orders."""
     srank, top, views = instance.srank, instance.num_projects, comp.views
     vecs = [tuple(srank[s - 1][p] if p is not None else top
                   for s, p in zip(comp.students, projects))
             for projects in comp.ids]
     ids = {vec: c for c, vec in enumerate(vecs)}
-    meet = [[ids.get(tuple(map(min, x, y))) for y in vecs] for x in vecs]
-    join = [[ids.get(tuple(map(max, x, y))) for y in vecs] for x in vecs]
     keys = [v.assigned.keys() for v in views]
-    same = [[x == y for y in keys] for x in keys]
+    meet, join, same = ([[None] * len(vecs) for _ in vecs] for _ in range(3))
+    for i, j in combinations_with_replacement(range(len(vecs)), 2):
+        x, y = vecs[i], vecs[j]
+        meet[i][j] = meet[j][i] = ids.get(tuple(map(min, x, y)))
+        join[i][j] = join[j][i] = ids.get(tuple(map(max, x, y)))
+        same[i][j] = same[j][i] = keys[i] == keys[j]
     student_dom = [[eq and all(map(le, x, y)) for eq, y in zip(row, vecs)]
                    for row, x in zip(same, vecs)]
     lrank = instance.lrank

@@ -158,3 +158,106 @@ def test_mutants_run_the_module_test_file_first(tmp_path, tests):
     (killed,) = map(json.loads, proc.stdout.splitlines())
     assert killed["result"] == "killed"
     assert killed["killed_by"].startswith("tests/test_stability.py::")
+
+
+BENCH_RECORD = SCRIPTS / "bench_record.py"
+
+# stands in for bench/run.py: prints the env line and the JSON result line
+# that bench/run.py ends with, and a wall time of SCALE times the seed, so
+# each side and seed reads its own value
+STUB_RUNNER = '''\
+import json, sys
+SCALE = {scale}
+opts = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed, trace = int(opts["--seed"]), opts["--trace"]
+print("# " + opts["--workload"])
+print("env " + json.dumps({{"python": "stub", "seed": seed, "trace": int(trace)}}))
+metrics = ({{"verification.run_all_checks.busy_s": {{"value": SCALE, "unit": "s"}}}}
+           if trace == "1" else {{"wall_s": {{"value": SCALE * seed, "unit": "s"}}}})
+print(json.dumps({{"correct": SCALE > 0, "attempted": 4, "failed": 0,
+                  "metrics": metrics}}))
+'''
+
+
+def stub_repository(tmp_path: Path, parent_scale: float, change_scale: float):
+    """A git repository holding the script and a stub ``bench/run.py``:
+    committed with ``parent_scale``, and ``change_scale`` in the working
+    tree.  Returns the script's path and the commit."""
+    repo = tmp_path / "repo"
+    (repo / "bench").mkdir(parents=True)
+    (repo / "scripts").mkdir()
+    script = repo / "scripts" / BENCH_RECORD.name
+    script.write_text(BENCH_RECORD.read_text())
+    runner = repo / "bench" / "run.py"
+    runner.write_text(STUB_RUNNER.format(scale=parent_scale))
+
+    def git(*argv: str) -> str:
+        return subprocess.run(
+            ["git", "-C", str(repo), "-c", "user.name=stub",
+             "-c", "user.email=stub@example.org", "-c", "commit.gpgsign=false",
+             *argv], check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    runner.write_text(STUB_RUNNER.format(scale=change_scale))
+    return script, git("rev-parse", "HEAD")
+
+
+def test_bench_record_alternates_the_sides_and_writes_the_file(tmp_path):
+    script, commit = stub_repository(tmp_path, 2.0, 1.0)
+    proc = run_script(script, "--pr", "7", "--parent", "HEAD", "--seconds", "0",
+                      "--first-seed", "3", "demo=3")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((script.parent.parent / "BENCH_7.json").read_text())
+    assert record["pr"] == 7
+    # the working tree's runner differs from HEAD's
+    assert record["commits"] == {"parent": commit, "change": commit + "-dirty"}
+    # the seed and the trace flag vary between runs, so only the host
+    # fields stay
+    assert record["env"] == {"python": "stub"}
+    demo = record["workloads"]["demo"]
+    assert demo["seeds"] == [3, 4, 5]
+    assert demo["first"] == ["parent", "change", "parent"]
+    for side, scale in (("parent", 2.0), ("change", 1.0)):
+        got = demo[side]
+        assert got["commands"] == [
+            f"{Path(sys.executable).name} bench/run.py --workload demo "
+            f"--seed {seed} --seconds 0 --trace 0" for seed in (3, 4, 5)]
+        assert (got["correct"], got["attempted"], got["failed"]) == (
+            True, [4, 4, 4], [0, 0, 0])
+        assert got["metrics"] == {"wall_s": {
+            "unit": "s", "runs": [scale * 3, scale * 4, scale * 5],
+            "median": scale * 4}}
+        assert got["traced"] == {
+            "command": f"{Path(sys.executable).name} bench/run.py --workload "
+                       f"demo --seed 3 --seconds 0 --trace 1",
+            "correct": True, "attempted": 4, "failed": 0,
+            "per_layer": {"verification.run_all_checks.busy_s": {
+                "value": scale, "unit": "s"}}}
+    # the runs went in alternating order: parent first in even pairs
+    sides = [line.split(": ")[0].split()[-1] for line in proc.stderr.splitlines()
+             if line.startswith("demo seed ")]
+    assert sides == ["parent", "change", "change", "parent", "parent", "change"]
+
+
+def test_bench_record_reports_an_incorrect_side(tmp_path):
+    # a stub whose scale is 0 reports "correct": false
+    script, _ = stub_repository(tmp_path, 1.0, 0.0)
+    out = tmp_path / "bench.json"
+    proc = run_script(script, "--pr", "1", "--parent", "HEAD", "--seconds", "0",
+                      "--out", str(out), "demo=1")
+    assert proc.returncode == 0, proc.stderr
+    demo = json.loads(out.read_text())["workloads"]["demo"]
+    assert (demo["parent"]["correct"], demo["change"]["correct"]) == (True, False)
+
+
+def test_bench_record_stops_on_a_run_without_a_result(tmp_path):
+    script, _ = stub_repository(tmp_path, 1.0, 1.0)
+    (script.parent.parent / "bench" / "run.py").write_text("import sys; sys.exit(3)\n")
+    proc = run_script(script, "--pr", "1", "--parent", "HEAD", "--seconds", "0",
+                      "demo=1")
+    assert proc.returncode == 1
+    assert "exited 3 without a result" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (script.parent.parent / "BENCH_1.json").exists()
